@@ -296,6 +296,10 @@ def h_factorization(P):
                              pooled[-1], None))
     rows.append(make_row("factorization", {**P, "check": "node-doubling-shrink"},
                          pooled[1], 0.5 * pooled[0]))
+    # the same Q-breakpoints give the integral exactly: a rounding-level check
+    ex = mr_factorization.factorization_identity_exact(w, t)
+    rows.append(make_row("factorization", {**P, "check": "identity-exact"},
+                         ex.residual, ex.envelope, ratio=ex.ratio))
     return rows
 
 

@@ -35,24 +35,6 @@ def fsum_complex(values):
     return complex(fsum(arr.real), fsum(arr.imag))
 
 
-class KahanSum:
-    """Streaming compensated accumulator, for loops that cannot batch."""
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x):
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-    @property
-    def value(self):
-        return self.s
-
-
 def check_mul64(*factors):
     """Hard error if the integer product of factors overflows int64."""
     prod = 1

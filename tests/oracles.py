@@ -207,3 +207,48 @@ def convergents(frac):
 
 def dist_to_z(x):
     return abs(x - round(x))
+
+
+# ------------------------------------------------------- two-factor identity
+
+def per_node_identity_residual(mr, w, t, q_nodes):
+    """The band identity residual by the plain midpoint loop, one Q-node at
+    a time: masks over every band prime and every cofactor at each node.
+
+    mr is the two-factor module; its sieve, weight and exact sums feed
+    both sides, so a comparison isolates the quadrature of Z1(Q) Z2(Q).
+    """
+    if q_nodes < 16:
+        raise ValueError("q_nodes must be at least 16")
+    s = 1.0 + 1j * float(t)
+    one = 1.0 + w.delta
+
+    lam_n, _ = mr._scan_band(w.X + 1, w.domain_hi + 1, w.P0)
+    ns = np.arange(w.X + 1, w.domain_hi + 1, dtype=np.float64)
+    nvals = lam_n * np.exp(-s * np.log(ns))
+    lhs = mr.fsum_complex(nvals[ns <= 2 * w.X])
+    u = mr.weight_array(w)
+    indicator = (ns <= 2 * w.X).astype(np.float64)
+    z_err = mr.fsum_complex((indicator - u) * nvals)
+
+    band = mr.arith_core.primes_upto(int(one * w.Q0)).primes
+    band = band[band > w.P0].astype(np.float64)
+    m_base, lam_m, qmin_m = mr._z2_data(w)
+    ms = np.arange(m_base, m_base + len(lam_m), dtype=np.float64)
+    mvals = lam_m * np.exp(-s * np.log(ms))
+
+    log_lo, log_hi = math.log(w.P0), math.log(w.Q0)
+    du = (log_hi - log_lo) / q_nodes
+    centers = np.exp(log_lo + du * (np.arange(q_nodes) + 0.5))
+    acc = 0j
+    pvals = -np.exp(-s * np.log(band)) if len(band) else np.zeros(0, np.complex128)
+    for Q in centers:
+        in_band = (band > Q) & (band <= one * Q)
+        z1 = pvals[in_band].sum() if in_band.any() else 0j
+        if z1 == 0:
+            continue
+        keep = (ms > w.X / Q) & (ms <= 2 * w.X / Q) & (qmin_m >= one * Q)
+        z2 = mvals[keep].sum() if keep.any() else 0j
+        acc += z1 * z2 * du
+    rhs = acc / math.log(one)
+    return abs(lhs - z_err - rhs)

@@ -185,3 +185,21 @@ def test_resource_exhaustion_exits_three(capsys):
     rc, _, err = run(["goldbach", "--n", "100001"], capsys)
     assert rc == 3
     assert "resource error" in err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_factorization_non_finite_t_exits_two(t, capsys):
+    rc, out, err = run(["factorization", "--t", t], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_factorization_identity_exact_row(capsys):
+    rc, out, _ = run(["factorization", "--x", "500", "--delta", "0.99",
+                      "--q0", "20", "--p0", "3"], capsys)
+    assert rc == 0
+    rows = parse_csv(out)
+    assert "check=node-doubling-shrink" in rows[-2][1]
+    assert "check=identity-exact" in rows[-1][1]
+    assert rows[-1][-1] == "pass"

@@ -160,3 +160,48 @@ def test_scan_band_agrees_with_trial_division():
         facs = [p for p, _ in oracles.trial_factor(n) if p >= 5]
         want = facs[0] if facs else math.inf
         assert qmin[i] == want, n
+
+
+def test_identity_residual_matches_per_node_oracle():
+    # one evaluation per constant run of nodes must add the same doubles in
+    # the same order as the per-node loop: equality, not closeness
+    for params in ((10**4, 0.1, 10, 100), (500, 0.1, 24, 25), (10**4, 0.1, 60, 61)):
+        w = mr.RamareWeight(*params)
+        for nodes in (16, 64, 4096):
+            for t in (0.0, 0.7, 13.0):
+                got = mr.factorization_identity_residual(w, t, nodes)
+                want = oracles.per_node_identity_residual(mr, w, t, nodes)
+                assert got == want, (params, nodes, t)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_identity_rejects_non_finite_t(t):
+    w = mr.RamareWeight(500, 0.15, 4, 20)
+    with pytest.raises(ValueError):
+        mr.factorization_identity_residual(w, t, 64)
+    with pytest.raises(ValueError):
+        mr.factorization_identity_exact(w, t)
+
+
+def test_identity_exact_within_envelope():
+    for params in ((10**4, 0.1, 10, 100), (10**4, 0.1, 60, 61),
+                   (500, 0.99, 3, 20), (1000, 0.01, 2, 250)):
+        w = mr.RamareWeight(*params)
+        for t in (0.0, 0.7, 13.0):
+            rep = mr.factorization_identity_exact(w, t)
+            assert rep.scale > 0
+            assert rep.residual <= rep.envelope, (params, t)
+    # empty band: both sides vanish exactly
+    rep = mr.factorization_identity_exact(mr.RamareWeight(500, 0.1, 24, 25), 0.7)
+    assert (rep.residual, rep.scale, rep.ratio) == (0.0, 0.0, 0.0)
+
+
+def test_identity_exact_fails_with_indicator_weight():
+    # with u replaced by the indicator of (X, 2X] the left side drops the
+    # error-set term, and the exact check must see it
+    w = mr.RamareWeight(10**4, 0.1, 10, 100)
+    ns = np.arange(w.X + 1, w.domain_hi + 1)
+    w._u = (ns <= 2 * w.X).astype(np.float64)
+    for t in (0.0, 0.7, 13.0):
+        rep = mr.factorization_identity_exact(w, t)
+        assert rep.ratio > 1e6, t
