@@ -13,7 +13,7 @@ import numpy as np
 
 from .util import INT64_MAX, BudgetError, fsum
 
-DEFAULT_SEGMENT = 1 << 20
+DEFAULT_SEGMENT = 1 << 18
 SPAN_BUDGET = 1 << 26
 
 
@@ -72,44 +72,60 @@ def primes_upto(bound):
     return PrimeList(bound, np.flatnonzero(mask).astype(np.int64))
 
 
-def _factor_segment(lo, hi, base_primes):
-    """Factor data for one segment [lo, hi). base_primes covers sqrt(hi-1)."""
-    n = np.arange(lo, hi, dtype=np.int64)
-    cof = n.copy()
+def _segments(lo, hi, segment_len, budget=SPAN_BUDGET):
+    """Base primes up to sqrt(hi-1) and the (a, b) bounds tiling [lo, hi).
+
+    Raises ValueError unless 1 <= lo < hi, OverflowError when hi does not
+    fit the 64-bit invariants and BudgetError when the span exceeds budget.
+    """
+    if not 1 <= lo < hi:
+        raise ValueError("need 1 <= lo < hi")
+    if hi - 1 > INT64_MAX or (math.isqrt(hi - 1) + 1) ** 2 > INT64_MAX:
+        raise OverflowError("sieve range exceeds 64-bit budget")
+    if hi - lo > budget:
+        raise BudgetError("span %d exceeds budget %d" % (hi - lo, budget))
+    base = primes_upto(math.isqrt(hi - 1)).primes
+    return base, [(a, min(a + segment_len, hi)) for a in range(lo, hi, segment_len)]
+
+
+def _sieve_segment(lo, hi, base_primes, pmin=2):
+    """(omega, sqfree, first) on one segment [lo, hi).
+
+    base_primes must cover sqrt(hi-1). One strided pass per prime power
+    p^k < hi, with no division inside the loop: omega counts prime factors
+    with multiplicity, sqfree flags square-free n, and first is the smallest
+    prime factor >= pmin (0 when there is none). Primes run in descending
+    order, so the smallest one is the last written into first; pmin >= hi
+    skips first for the paths that need only omega and sqfree. What the
+    base-prime powers leave of n is 1 or a single prime above sqrt(hi-1).
+    """
+    ps = base_primes[base_primes * base_primes < hi][::-1]
+    p_all, pk_all, pk = [ps], [ps], ps
+    while pk.size:
+        more = pk <= (hi - 1) // ps
+        ps, pk = ps[more], pk[more] * ps[more]
+        p_all.append(ps)
+        pk_all.append(pk)
+    p_all, pk_all = np.concatenate(p_all), np.concatenate(pk_all)
+    starts = (-lo) % pk_all
     omega = np.zeros(hi - lo, dtype=np.int16)
-    spf = np.zeros(hi - lo, dtype=np.int64)
+    smooth = np.ones(hi - lo, dtype=np.int64)
     sqfree = np.ones(hi - lo, dtype=bool)
-    for p in base_primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        start = (-lo) % p
-        idx = np.arange(start, hi - lo, p, dtype=np.int64)
-        if idx.size == 0:
-            continue
-        spf_hit = spf[idx] == 0
-        spf[idx[spf_hit]] = p
-        cof[idx] //= p
-        omega[idx] += 1
-        again = cof[idx] % p == 0
-        sqfree[idx[again]] = False
-        idx = idx[again]
-        while idx.size:
-            cof[idx] //= p
-            omega[idx] += 1
-            idx = idx[cof[idx] % p == 0]
-    left = cof > 1
-    omega[left] += 1
-    fresh = left & (spf == 0)
-    spf[fresh] = cof[fresh]  # untouched survivors are prime
-    if lo <= 1 < hi:
-        spf[1 - lo] = 0
-    lam = np.where(omega & 1, -1, 1).astype(np.int8)
-    mu = np.where(sqfree, lam, 0).astype(np.int8)
-    if lo <= 1 < hi:
-        lam[1 - lo] = 1
-        mu[1 - lo] = 1
-    return spf, omega, lam, mu
+    first = np.zeros(hi - lo, dtype=np.int64)
+    for p, pk, s in zip(p_all.tolist(), pk_all.tolist(), starts.tolist()):
+        omega[s::pk] += 1
+        smooth[s::pk] *= p
+        if pk == p:
+            if p >= pmin:
+                first[s::p] = p
+        elif pk == p * p:
+            sqfree[s::pk] = False
+    n = np.arange(lo, hi, dtype=np.int64)
+    omega += smooth != n
+    if pmin < hi:
+        cof = n // smooth
+        np.copyto(first, cof, where=(first == 0) & (cof >= pmin))
+    return omega, sqfree, first
 
 
 def build_sieve(lo, hi, segment_len=DEFAULT_SEGMENT):
@@ -120,78 +136,38 @@ def build_sieve(lo, hi, segment_len=DEFAULT_SEGMENT):
     when hi does not fit the 64-bit invariants.
     """
     lo, hi = int(lo), int(hi)
-    if not 1 <= lo < hi:
-        raise ValueError("need 1 <= lo < hi")
-    if hi - 1 > INT64_MAX or (math.isqrt(hi - 1) + 1) ** 2 > INT64_MAX:
-        raise OverflowError("sieve range exceeds 64-bit budget")
-    if hi - lo > SPAN_BUDGET:
-        raise BudgetError("span %d exceeds budget %d" % (hi - lo, SPAN_BUDGET))
-    base = primes_upto(math.isqrt(hi - 1)).primes
+    base, bounds = _segments(lo, hi, segment_len)
     spf = np.empty(hi - lo, dtype=np.int64)
     omega = np.empty(hi - lo, dtype=np.int16)
     lam = np.empty(hi - lo, dtype=np.int8)
     mu = np.empty(hi - lo, dtype=np.int8)
-    for a in range(lo, hi, segment_len):
-        b = min(a + segment_len, hi)
-        s, o, l, m = _factor_segment(a, b, base)
-        spf[a - lo : b - lo] = s
-        omega[a - lo : b - lo] = o
-        lam[a - lo : b - lo] = l
-        mu[a - lo : b - lo] = m
+    for a, b in bounds:
+        seg = slice(a - lo, b - lo)
+        omega[seg], sq, spf[seg] = _sieve_segment(a, b, base)
+        lam[seg] = 1 - 2 * (omega[seg] & 1)
+        mu[seg] = np.where(sq, lam[seg], 0)
     return FactorTable(lo, hi, spf, omega, lam, mu)
-
-
-def _omega_segment(lo, hi, base_primes):
-    """Parity-only pass: returns int8 Liouville signs for [lo, hi)."""
-    cof = np.arange(lo, hi, dtype=np.int64)
-    omega = np.zeros(hi - lo, dtype=np.int16)
-    for p in base_primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        start = (-lo) % p
-        idx = np.arange(start, hi - lo, p, dtype=np.int64)
-        if idx.size == 0:
-            continue
-        while idx.size:
-            cof[idx] //= p
-            omega[idx] += 1
-            idx = idx[cof[idx] % p == 0]
-    omega[cof > 1] += 1
-    lam = np.where(omega & 1, -1, 1).astype(np.int8)
-    if lo <= 1 < hi:
-        lam[1 - lo] = 1
-    return lam
 
 
 def liouville_range(lo, hi, segment_len=DEFAULT_SEGMENT):
     """int8 array of lambda(n) for n in [lo, hi); lean path for bulk scans."""
     lo, hi = int(lo), int(hi)
-    if not 1 <= lo < hi:
-        raise ValueError("need 1 <= lo < hi")
-    if hi - lo > SPAN_BUDGET:
-        raise BudgetError("span %d exceeds budget %d" % (hi - lo, SPAN_BUDGET))
-    base = primes_upto(math.isqrt(hi - 1)).primes
+    base, bounds = _segments(lo, hi, segment_len)
     out = np.empty(hi - lo, dtype=np.int8)
-    for a in range(lo, hi, segment_len):
-        b = min(a + segment_len, hi)
-        out[a - lo : b - lo] = _omega_segment(a, b, base)
+    for a, b in bounds:
+        omega, _, _ = _sieve_segment(a, b, base, pmin=b)
+        out[a - lo : b - lo] = 1 - 2 * (omega & 1)
     return out
 
 
 def mobius_range(lo, hi, segment_len=DEFAULT_SEGMENT):
     """int8 array of mu(n) for n in [lo, hi), segmented."""
     lo, hi = int(lo), int(hi)
-    if not 1 <= lo < hi:
-        raise ValueError("need 1 <= lo < hi")
-    if hi - lo > SPAN_BUDGET:
-        raise BudgetError("span %d exceeds budget %d" % (hi - lo, SPAN_BUDGET))
-    base = primes_upto(math.isqrt(hi - 1)).primes
+    base, bounds = _segments(lo, hi, segment_len)
     out = np.empty(hi - lo, dtype=np.int8)
-    for a in range(lo, hi, segment_len):
-        b = min(a + segment_len, hi)
-        _, _, _, m = _factor_segment(a, b, base)
-        out[a - lo : b - lo] = m
+    for a, b in bounds:
+        omega, sq, _ = _sieve_segment(a, b, base, pmin=b)
+        out[a - lo : b - lo] = np.where(sq, 1 - 2 * (omega & 1), 0)
     return out
 
 
@@ -216,18 +192,13 @@ def von_mangoldt_minus_one_range(lo, hi):
 
 
 def primality_range(lo, hi, segment_len=DEFAULT_SEGMENT):
-    """Boolean primality for n in [lo, hi), segmented."""
+    """Boolean primality for n in [lo, hi), segmented Eratosthenes."""
     lo, hi = int(lo), int(hi)
-    if not 1 <= lo < hi:
-        raise ValueError("need 1 <= lo < hi")
-    if hi - lo > SPAN_BUDGET:
-        raise BudgetError("span %d exceeds budget %d" % (hi - lo, SPAN_BUDGET))
-    base = primes_upto(math.isqrt(hi - 1)).primes
+    base, bounds = _segments(lo, hi, segment_len)
     out = np.ones(hi - lo, dtype=bool)
     if lo <= 1:
         out[: 2 - lo] = False
-    for a in range(lo, hi, segment_len):
-        b = min(a + segment_len, hi)
+    for a, b in bounds:
         seg = out[a - lo : b - lo]
         for p in base:
             p = int(p)
@@ -239,15 +210,15 @@ def primality_range(lo, hi, segment_len=DEFAULT_SEGMENT):
 
 
 def summatory_lambda(x, segment_len=DEFAULT_SEGMENT):
-    """Exact integer value of sum_{n <= x} lambda(n)."""
+    """Exact integer value of sum_{n <= x} lambda(n), streamed by segment."""
     x = int(x)
     if x < 1:
         return 0
-    base = primes_upto(math.isqrt(x)).primes
+    base, bounds = _segments(1, x + 1, segment_len, budget=math.inf)
     total = 0
-    for a in range(1, x + 1, segment_len):
-        b = min(a + segment_len, x + 1)
-        total += int(_omega_segment(a, b, base).astype(np.int64).sum())
+    for a, b in bounds:
+        omega, _, _ = _sieve_segment(a, b, base, pmin=b)
+        total += b - a - 2 * int(np.count_nonzero(omega & 1))
     return total
 
 

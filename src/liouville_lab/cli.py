@@ -33,6 +33,7 @@ EXIT_PASS = 0
 EXIT_ENVELOPE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -128,8 +129,15 @@ def render_json(rows):
 
 # ------------------------------------------------------ experiment handlers
 
+def _require(ok, message):
+    """Reject a parameter value before the handler does any work."""
+    if not ok:
+        raise ValueError(message)
+
+
 def h_sieve_check(P):
     x = P["x"]
+    _require(x >= 2, "x must be >= 2")
     rng = np.random.default_rng(P["seed"])
     t1 = arith_core.build_sieve(1, x + 1)
     t2 = arith_core.build_sieve(1, x + 1, segment_len=1 << 14)
@@ -180,6 +188,7 @@ def _squarefree_by_division(n):
 
 def h_squarefree(P):
     x = P["x"]
+    _require(x >= 1, "x must be >= 1")
     q = arith_core.squarefree_count(x)
     density = q / x
     dev = abs(density - INV_ZETA2)
@@ -188,6 +197,7 @@ def h_squarefree(P):
 
 def h_tnp(P):
     x = P["x"]
+    _require(x >= 2, "x must be >= 2")
     rows = []
     res = zeta_mellin.z_lambda_residual(2.0, x)
     rows.append(make_row("tnp", {**P, "check": "lambda-series-vs-zeta-ratio"},
@@ -658,6 +668,11 @@ def main(argv=None):
     except (ValueError, PreconditionError) as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return EXIT_USAGE
+    except Exception as exc:  # a crash is not an envelope failure
+        import traceback  # imported only when a run crashes
+        traceback.print_exc()
+        sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
+        return EXIT_INTERNAL
     wall = time.perf_counter() - t0
     text = render_csv(rows) if args.format == "csv" else render_json(rows)
     if args.output:

@@ -46,30 +46,9 @@ def _scan_band(lo, hi, P0):
     factor >= P0 (inf when none)."""
     lo, hi = int(lo), int(hi)
     base = arith_core.primes_upto(math.isqrt(hi - 1)).primes
-    cof = np.arange(lo, hi, dtype=np.int64)
-    omega = np.zeros(hi - lo, dtype=np.int16)
-    qmin = np.full(hi - lo, np.inf)
-    for p in base:
-        p = int(p)
-        start = (-lo) % p
-        idx = np.arange(start, hi - lo, p, dtype=np.int64)
-        if idx.size == 0:
-            continue
-        if p >= P0:
-            hit = np.isinf(qmin[idx])
-            qmin[idx[hit]] = p
-        while idx.size:
-            cof[idx] //= p
-            omega[idx] += 1
-            idx = idx[cof[idx] % p == 0]
-    left = cof > 1
-    omega[left] += 1
-    big = left & np.isinf(qmin) & (cof >= P0)
-    qmin[big] = cof[big]
-    lam = np.where(omega & 1, -1, 1).astype(np.int8)
-    if lo <= 1 < hi:
-        lam[1 - lo] = 1
-    return lam, qmin
+    omega, _, first = arith_core._sieve_segment(lo, hi, base, pmin=P0)
+    lam = (1 - 2 * (omega & 1)).astype(np.int8)
+    return lam, np.where(first > 0, first, np.inf)
 
 
 def _q_window(w, p, m, qmin_m):

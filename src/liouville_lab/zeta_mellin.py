@@ -13,15 +13,6 @@ from .util import QuadratureError, fsum, fsum_complex
 
 
 @dataclass
-class ComplexPoint:
-    sigma: float
-    t: float
-
-    def to_complex(self):
-        return complex(self.sigma, self.t)
-
-
-@dataclass
 class SmoothCutoff:
     """Ramp cutoff: 1 on (0, 1-delta], linear down to 0 at 1."""
 
@@ -30,12 +21,6 @@ class SmoothCutoff:
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 1/2)")
-
-
-def _as_complex(s):
-    if isinstance(s, ComplexPoint):
-        return s.to_complex()
-    return complex(s)
 
 
 def psi_delta(x, cutoff):
@@ -55,7 +40,7 @@ def mellin_psi(s, cutoff):
 
     Equals (1/(s(s+1))) * (1 - (1-delta)^(s+1)) / delta.
     """
-    s = _as_complex(s)
+    s = complex(s)
     if s == 0 or s == -1:
         raise ValueError("transform has poles at s = 0, -1")
     d = cutoff.delta
@@ -64,7 +49,7 @@ def mellin_psi(s, cutoff):
 
 def mellin_psi_bound(s, cutoff):
     """Envelope min(2/(delta |s(s+1)|), 4/|s|) for the transform modulus."""
-    s = _as_complex(s)
+    s = complex(s)
     d = cutoff.delta
     return min(2.0 / (d * abs(s * (s + 1))), 4.0 / abs(s))
 
@@ -81,7 +66,7 @@ def zeta_strip(s, terms=None, with_error=False):
     pole-separated series representation sums to. Default M follows
     max(1000, 8|t|). Set with_error to also get a truncation estimate.
     """
-    s = _as_complex(s)
+    s = complex(s)
     if s.real <= 0:
         raise ValueError("strip evaluation needs Re s > 0")
     if s == 1:
@@ -138,7 +123,7 @@ def zeta_strip_grid(sigma, ts, terms):
 
 def z_lambda_residual(s, N):
     """|sum_{n<=N} lambda(n) n^{-s} - zeta(2s)/zeta(s)| on Re s > 1."""
-    s = _as_complex(s)
+    s = complex(s)
     if s.real <= 1:
         raise ValueError("needs Re s > 1")
     N = int(N)

@@ -59,6 +59,15 @@ def test_segment_independence(lo, span, seg):
     assert np.array_equal(base, ac.liouville_range(lo, hi, segment_len=seg))
     assert np.array_equal(ac.mobius_range(lo, hi),
                           ac.mobius_range(lo, hi, segment_len=seg))
+    # every table array, dtype included, and the parity-only paths agree with it
+    t0 = ac.build_sieve(lo, hi)
+    t1 = ac.build_sieve(lo, hi, segment_len=seg)
+    assert t1.omega.dtype == np.int16
+    for name in ("spf", "omega", "lam", "mu"):
+        a, b = getattr(t0, name), getattr(t1, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(base, t1.lam)
+    assert np.array_equal(ac.mobius_range(lo, hi), t1.mu)
 
 
 def test_range_functions_match_oracle():

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from liouville_lab import cli
+from liouville_lab import arith_core, cli
 
 
 def run(argv, capsys):
@@ -179,6 +179,31 @@ def test_envelope_failure_exits_one(capsys):
     assert rc == 1
     rows = parse_csv(out)
     assert any(r[-1] == "fail" for r in rows)
+
+
+@pytest.mark.parametrize("argv", [["squarefree", "--x", "0"], ["squarefree", "--x", "-5"],
+                                  ["tnp", "--x", "1"], ["sieve-check", "--x", "1"]])
+def test_bad_sieve_input_exits_two_before_sieving(argv, monkeypatch, capsys):
+    # every sieve path starts in _segments or primes_upto: neither may run
+    def started(*args, **kwargs):
+        raise RuntimeError("sieving started")
+    monkeypatch.setattr(arith_core, "_segments", started)
+    monkeypatch.setattr(arith_core, "primes_upto", started)
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_handler_crash_exits_four(monkeypatch, capsys):
+    def crash(P):
+        return 1.0 / 0.0
+    _, spec, anchor = cli.EXPERIMENTS["chowla-avg"]
+    monkeypatch.setitem(cli.EXPERIMENTS, "chowla-avg", (crash, spec, anchor))
+    rc, out, err = run(["chowla-avg"], capsys)
+    assert rc == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "internal error: ZeroDivisionError" in err
 
 
 def test_resource_exhaustion_exits_three(capsys):

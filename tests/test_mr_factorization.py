@@ -154,12 +154,17 @@ def test_identity_residual_rejects_coarse_grid():
 
 
 def test_scan_band_agrees_with_trial_division():
-    lam, qmin = mr._scan_band(2, 400, 5)
-    for i, n in enumerate(range(2, 400)):
-        assert lam[i] == oracles.liouville(n)
-        facs = [p for p, _ in oracles.trial_factor(n) if p >= 5]
-        want = facs[0] if facs else math.inf
-        assert qmin[i] == want, n
+    # P0 = 30 and P0 = 1100 exceed sqrt(hi): qmin then comes only from the
+    # prime cofactor the sieve leaves over
+    lo2 = 10**6 + 3
+    for lo, hi, P0 in ((2, 400, 5), (2, 400, 30), (lo2, lo2 + 400, 5),
+                       (lo2, lo2 + 400, 1100)):
+        lam, qmin = mr._scan_band(lo, hi, P0)
+        for i, n in enumerate(range(lo, hi)):
+            assert lam[i] == oracles.liouville(n)
+            facs = [p for p, _ in oracles.trial_factor(n) if p >= P0]
+            want = facs[0] if facs else math.inf
+            assert qmin[i] == want, (n, P0)
 
 
 def test_identity_residual_matches_per_node_oracle():
