@@ -198,6 +198,7 @@ def h_squarefree(P):
 def h_tnp(P):
     x = P["x"]
     _require(x >= 2, "x must be >= 2")
+    _require(P["perron_t"] > 0, "perron-t must be > 0")
     rows = []
     res = zeta_mellin.z_lambda_residual(2.0, x)
     rows.append(make_row("tnp", {**P, "check": "lambda-series-vs-zeta-ratio"},
@@ -245,6 +246,7 @@ def h_mean_value(P):
 def h_halasz(P):
     rng = np.random.default_rng(P["seed"])
     n, T, k = P["n"], P["t"], P["intervals"]
+    _require(k >= 1, "intervals must be >= 1")
     coeffs = dirichlet_poly.CoeffSeq(0, n, _random_unimodular(rng, n))
     width = T / (20.0 * k)
     starts = np.sort(rng.uniform(0.0, T - width, size=k))

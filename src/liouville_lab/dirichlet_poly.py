@@ -122,23 +122,44 @@ def evaluate(coeffs, t):
     return fsum_complex(coeffs.values * phases)
 
 
-def _grid_values(coeffs, ts):
-    """Vector of sum a_n n^{it} on a t-array, chunked."""
-    logn = np.log(coeffs.n_array)
-    vals = coeffs.values
-    out = np.empty(len(ts), dtype=np.complex128)
-    chunk = max(1, (1 << 22) // max(len(logn), 1))
-    for a in range(0, len(ts), chunk):
-        b = min(a + chunk, len(ts))
-        phases = np.exp(1j * np.multiply.outer(ts[a:b], logn))
-        out[a:b] = phases @ vals
-    return out
+def _phase_sum(logn, vals, ts):
+    """Vector of sum_n vals_n e^{i t logn_n} on a t-array.
+
+    Zero coefficients are dropped first. On an evenly spaced grid
+    t_k = t0 + k dt (to a few ulps of max|t|) the phases factor as
+    e^{i t_{gB} logn} e^{i j dt logn} with k = gB + j and B = isqrt(len(ts)):
+    G = ceil(len(ts) / B) giant rows at the grid nodes ts[::B] carry vals,
+    B baby rows carry the offsets j dt, and one complex matrix product
+    joins them, so about (G + B) exponentials per term replace one per
+    node. Any other grid takes B = 1, the direct sum. Terms go in slabs
+    with (G + B) * slab <= 2^22 elements, summed into one output.
+    """
+    keep = vals != 0
+    logn, vals = logn[keep], vals[keep]
+    K = len(ts)
+    B, dt = max(1, math.isqrt(K)), 0.0
+    if B > 1:
+        dt = (ts[-1] - ts[0]) / (K - 1)
+        drift = np.max(np.abs(ts - (ts[0] + np.arange(K) * dt)))
+        if not drift <= 4 * np.finfo(np.float64).eps * np.max(np.abs(ts)):
+            B, dt = 1, 0.0
+    G = -(-K // B)
+    out = np.zeros((G, B), dtype=np.complex128)
+    offsets = np.arange(B) * dt
+    slab = max(1, (1 << 22) // (G + B))
+    for a in range(0, len(vals), slab):
+        lg = logn[a:a + slab]
+        giant = np.exp(1j * np.multiply.outer(ts[::B], lg))
+        giant *= vals[a:a + slab]
+        out += giant @ np.exp(1j * np.multiply.outer(offsets, lg)).T
+    return out.reshape(-1)[:K]
 
 
 def _trap(vals, dt):
+    """Trapezoid sum of equally spaced samples, real or complex."""
     w = np.ones(len(vals))
     w[0] = w[-1] = 0.5
-    return float(np.dot(w, vals)) * dt
+    return np.dot(w, vals).item() * dt
 
 
 @dataclass
@@ -160,10 +181,8 @@ def mean_value_integral(coeffs, T, rel_tol=1e-3):
     if T <= 0:
         raise ValueError("T must be positive")
     step = math.pi / (4.0 * math.log(max(coeffs.support_hi, 3)))
-    half_nodes = int(math.ceil(T / step)) + 1
-    fine_n = 2 * (half_nodes - 1) + 1
-    ts = np.linspace(0.0, T, fine_n)
-    sq = np.abs(_grid_values(coeffs, ts)) ** 2
+    ts = np.linspace(0.0, T, 2 * int(math.ceil(T / step)) + 1)
+    sq = np.abs(_phase_sum(np.log(coeffs.n_array), coeffs.values, ts)) ** 2
     dt = ts[1] - ts[0]
     fine = _trap(sq, dt)
     coarse = _trap(sq[::2], 2 * dt)
@@ -195,12 +214,13 @@ def halasz_subset_integral(coeffs, subset, slack=10.0, rel_tol=1e-3):
     slack * (N + measure * sqrt(T) log T) * sum|a|^2 with T = subset.limit.
     """
     step = math.pi / (4.0 * math.log(max(coeffs.support_hi, 3)))
+    logn = np.log(coeffs.n_array)
     total_fine = 0.0
     total_coarse = 0.0
     for a, b in subset.intervals:
         n = 2 * max(int(math.ceil((b - a) / step)), 1) + 1
         ts = np.linspace(a, b, n)
-        sq = np.abs(_grid_values(coeffs, ts)) ** 2
+        sq = np.abs(_phase_sum(logn, coeffs.values, ts)) ** 2
         dt = ts[1] - ts[0]
         total_fine += _trap(sq, dt)
         total_coarse += _trap(sq[::2], 2 * dt)
@@ -273,11 +293,13 @@ def large_value_measure(coeffs, T, gamma, slack=50.0):
     Q = coeffs.support_lo
     if Q < 2:
         raise ValueError("prime-band support must start above 1")
+    if T <= 0:
+        raise ValueError("T must be positive")
     threshold = Q ** (-gamma)
     step = math.pi / (4.0 * math.log(max(coeffs.support_hi, 3)))
     cells = max(int(math.ceil(T / step)), 1)
     ts = np.linspace(0.0, T, 2 * cells + 1)  # endpoints and midpoints
-    mod = np.abs(_grid_values(coeffs, ts))
+    mod = np.abs(_phase_sum(np.log(coeffs.n_array), coeffs.values, ts))
     exceed = mod > threshold
     cell_hit = exceed[0:-2:2] | exceed[1::2] | exceed[2::2]
     dt = T / cells
@@ -317,7 +339,7 @@ def typical_set(A, gamma, alpha, delta, t0, t1, step=None):
         coeffs = prime_band_coeffs(Q, delta, weight="reciprocal", sign="liouville")
         if not np.any(coeffs.values):
             continue
-        mod = np.abs(_grid_values(coeffs, ts))
+        mod = np.abs(_phase_sum(np.log(coeffs.n_array), coeffs.values, ts))
         exceed = mod > Q ** (-gamma)
         bad = exceed[0:-2:2] | exceed[1::2] | exceed[2::2]
         mask &= ~bad

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith_core
+from .dirichlet_poly import _phase_sum
 from .util import BudgetError, fsum, fsum_complex
 
 TWO_PI = 2.0 * math.pi
@@ -199,13 +200,8 @@ def major_arc_measure(h, epsilon, grid_points):
         vec[plist[plist < M]] = 1.0
         mod = np.abs(np.fft.fft(vec))
     else:
-        mod = np.empty(M)
-        js = np.arange(M)
-        chunk = max(1, (1 << 22) // max(len(plist), 1))
-        for a in range(0, M, chunk):
-            b = min(a + chunk, M)
-            phases = np.exp(-2j * np.pi * np.multiply.outer(js[a:b] / M, plist.astype(np.float64)))
-            mod[a:b] = np.abs(phases.sum(axis=1))
+        ps = plist.astype(np.float64)
+        mod = np.abs(_phase_sum(-2.0 * np.pi * ps, np.ones(len(ps)), np.arange(M) / M))
     exceed = mod > threshold
     nxt = np.roll(exceed, -1)
     nxt2 = np.roll(exceed, -2)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith_core
+from .dirichlet_poly import _phase_sum, _trap
 from .util import BudgetError, QuadratureError, check_mul64, fsum
 
 WINDOW_BUDGET = 6 * 10**7
@@ -143,28 +144,17 @@ def parseval_link(X, h, delta, C=50.0, rel_tol=1e-2):
     0.5 step certifies to rel_tol under halving. Envelope lhs <= C * rhs.
     """
     X, h = int(X), int(h)
+    if not delta > 0:
+        raise ValueError("delta must be positive")
     lhs = variance("liouville", WindowSpec("multiplicative", X, h)).mean_square
     T = X / (h * delta * delta)
     lam = arith_core.liouville_range(X + 1, 2 * X + 1).astype(np.float64)
     n = np.arange(X + 1, 2 * X + 1, dtype=np.float64)
-    coeffs = lam / n
-    logn = np.log(n)
-    fine_step = 0.5
-    half_nodes = int(math.ceil(T / fine_step)) + 1
-    ts = np.linspace(0.0, T, 2 * (half_nodes - 1) + 1)
-    out = np.empty(len(ts), dtype=np.complex128)
-    chunk = max(1, (1 << 22) // len(n))
-    for a in range(0, len(ts), chunk):
-        b = min(a + chunk, len(ts))
-        out[a:b] = np.exp(-1j * np.multiply.outer(ts[a:b], logn)) @ coeffs
-    sq = np.abs(out) ** 2
+    ts = np.linspace(0.0, T, 2 * int(math.ceil(T / 0.5)) + 1)
+    sq = np.abs(_phase_sum(-np.log(n), lam / n, ts)) ** 2
     dt = ts[1] - ts[0]
-    w = np.ones(len(sq))
-    w[0] = w[-1] = 0.5
-    fine = 2.0 * float(np.dot(w, sq)) * dt  # symmetric in t
-    wc = np.ones(len(sq[::2]))
-    wc[0] = wc[-1] = 0.5
-    coarse = 2.0 * float(np.dot(wc, sq[::2])) * 2 * dt
+    fine = 2.0 * _trap(sq, dt)  # symmetric in t
+    coarse = 2.0 * _trap(sq[::2], 2 * dt)
     halving = abs(fine - coarse) / max(fine, 1e-300)
     if halving > rel_tol:
         raise QuadratureError("parseval quadrature failed halving check")

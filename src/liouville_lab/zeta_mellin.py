@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith_core
+from .dirichlet_poly import _phase_sum, _trap
 from .util import QuadratureError, fsum, fsum_complex
 
 
@@ -100,15 +101,9 @@ def zeta_strip_grid(sigma, ts, terms):
     """Vector zeta(sigma + i t) for a t-array, shared truncation M."""
     ts = np.asarray(ts, dtype=np.float64)
     M = int(terms)
-    n = np.arange(1, M + 1, dtype=np.float64)
-    logn = np.log(n)
+    logn = np.log(np.arange(1, M + 1, dtype=np.float64))
     s = sigma + 1j * ts
-    out = np.zeros(len(ts), dtype=np.complex128)
-    chunk = max(1, (1 << 22) // max(M, 1))
-    for a in range(0, len(ts), chunk):
-        b = min(a + chunk, len(ts))
-        phases = np.exp(np.multiply.outer(-s[a:b], logn))
-        out[a:b] = phases.sum(axis=1)
+    out = _phase_sum(-logn, np.exp(-sigma * logn), ts)
     out += M ** (1.0 - s) / (s - 1.0) - 0.5 * M ** (-s)
     poch = s.copy()
     mpow = M ** (-s - 1.0)
@@ -188,14 +183,14 @@ def perron_truncated(kind, x, cutoff, T, slack=20.0, rel_tol=1e-4):
     x = float(x)
     if x <= 2:
         raise ValueError("x must exceed 2")
+    if T <= 0:
+        raise ValueError("T must be positive")
     sigma = 1.0 + 1.0 / math.log(x)
     step = min(0.05, math.pi / (4.0 * math.log(x)))
-    half_nodes = int(math.ceil(T / step)) + 1
     # fine grid at half step; coarse pass reuses every other node; the
     # integrand at -t is the conjugate of the value at t, so only t >= 0
     # is evaluated
-    fine_half = 2 * (half_nodes - 1) + 1
-    ts_half = np.linspace(0.0, T, fine_half)
+    ts_half = np.linspace(0.0, T, 2 * int(math.ceil(T / step)) + 1)
     zvals = _z_on_grid(kind, sigma, ts_half)
     mvals = _mellin_grid(sigma, ts_half, cutoff)
     xs = np.exp((sigma + 1j * ts_half) * math.log(x))
@@ -203,14 +198,8 @@ def perron_truncated(kind, x, cutoff, T, slack=20.0, rel_tol=1e-4):
     integrand = np.concatenate((np.conj(pos[:0:-1]), pos))
     ts = np.concatenate((-ts_half[:0:-1], ts_half))
     dt_fine = ts[1] - ts[0]
-
-    def trap(vals, dt):
-        w = np.ones(len(vals))
-        w[0] = w[-1] = 0.5
-        return complex(np.dot(w, vals)) * dt
-
-    fine = trap(integrand, dt_fine) / (2.0 * math.pi)
-    coarse = trap(integrand[::2], 2.0 * dt_fine) / (2.0 * math.pi)
+    fine = _trap(integrand, dt_fine) / (2.0 * math.pi)
+    coarse = _trap(integrand[::2], 2.0 * dt_fine) / (2.0 * math.pi)
     scale = max(abs(fine), 1e-12)
     halving_delta = abs(fine - coarse) / scale
     if halving_delta > rel_tol:

@@ -163,6 +163,20 @@ def mean_value_closed_form(a, T):
     return total
 
 
+# ------------------------------------------------------ Dirichlet polynomials
+
+def direct_phase_sum(logn, vals, ts):
+    """sum_n vals_n e^{i t logn_n} at every t, one exponential per node and
+    term, in node chunks of about 2^22 elements."""
+    ts = np.asarray(ts, dtype=np.float64)
+    out = np.empty(len(ts), dtype=np.complex128)
+    chunk = max(1, (1 << 22) // max(len(logn), 1))
+    for a in range(0, len(ts), chunk):
+        b = min(a + chunk, len(ts))
+        out[a:b] = np.exp(1j * np.multiply.outer(ts[a:b], logn)) @ vals
+    return out
+
+
 # ---------------------------------------------------------------- entropy
 
 def entropy_nats(masses):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from liouville_lab import arith_core, cli
+from liouville_lab import arith_core, cli, dirichlet_poly
 
 
 def run(argv, capsys):
@@ -189,6 +189,24 @@ def test_bad_sieve_input_exits_two_before_sieving(argv, monkeypatch, capsys):
         raise RuntimeError("sieving started")
     monkeypatch.setattr(arith_core, "_segments", started)
     monkeypatch.setattr(arith_core, "primes_upto", started)
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [["parseval-link", "--delta", "-0.5"],
+                                  ["parseval-link", "--delta", "0"],
+                                  ["parseval-link", "--delta", "nan"],
+                                  ["large-values", "--t", "0"],
+                                  ["tnp", "--perron-t", "0"],
+                                  ["halasz", "--intervals", "0"]])
+def test_bad_grid_input_exits_two_before_grid_work(argv, monkeypatch, capsys):
+    # neither a segment sieve nor a t-grid evaluation may start
+    def started(*args, **kwargs):
+        raise RuntimeError("work started")
+    monkeypatch.setattr(arith_core, "_segments", started)
+    monkeypatch.setattr(dirichlet_poly, "_phase_sum", started)
     rc, out, err = run(argv, capsys)
     assert rc == 2
     assert out == ""

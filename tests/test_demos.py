@@ -28,3 +28,8 @@ def test_two_factor_weight_demo_runs():
 @pytest.mark.parametrize("name", ["sieve_and_summatory.py", "window_variance_sweep.py"])
 def test_sieve_demo_runs(name):
     _run_demo(name)
+
+
+@pytest.mark.parametrize("name", ["mean_value_playground.py", "zeta_contour_walk.py"])
+def test_grid_demo_runs(name):
+    _run_demo(name)

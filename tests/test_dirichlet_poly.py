@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +62,106 @@ def test_evaluate_matches_direct_loop():
         direct = sum(a * complex(n) ** complex(0, t)
                      for n, a in {2: 1.0, 3: -2.0j, 10: 0.5}.items())
         assert abs(dp.evaluate(c, t) - direct) < 1e-12
+
+
+# ------------------------------------------------------ grid kernel
+
+EPS = np.finfo(np.float64).eps
+
+
+def _unimodular(n, seed=0):
+    return np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n))
+
+
+def _phase_case(name):
+    """(logn, vals, ts) for one path of _phase_sum."""
+    logn = np.log(np.arange(1, 301, dtype=np.float64))
+    dense = _unimodular(300)
+    band = dp.prime_band_coeffs(1000, 0.15)
+    zlogn = np.log(np.arange(1, 3001, dtype=np.float64))
+    ns = np.arange(2001, 4001, dtype=np.float64)
+    lam = np.array([oracles.liouville(int(n)) for n in ns], dtype=np.float64)
+    nudged = np.linspace(0.0, 200.0, 1001)
+    nudged[500] += 1e-9  # off the even grid by far more than a few ulps
+    return {
+        "dense": (logn, dense, np.linspace(0.0, 800.0, 2001)),
+        "prime-band": (np.log(band.n_array), band.values, np.linspace(0.0, 300.0, 4001)),
+        "all-zero": (np.log(band.n_array), 0 * band.values, np.linspace(0.0, 300.0, 401)),
+        "zeta-sigma": (-zlogn, np.exp(-1.3 * zlogn), np.linspace(0.0, 400.0, 1001)),
+        "parseval-sign": (-np.log(ns), lam / ns, np.linspace(0.0, 600.0, 2401)),
+        "t0-offset": (logn, dense, np.linspace(1234.5, 1300.0, 1037)),
+        "descending": (logn, dense, np.linspace(50.0, -50.0, 333)),
+        "count-1": (logn, dense, np.array([17.3])),
+        "count-2": (logn, dense, np.array([3.0, 4.5])),
+        "count-10": (logn, dense, np.linspace(0.0, 9.0, 10)),  # B = 3, G = 4
+        "uneven-zeta": (-zlogn, np.exp(-1.3 * zlogn), np.array([0.5, 2.0, 37.0])),
+        "uneven-random": (logn, dense, np.sort(np.random.default_rng(1).uniform(0, 500, 777))),
+        "uneven-nudged": (logn, dense, nudged),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["dense", "prime-band", "all-zero", "zeta-sigma",
+                                  "parseval-sign", "t0-offset", "descending", "count-1",
+                                  "count-2", "count-10", "uneven-zeta", "uneven-random",
+                                  "uneven-nudged"])
+def test_phase_sum_matches_direct_oracle(name):
+    logn, vals, ts = _phase_case(name)
+    got = dp._phase_sum(logn, vals, ts)
+    ref = oracles.direct_phase_sum(logn, vals, ts)
+    bound = 4 * EPS * (1 + np.max(np.abs(ts)) * np.max(np.abs(logn))) * np.sum(np.abs(vals))
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= bound
+
+
+def test_phase_sum_takes_giant_and_baby_steps(monkeypatch):
+    # on an even grid of 4001 nodes B = 63 and G = 64: each nonzero term
+    # costs G + B exponentials, not one per node, and zero terms cost none
+    band = dp.prime_band_coeffs(1000, 0.15)
+    logn = np.log(band.n_array)
+    ts = np.linspace(0.0, 300.0, 4001)
+    sizes = []
+    exp = np.exp
+    monkeypatch.setattr(dp.np, "exp", lambda z: sizes.append(np.size(z)) or exp(z))
+    dp._phase_sum(logn, band.values, ts)
+    assert sum(sizes) == (63 + 64) * np.count_nonzero(band.values)
+
+
+def test_phase_sum_error_against_mpmath():
+    # 40 nodes of the mean-value grid at N = 500, T = 5000: the kernel's
+    # worst error stays within twice that of one exponential per node and term
+    N, T = 500, 5000.0
+    vals = _unimodular(N)
+    logn = np.log(np.arange(1, N + 1, dtype=np.float64))
+    step = math.pi / (4.0 * math.log(N))
+    ts = np.linspace(0.0, T, 2 * int(math.ceil(T / step)) + 1)
+    idx = np.random.default_rng(2).choice(len(ts), 40, replace=False)
+    got = dp._phase_sum(logn, vals, ts)[idx]
+    ref = oracles.direct_phase_sum(logn, vals, ts[idx])
+    with mpmath.workdps(30):
+        logs = [mpmath.log(n) for n in range(1, N + 1)]
+        coef = [mpmath.mpc(complex(a)) for a in vals]
+        exact = np.array([complex(mpmath.fsum(a * mpmath.expj(mpmath.mpf(float(t)) * lg)
+                                              for a, lg in zip(coef, logs)))
+                          for t in ts[idx]])
+    assert np.max(np.abs(got - exact)) <= 2 * np.max(np.abs(ref - exact))
+
+
+def test_trap_matches_each_former_copy():
+    rng = np.random.default_rng(3)
+    real = rng.uniform(size=1001)
+    cplx = real + 1j * rng.normal(size=1001)
+    dt = 0.1234567
+    w = np.ones(1001)
+    w[0] = w[-1] = 0.5
+    wc = np.ones(501)
+    wc[0] = wc[-1] = 0.5
+    # mean-value and halasz
+    assert dp._trap(real, dt) == float(np.dot(w, real)) * dt
+    # perron contour
+    assert dp._trap(cplx, dt) == oracles.trapezoid_complex(cplx, dt)
+    # parseval, doubled for the symmetric half line
+    assert 2.0 * dp._trap(real, dt) == 2.0 * float(np.dot(w, real)) * dt
+    assert 2.0 * dp._trap(real[::2], 2 * dt) == 2.0 * float(np.dot(wc, real[::2])) * 2 * dt
 
 
 def test_tgrid_step_rule():
