@@ -248,39 +248,6 @@ def prime_reciprocal_sum(x):
     return fsum(1.0 / plist.astype(np.float64))
 
 
-def count_excluding_prime_band(x, p_lo, p_hi, segment_len=DEFAULT_SEGMENT):
-    """#{1 <= n < x : no prime factor of n lies in [p_lo, p_hi]}."""
-    x, p_lo, p_hi = int(x), int(p_lo), int(p_hi)
-    if x < 2:
-        return 0
-    if p_lo > p_hi:
-        return x - 1
-    band = primes_upto(min(p_hi, x - 1)).primes
-    band = band[band >= p_lo]
-    total = 0
-    for a in range(1, x, segment_len):
-        b = min(a + segment_len, x)
-        keep = np.ones(b - a, dtype=bool)
-        for p in band:
-            p = int(p)
-            start = (-a) % p
-            keep[start :: p] = False
-        total += int(keep.sum())
-    return total
-
-
-def prime_pair_count(X, k):
-    """#{p <= X : p and p + k both prime}."""
-    X, k = int(X), int(k)
-    if X < 2:
-        return 0
-    flags = primality_range(1, X + k + 1)
-    # flags[i] answers for n = 1 + i
-    p_ok = flags[:X]
-    shifted = flags[k : X + k]
-    return int(np.count_nonzero(p_ok & shifted))
-
-
 def squarefree_count(x, segment_len=DEFAULT_SEGMENT):
     """#{n <= x : n squarefree}, via mu(d) floor(x/d^2) over d <= sqrt(x)."""
     x = int(x)

@@ -66,8 +66,12 @@ def _fmt(v):
 
 
 def make_row(experiment, params, value, envelope=None, ratio=None, status=None):
+    if envelope is not None and not 0 < envelope < math.inf:
+        # a check against 0 or inf says nothing, so it is not scored
+        raise PreconditionError("degenerate envelope %s for %s %s"
+                                % (_fmt(envelope), experiment, _params_cell(params)))
     if envelope is not None and ratio is None:
-        ratio = float(value) / envelope if envelope != 0 else math.inf
+        ratio = float(value) / envelope
     if status is None:
         if envelope is None:
             status = "info"
@@ -129,15 +133,8 @@ def render_json(rows):
 
 # ------------------------------------------------------ experiment handlers
 
-def _require(ok, message):
-    """Reject a parameter value before the handler does any work."""
-    if not ok:
-        raise ValueError(message)
-
-
 def h_sieve_check(P):
     x = P["x"]
-    _require(x >= 2, "x must be >= 2")
     rng = np.random.default_rng(P["seed"])
     t1 = arith_core.build_sieve(1, x + 1)
     t2 = arith_core.build_sieve(1, x + 1, segment_len=1 << 14)
@@ -188,7 +185,6 @@ def _squarefree_by_division(n):
 
 def h_squarefree(P):
     x = P["x"]
-    _require(x >= 1, "x must be >= 1")
     q = arith_core.squarefree_count(x)
     density = q / x
     dev = abs(density - INV_ZETA2)
@@ -197,8 +193,6 @@ def h_squarefree(P):
 
 def h_tnp(P):
     x = P["x"]
-    _require(x >= 2, "x must be >= 2")
-    _require(P["perron_t"] > 0, "perron-t must be > 0")
     rows = []
     res = zeta_mellin.z_lambda_residual(2.0, x)
     rows.append(make_row("tnp", {**P, "check": "lambda-series-vs-zeta-ratio"},
@@ -246,7 +240,6 @@ def h_mean_value(P):
 def h_halasz(P):
     rng = np.random.default_rng(P["seed"])
     n, T, k = P["n"], P["t"], P["intervals"]
-    _require(k >= 1, "intervals must be >= 1")
     coeffs = dirichlet_poly.CoeffSeq(0, n, _random_unimodular(rng, n))
     width = T / (20.0 * k)
     starts = np.sort(rng.uniform(0.0, T - width, size=k))
@@ -318,8 +311,6 @@ def h_factorization(P):
 def h_variance(P):
     X = P["x"]
     hs = P["h_list"]
-    if sorted(hs) != list(hs):
-        raise ValueError("h-list must be ascending")
     rows = []
     prev = 1.0  # window means of a +-1 sequence are bounded by 1
     for h in hs:
@@ -510,59 +501,106 @@ def h_decrement_trace(P):
 
 # ------------------------------------------------------ registry
 
-# name -> (handler, {param: (type, default)}, anchor)
+# A domain is (text, test). Numeric tests bound the value by inf on both
+# sides, so nan and +-inf lie outside every numeric domain.
+
+def _at_least(lo):
+    return ("[%s, inf)" % _fmt(lo), lambda v: lo <= v < math.inf)
+
+
+def _above(lo):
+    return ("(%s, inf)" % _fmt(lo), lambda v: lo < v < math.inf)
+
+
+def _between(lo, hi):
+    return ("(%s, %s)" % (_fmt(lo), _fmt(hi)), lambda v: lo < v < hi)
+
+
+def _one_of(*choices):
+    return ("{%s}" % ", ".join(choices), lambda v: v in choices)
+
+
+FINITE = ("(-inf, inf)", lambda v: -math.inf < v < math.inf)
+ASCENDING = ("ascending lists in [1, inf)", lambda v: 1 <= v[0] and list(v) == sorted(v))
+
+# name -> (handler, {param: (kind, default, domain)}, anchor). Conditions that
+# join several parameters (P0 < Q0 < X, h < X, w <= x) stay with the library
+# objects the handlers build first.
 EXPERIMENTS = {
-    "sieve-check": (h_sieve_check, {"x": (int, 200000)},
+    "sieve-check": (h_sieve_check, {"x": (int, 200000, _at_least(2))},
                     "segmented factorization sieve against direct division"),
-    "squarefree": (h_squarefree, {"x": (int, 10**7)},
+    "squarefree": (h_squarefree, {"x": (int, 10**7, _at_least(1))},
                    "density of square-free integers against 6/pi^2"),
-    "tnp": (h_tnp, {"x": (int, 10**6), "perron_x": (int, 2000),
-                    "perron_t": (float, 400.0), "perron_delta": (float, 0.1)},
+    "tnp": (h_tnp, {"x": (int, 10**6, _at_least(2)),
+                    "perron_x": (int, 2000, _above(2)),
+                    "perron_t": (float, 400.0, _above(0)),
+                    "perron_delta": (float, 0.1, _between(0, 0.5))},
             "prime counting, reciprocal sums, and the smoothed contour route"),
-    "mean-value": (h_mean_value, {"n": (int, 300), "t": (float, 500.0),
-                                  "count": (int, 3)},
+    "mean-value": (h_mean_value, {"n": (int, 300, _at_least(1)),
+                                  "t": (float, 500.0, _above(0)),
+                                  "count": (int, 3, _at_least(1))},
                    "mean square of a Dirichlet polynomial over a t-segment"),
-    "halasz": (h_halasz, {"n": (int, 300), "t": (float, 500.0),
-                          "intervals": (int, 4)},
+    "halasz": (h_halasz, {"n": (int, 300, _at_least(1)), "t": (float, 500.0, _above(0)),
+                          "intervals": (int, 4, _at_least(1))},
                "mean square over a sparse union of t-intervals"),
-    "large-values": (h_large_values, {"q": (int, 100), "delta": (float, 1.0),
-                                      "t": (float, 300.0), "gamma": (float, 1.0 / 9)},
+    "large-values": (h_large_values, {"q": (int, 100, _at_least(2)),
+                                      "delta": (float, 1.0, _above(0)),
+                                      "t": (float, 300.0, _above(0)),
+                                      "gamma": (float, 1.0 / 9, FINITE)},
                      "measure where a prime-band polynomial runs large"),
-    "factorization": (h_factorization, {"x": (int, 10**4), "delta": (float, 0.1),
-                                        "p0": (int, 10), "q0": (int, 100),
-                                        "t": (float, 0.7), "q_nodes": (int, 64)},
+    "factorization": (h_factorization, {"x": (int, 10**4, _at_least(4)),
+                                        "delta": (float, 0.1, _between(0, 1)),
+                                        "p0": (int, 10, _at_least(2)),
+                                        "q0": (int, 100, _at_least(3)),
+                                        "t": (float, 0.7, FINITE),
+                                        "q_nodes": (int, 64, _at_least(16))},
                       "two-factor weight, its exceptional set, and series identity"),
-    "variance": (h_variance, {"x": (int, 10**6), "h_list": ("intlist", (100, 1000, 10000)),
-                              "kind": (str, "multiplicative"),
-                              "fname": (str, "liouville")},
+    "variance": (h_variance, {"x": (int, 10**6, _at_least(2)),
+                              "h_list": ("intlist", (100, 1000, 10000), ASCENDING),
+                              "kind": (str, "multiplicative",
+                                       _one_of("additive", "multiplicative")),
+                              "fname": (str, "liouville",
+                                        _one_of("liouville", "mobius",
+                                                "von_mangoldt_minus_one"))},
                  "variance of short-window sign averages, decreasing in h"),
-    "parseval-link": (h_parseval_link, {"x": (int, 10**4), "h": (int, 50),
-                                        "delta": (float, 0.5),
-                                        "x2": (int, 10**4), "h2": (int, 100)},
+    "parseval-link": (h_parseval_link, {"x": (int, 10**4, _at_least(2)),
+                                        "h": (int, 50, _at_least(1)),
+                                        "delta": (float, 0.5, _above(0)),
+                                        "x2": (int, 10**4, _at_least(2)),
+                                        "h2": (int, 100, _at_least(1))},
                       "window variance bounded by the squared series on a line"),
-    "expsum": (h_expsum, {"x": (int, 10**4), "h": (int, 100),
-                          "alpha": (float, 0.6180339887498949),
-                          "n": (int, 1000), "xcap": (float, 500.0)},
+    "expsum": (h_expsum, {"x": (int, 10**4, _at_least(1)), "h": (int, 100, _at_least(2)),
+                          "alpha": (float, 0.6180339887498949, FINITE),
+                          "n": (int, 1000, _at_least(1)),
+                          "xcap": (float, 500.0, _above(0))},
                "twisted window averages and capped reciprocal sums"),
-    "arcs": (h_arcs, {"h": (int, 10**4), "epsilon": (float, 0.5),
-                      "grid": (int, 10**4)},
+    "arcs": (h_arcs, {"h": (int, 10**4, _at_least(2)),
+                      "epsilon": (float, 0.5, _above(0)),
+                      "grid": (int, 10**4, _at_least(1000))},
              "concentration of the prime phase sum near rationals"),
-    "characters": (h_characters, {"q": (int, 24)},
+    "characters": (h_characters, {"q": (int, 24, _at_least(1))},
                    "unit-group characters and the divisor bridge from phases"),
-    "chowla-avg": (h_chowla_avg, {"x": (int, 10**5), "h": (int, 50)},
+    "chowla-avg": (h_chowla_avg, {"x": (int, 10**5, _at_least(2)),
+                                  "h": (int, 50, _at_least(1))},
                    "shift-averaged pair correlation statistic"),
-    "prime-shift": (h_prime_shift, {"x": (int, 10**4), "h": (int, 100)},
+    "prime-shift": (h_prime_shift, {"x": (int, 10**4, _at_least(1)),
+                                    "h": (int, 100, _at_least(2))},
                     "pair correlations averaged over prime shifts"),
-    "goldbach": (h_goldbach, {"n": (int, 10**4), "slack": (float, 0.5)},
+    "goldbach": (h_goldbach, {"n": (int, 10**4, _at_least(3)),
+                              "slack": (float, 0.5, _above(0))},
                  "ternary convolution counts with sign weights"),
-    "entropy": (h_entropy, {"x": (int, 10**6), "w": (float, 10**3), "H": (int, 10),
-                            "epsilon": (float, 1.0)},
+    "entropy": (h_entropy, {"x": (int, 10**6, _at_least(1)), "w": (float, 10**3, _above(1)),
+                            "H": (int, 10, _at_least(1)),
+                            "epsilon": (float, 1.0, _above(0))},
                 "joint sign/residue law: identities, uniformity, concentration"),
-    "log-chowla": (h_log_chowla, {"x": (int, 10**6), "w": (float, 10**3)},
+    "log-chowla": (h_log_chowla, {"x": (int, 10**6, _at_least(1)),
+                                  "w": (float, 10**3, _above(1))},
                    "logarithmically weighted consecutive-sign sum"),
-    "decrement-trace": (h_decrement_trace, {"x": (int, 10**6), "w": (float, 10**3),
-                                            "epsilon": (float, 1.0), "H0": (int, 8),
-                                            "steps": (int, 2)},
+    "decrement-trace": (h_decrement_trace, {"x": (int, 10**6, _at_least(1)),
+                                            "w": (float, 10**3, _above(1)),
+                                            "epsilon": (float, 1.0, _above(0)),
+                                            "H0": (int, 8, _at_least(2)),
+                                            "steps": (int, 2, _at_least(1))},
                         "entropy and information rates along block growth"),
 }
 
@@ -602,43 +640,42 @@ def build_parser():
     common.add_argument("--output", default=None, help="result file (default stdout)")
     common.add_argument("--config", default=None, help="key=value defaults file")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--jobs", type=int, default=None,
-                        help="parallelism degree (advisory at desk scale)")
     sub = ap.add_subparsers(dest="experiment")
     for name, (_, params, anchor) in EXPERIMENTS.items():
         p = sub.add_parser(name, parents=[common], help=anchor)
-        for pname, (kind, default) in params.items():
+        for pname, (kind, default, (text, _)) in params.items():
             flag = "--" + pname.lower().replace("_", "-")
             p.add_argument(flag, dest=pname, default=None,
-                           help="default %s" % _fmt(default))
+                           help="default %s, domain %s" % (_fmt(default), text))
     sub.add_parser("list", parents=[common], help="catalog of experiments")
     return ap
 
 
 def resolve_params(args, spec):
+    """Flag over config over registry default. Every value, defaults
+    included, must lie in its declared domain, and every config key must
+    name a parameter or the seed; anything else raises ValueError."""
     cfg = _read_config(args.config) if args.config else {}
+    unknown = sorted(set(cfg) - set(spec) - {"seed"})
+    if unknown:
+        raise ValueError("unknown config key %s" % ", ".join(unknown))
     params = {}
-    for pname, (kind, default) in spec.items():
+    for pname, (kind, default, (text, test)) in spec.items():
         given = getattr(args, pname, None)
-        if given is not None:
-            params[pname] = _convert(kind, given)
-        elif pname in cfg:
-            params[pname] = _convert(kind, cfg[pname])
-        else:
-            params[pname] = default
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    jobs = args.jobs if args.jobs is not None else int(cfg.get("jobs", 1))
-    params["seed"] = seed
-    params["jobs"] = jobs
+        if given is None:
+            given = cfg.get(pname)
+        value = default if given is None else _convert(kind, given)
+        if not test(value):
+            raise ValueError("%s = %s is outside %s" % (pname, _fmt(value), text))
+        params[pname] = value
+    params["seed"] = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     return params
 
 
 def list_experiments():
     lines = ["experiment | anchor | defaults"]
     for name, (_, params, anchor) in EXPERIMENTS.items():
-        defaults = " ".join("%s=%s" % (k, ",".join(map(str, v)) if isinstance(v, tuple)
-                                       else _fmt(v))
-                            for k, (kind, v) in params.items())
+        defaults = " ".join("%s=%s" % (k, _fmt(v)) for k, (_, v, _) in params.items())
         lines.append("%s | %s | %s" % (name, anchor, defaults))
     return "\n".join(lines) + "\n"
 

@@ -178,8 +178,8 @@ def mean_value_integral(coeffs, T, rel_tol=1e-3):
     Returns the value and the ratio (value - T sum|a|^2) / (N sum|a|^2).
     """
     T = float(T)
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     step = math.pi / (4.0 * math.log(max(coeffs.support_hi, 3)))
     ts = np.linspace(0.0, T, 2 * int(math.ceil(T / step)) + 1)
     sq = np.abs(_phase_sum(np.log(coeffs.n_array), coeffs.values, ts)) ** 2
@@ -293,8 +293,8 @@ def large_value_measure(coeffs, T, gamma, slack=50.0):
     Q = coeffs.support_lo
     if Q < 2:
         raise ValueError("prime-band support must start above 1")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     threshold = Q ** (-gamma)
     step = math.pi / (4.0 * math.log(max(coeffs.support_hi, 3)))
     cells = max(int(math.ceil(T / step)), 1)
@@ -305,67 +305,3 @@ def large_value_measure(coeffs, T, gamma, slack=50.0):
     dt = T / cells
     measure = float(np.count_nonzero(cell_hit)) * dt
     return LargeValueReport(measure, threshold, slack * T ** (4.0 / 9.0), int(np.count_nonzero(cell_hit)))
-
-
-@dataclass
-class TypicalSet:
-    A: int
-    gamma: float
-    alpha: float
-    delta: float
-    cell_edges: np.ndarray
-    mask: np.ndarray     # True where every band polynomial stays small
-
-    @property
-    def complement_measure(self):
-        widths = np.diff(self.cell_edges)
-        return float(np.dot(widths, ~self.mask))
-
-
-def typical_set(A, gamma, alpha, delta, t0, t1, step=None):
-    """Cells of [t0, t1] where |Z_Q(1+it)| <= Q^{-gamma} for every integer
-    Q in [A^alpha, A], with Z_Q the Liouville prime-band polynomial."""
-    A = int(A)
-    q_lo = max(2, int(math.ceil(A**alpha)))
-    if q_lo > A:
-        raise ValueError("empty Q-range")
-    if step is None:
-        step = math.pi / (4.0 * math.log((1.0 + delta) * A + 2))
-    cells = max(int(math.ceil((t1 - t0) / step)), 1)
-    edges = np.linspace(t0, t1, cells + 1)
-    ts = np.linspace(t0, t1, 2 * cells + 1)
-    mask = np.ones(cells, dtype=bool)
-    for Q in range(q_lo, A + 1):
-        coeffs = prime_band_coeffs(Q, delta, weight="reciprocal", sign="liouville")
-        if not np.any(coeffs.values):
-            continue
-        mod = np.abs(_phase_sum(np.log(coeffs.n_array), coeffs.values, ts))
-        exceed = mod > Q ** (-gamma)
-        bad = exceed[0:-2:2] | exceed[1::2] | exceed[2::2]
-        mask &= ~bad
-    return TypicalSet(A, gamma, alpha, delta, edges, mask)
-
-
-def kernel_sum_bound_check(x, t, kind, C=10.0):
-    """Modulus of a unit-coefficient polynomial against its decay envelope.
-
-    kind 'smooth' weights n by the tent (1 on (0,1], 2-u on (1,2]) at n/x
-    and checks C (x/(1+|t|)^2 + sqrt|t| log(1+|t|)); kind 'sharp' sums
-    n <= x against C (x/(1+|t|) + sqrt|t| log(1+|t|)).
-    """
-    x = float(x)
-    t = float(t)
-    if kind == "smooth":
-        n = np.arange(1, int(math.floor(2 * x)) + 1, dtype=np.float64)
-        u = n / x
-        w = np.where(u <= 1.0, 1.0, 2.0 - u)
-        w = np.clip(w, 0.0, 1.0)
-        val = abs(fsum_complex(w * np.exp(1j * t * np.log(n))))
-        bound = C * (x / (1.0 + abs(t)) ** 2 + math.sqrt(abs(t)) * math.log1p(abs(t)))
-    elif kind == "sharp":
-        n = np.arange(1, int(math.floor(x)) + 1, dtype=np.float64)
-        val = abs(fsum_complex(np.exp(1j * t * np.log(n))))
-        bound = C * (x / (1.0 + abs(t)) + math.sqrt(abs(t)) * math.log1p(abs(t)))
-    else:
-        raise ValueError("kind must be 'smooth' or 'sharp'")
-    return val, bound

@@ -509,7 +509,7 @@ def divergence_sequence(h1, target=100.0, max_steps=10**4):
     raise BudgetError("target %g unreached after %d steps" % (target, max_steps))
 
 
-# ------------------------------------------------------ block-shift and TV
+# ------------------------------------------------------ sign blocks
 
 def sign_block_distribution(model, H, offset=0):
     """Dense mass vector over the 2^H sign patterns of the block at
@@ -528,37 +528,3 @@ def sign_block_distribution(model, H, offset=0):
     ns = np.arange(lo, x + 1, dtype=np.float64)
     masses = np.bincount(bits, weights=1.0 / ns, minlength=2**H)
     return masses / fsum(masses)
-
-
-def shift_entropy_report(model, H1, H2):
-    """(entropy gap between the offset-H1 block and the leading block of
-    the same length, envelope (H1/x0)(H2 log 4 + 2 log x0)), x0 = x/w."""
-    a = _entropy_of(sign_block_distribution(model, H2, offset=H1))
-    b = _entropy_of(sign_block_distribution(model, H2, offset=0))
-    x0 = model.x / model.w
-    envelope = (H1 / x0) * (H2 * math.log(4.0) + 2.0 * math.log(x0))
-    return abs(a - b), envelope
-
-
-def total_variation(p, q):
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError("distributions must share a support")
-    return 0.5 * fsum(np.abs(p - q))
-
-
-def binary_entropy(t):
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    return -t * math.log(t) - (1.0 - t) * math.log(1.0 - t)
-
-
-def tv_entropy_bound(p, q):
-    """(|entropy gap|, TV log(k-1) + h(TV)): continuity of entropy in
-    total variation on a k-point space."""
-    k = len(np.asarray(p).ravel())
-    t = total_variation(p, q)
-    lhs = abs(entropy(p) - entropy(q))
-    rhs = t * math.log(max(k - 1, 1)) + binary_entropy(t)
-    return lhs, rhs

@@ -464,39 +464,6 @@ def prime_shift_correlation(X, h):
     return total, total * math.log(h) / (h * X)
 
 
-def cauchy_short_check(fname, gname, X, H):
-    """Short-shift correlation average against its autocorrelation root.
-
-    lhs = (1/(H X^2)) sum_{1<=h<=H} |sum_{n<=X} f(n+h) conj(g(n))|^2,
-    rhs = sqrt((1/(H X^2)) sum_{|h|<=H} |sum_{n<=X} f(n+h) conj(f(n))|^2).
-    """
-    X, H = int(X), int(H)
-
-    def vals(name, hi):
-        if name == "unit":
-            return np.ones(hi, dtype=np.float64)
-        if name == "liouville":
-            return arith_core.liouville_range(1, hi + 1).astype(np.float64)
-        raise ValueError("fname must be 'unit' or 'liouville'")
-
-    f = vals(fname, X + H)
-    g = vals(gname, X)
-    lhs_terms = []
-    for h in range(1, H + 1):
-        s = np.dot(f[h : h + X], np.conj(g))
-        lhs_terms.append(abs(s) ** 2)
-    lhs = math.fsum(lhs_terms) / (H * float(X) ** 2)
-    auto_terms = []
-    for h in range(-H, H + 1):
-        if h >= 0:
-            s = np.dot(f[h : h + X], np.conj(f[:X]))
-        else:
-            s = np.dot(f[: X + h], np.conj(f[-h : X]))
-        auto_terms.append(abs(s) ** 2)
-    rhs = math.sqrt(math.fsum(auto_terms) / (H * float(X) ** 2))
-    return lhs, rhs
-
-
 def ternary_sum(N, weight="unit"):
     """Exact sum of w(a) w(b) w(c) over positive a+b+c = N.
 

@@ -183,8 +183,8 @@ def perron_truncated(kind, x, cutoff, T, slack=20.0, rel_tol=1e-4):
     x = float(x)
     if x <= 2:
         raise ValueError("x must exceed 2")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     sigma = 1.0 + 1.0 / math.log(x)
     step = min(0.05, math.pi / (4.0 * math.log(x)))
     # fine grid at half step; coarse pass reuses every other node; the

@@ -129,22 +129,6 @@ def test_squarefree_count_inclusion_exclusion():
         assert ac.squarefree_count(x) == int(np.dot(mu, x // (d * d)))
 
 
-def test_count_excluding_prime_band():
-    # direct filter: integers 1 <= n < x with no prime factor in [p_lo, p_hi]
-    x, p_lo, p_hi = 2000, 5, 20
-    band = [p for p in oracles.primes_upto(p_hi) if p >= p_lo]
-    direct = sum(1 for n in range(1, x)
-                 if all(n % p for p in band))
-    assert ac.count_excluding_prime_band(x, p_lo, p_hi) == direct
-
-
-def test_prime_pair_count_oracle():
-    X, k = 500, 6
-    ps = set(oracles.primes_upto(X))
-    direct = sum(1 for p in ps if p + k <= X and p + k in ps)
-    assert ac.prime_pair_count(X, k) == direct
-
-
 def test_build_sieve_rejects_bad_window():
     with pytest.raises(ValueError):
         ac.build_sieve(10, 10)

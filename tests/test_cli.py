@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
-from liouville_lab import arith_core, cli, dirichlet_poly
+from liouville_lab import (arith_core, cli, dirichlet_poly, expsum_circle, interval_stats,
+                           zeta_mellin)
 
 
 def run(argv, capsys):
@@ -51,6 +53,9 @@ def test_unknown_subcommand_and_flag_exit_two(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["chowla-avg", "--nope", "1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["chowla-avg", "--jobs", "2"])
     assert exc.value.code == 2
 
 
@@ -181,18 +186,31 @@ def test_envelope_failure_exits_one(capsys):
     assert any(r[-1] == "fail" for r in rows)
 
 
-@pytest.mark.parametrize("argv", [["squarefree", "--x", "0"], ["squarefree", "--x", "-5"],
-                                  ["tnp", "--x", "1"], ["sieve-check", "--x", "1"]])
-def test_bad_sieve_input_exits_two_before_sieving(argv, monkeypatch, capsys):
-    # every sieve path starts in _segments or primes_upto: neither may run
+def _assert_rejected_before_work(argv, monkeypatch, capsys):
+    # every sieve starts in _segments or primes_upto and every t-grid in
+    # _phase_sum: none of them may run
     def started(*args, **kwargs):
-        raise RuntimeError("sieving started")
+        raise RuntimeError("work started")
     monkeypatch.setattr(arith_core, "_segments", started)
     monkeypatch.setattr(arith_core, "primes_upto", started)
+    for module in (dirichlet_poly, expsum_circle, interval_stats, zeta_mellin):
+        monkeypatch.setattr(module, "_phase_sum", started)
     rc, out, err = run(argv, capsys)
     assert rc == 2
     assert out == ""
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [["squarefree", "--x", "0"], ["squarefree", "--x", "-5"],
+                                  ["tnp", "--x", "1"], ["sieve-check", "--x", "1"],
+                                  ["arcs", "--h", "1"], ["expsum", "--h", "1"],
+                                  ["prime-shift", "--h", "1"], ["chowla-avg", "--h", "0"],
+                                  ["log-chowla", "--w", "1"],
+                                  ["tnp", "--perron-x", "2"], ["tnp", "--perron-delta", "0.7"],
+                                  ["goldbach", "--n", "2"], ["goldbach", "--slack", "0"],
+                                  ["decrement-trace", "--steps", "0"]])
+def test_bad_sieve_input_exits_two_before_sieving(argv, monkeypatch, capsys):
+    _assert_rejected_before_work(argv, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("argv", [["parseval-link", "--delta", "-0.5"],
@@ -200,17 +218,40 @@ def test_bad_sieve_input_exits_two_before_sieving(argv, monkeypatch, capsys):
                                   ["parseval-link", "--delta", "nan"],
                                   ["large-values", "--t", "0"],
                                   ["tnp", "--perron-t", "0"],
-                                  ["halasz", "--intervals", "0"]])
+                                  ["halasz", "--intervals", "0"],
+                                  ["arcs", "--epsilon", "0"],
+                                  ["mean-value", "--t", "nan"], ["large-values", "--t", "nan"],
+                                  ["mean-value", "--t", "inf"],
+                                  ["parseval-link", "--delta", "inf"],
+                                  ["mean-value", "--count", "0"]])
 def test_bad_grid_input_exits_two_before_grid_work(argv, monkeypatch, capsys):
-    # neither a segment sieve nor a t-grid evaluation may start
-    def started(*args, **kwargs):
-        raise RuntimeError("work started")
-    monkeypatch.setattr(arith_core, "_segments", started)
-    monkeypatch.setattr(dirichlet_poly, "_phase_sum", started)
-    rc, out, err = run(argv, capsys)
+    _assert_rejected_before_work(argv, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("experiment, line", [("chowla-avg", "X = 100"),
+                                              ("chowla-avg", "jobs = 2"),
+                                              ("squarefree", "x = 0")])
+def test_config_keys_and_values_checked_before_work(experiment, line, tmp_path,
+                                                    monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    _assert_rejected_before_work([experiment, "--config", str(cfg)], monkeypatch, capsys)
+
+
+def test_every_default_lies_in_its_domain():
+    for name, (_, spec, _) in cli.EXPERIMENTS.items():
+        for pname, (kind, default, (text, test)) in spec.items():
+            assert test(default), (name, pname, default, text)
+            if kind is float:
+                assert not any(test(v) for v in (math.nan, math.inf, -math.inf)), (name, pname)
+
+
+def test_empty_band_envelope_is_rejected_not_scored(capsys):
+    # no prime in [24, 25): the node-doubling check would compare 0 with 0
+    rc, out, err = run(["factorization", "--x", "500", "--p0", "24", "--q0", "25"], capsys)
     assert rc == 2
     assert out == ""
-    assert "usage error" in err
+    assert "degenerate envelope" in err
 
 
 def test_handler_crash_exits_four(monkeypatch, capsys):

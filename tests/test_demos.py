@@ -33,3 +33,8 @@ def test_sieve_demo_runs(name):
 @pytest.mark.parametrize("name", ["mean_value_playground.py", "zeta_contour_walk.py"])
 def test_grid_demo_runs(name):
     _run_demo(name)
+
+
+@pytest.mark.parametrize("name", ["arcs_and_correlations.py", "entropy_walkthrough.py"])
+def test_correlation_demo_runs(name):
+    _run_demo(name)

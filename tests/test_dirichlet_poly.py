@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liouville_lab import dirichlet_poly as dp
+from liouville_lab import dirichlet_poly as dp, zeta_mellin as zm
 from liouville_lab.util import QuadratureError
 
 import oracles
@@ -214,6 +214,17 @@ def test_mean_value_rejects_bad_T():
         dp.mean_value_integral(c, 0.0)
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+def test_t_range_must_be_finite(T):
+    # nan passes a bare T <= 0 test; each grid integral must refuse it up front
+    with pytest.raises(ValueError, match="finite"):
+        dp.mean_value_integral(dp.CoeffSeq(0, 4, np.ones(4)), T)
+    with pytest.raises(ValueError, match="finite"):
+        dp.large_value_measure(dp.prime_band_coeffs(20, 1.0), T, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        zm.perron_truncated("liouville", 100.0, zm.SmoothCutoff(0.1), T)
+
+
 def test_halasz_subset_bound_holds():
     rng = np.random.default_rng(3)
     a = np.exp(2j * math.pi * rng.random(80))
@@ -278,25 +289,6 @@ def test_large_value_measure_empty_set():
 def test_large_value_measure_rejects_low_support():
     with pytest.raises(ValueError):
         dp.large_value_measure(dp.coeffs_from_dict({2: 1.0}), 1.0, 0.1)
-
-
-def test_typical_set_partition_and_extremes():
-    ts = dp.typical_set(20, 1.0 / 9.0, 0.5, 0.5, 0.0, 3.0)
-    widths = np.diff(ts.cell_edges)
-    inside = float(np.dot(widths, ts.mask))
-    assert inside + ts.complement_measure == pytest.approx(3.0)
-    # gamma so large every nonempty band polynomial exceeds the threshold
-    hard = dp.typical_set(20, 3.0, 0.5, 0.5, 0.0, 1.0)
-    assert hard.complement_measure == pytest.approx(1.0)
-
-
-def test_kernel_sum_bounds_hold():
-    for t in (0.0, 7.0, 300.0):
-        for kind in ("smooth", "sharp"):
-            val, bound = dp.kernel_sum_bound_check(200.0, t, kind)
-            assert val <= bound, (kind, t)
-    with pytest.raises(ValueError):
-        dp.kernel_sum_bound_check(100.0, 1.0, "other")
 
 
 @given(st.integers(min_value=2, max_value=60),

@@ -392,36 +392,3 @@ def test_sign_block_distribution_offset_brute():
         assert dense[b] == pytest.approx(table.get(b, 0.0) / tot, abs=1e-14)
     with pytest.raises(BudgetError):
         ent.sign_block_distribution(model, 25)
-
-
-def test_shift_entropy_report():
-    model = small_model()
-    gap, env = ent.shift_entropy_report(model, 3, 4)
-    a = oracles.entropy_nats(ent.sign_block_distribution(model, 4, offset=3))
-    b = oracles.entropy_nats(ent.sign_block_distribution(model, 4, offset=0))
-    assert gap == pytest.approx(abs(a - b), abs=1e-12)
-    x0 = model.x / model.w
-    assert env == pytest.approx((3 / x0) * (4 * math.log(4.0) + 2 * math.log(x0)), rel=1e-12)
-    assert gap <= env
-
-
-def test_total_variation_and_binary_entropy():
-    assert ent.total_variation([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert ent.total_variation([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        ent.total_variation([1.0], [0.5, 0.5])
-    assert ent.binary_entropy(0.0) == 0.0 and ent.binary_entropy(1.0) == 0.0
-    assert ent.binary_entropy(0.5) == pytest.approx(math.log(2), rel=1e-14)
-
-
-def test_tv_entropy_bound_random():
-    rng = np.random.default_rng(23)
-    for k in (4, 16, 64):
-        p = rng.dirichlet(np.ones(k))
-        q = rng.dirichlet(np.ones(k))
-        gap, bound = ent.tv_entropy_bound(p, q)
-        tv = ent.total_variation(p, q)
-        assert gap == pytest.approx(abs(oracles.entropy_nats(p) - oracles.entropy_nats(q)),
-                                    abs=1e-12)
-        assert bound == pytest.approx(tv * math.log(k - 1) + ent.binary_entropy(tv), rel=1e-12)
-        assert gap <= bound + 1e-12

@@ -331,24 +331,6 @@ def test_prime_shift_correlation_frozen():
     assert norm == pytest.approx(0.0007340641276465019, rel=1e-12)
 
 
-def test_cauchy_short_check_unit_case():
-    X, H = 10**4, 10
-    lhs, rhs = ec.cauchy_short_check("unit", "unit", X, H)
-    assert lhs == 1.0
-    want = ((H + 1) * X**2 + sum((X - h) ** 2 for h in range(1, H + 1))) / (H * X**2)
-    assert rhs == pytest.approx(math.sqrt(want), rel=1e-12)
-    assert lhs <= rhs
-
-
-def test_cauchy_short_check_liouville():
-    lhs, rhs = ec.cauchy_short_check("liouville", "unit", 2000, 8)
-    assert 0.0 <= lhs <= rhs
-    lhs2, rhs2 = ec.cauchy_short_check("liouville", "liouville", 2000, 8)
-    assert 0.0 <= lhs2 <= rhs2
-    with pytest.raises(ValueError):
-        ec.cauchy_short_check("mobius", "unit", 100, 4)
-
-
 # ------------------------------------------------------ ternary sums
 
 def test_ternary_unit_closed_form():
