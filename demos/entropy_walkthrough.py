@@ -48,8 +48,8 @@ print("E F (uniform residues) = %.6g" % eg)
 print("log-weighted pair sum  = %.6g (cap %.4g)"
       % (ent.log_chowla_sum(x, w), 0.1 * math.log(w)))
 r = ent.suma_esperanza_residual(x, 10**2, H, eps)
-print("bridge residual %.6g (envelope %.4g)"
-      % (r, 20 * eps * math.log(10**2) / math.log(H)))
+env = 20 * eps * math.log(10**2) / math.log(H)
+print("bridge residual %.6g within %.4g: %s" % (r, env, "PASS" if r <= env else "FAIL"))
 
 # concentration: a high-entropy law cannot pile mass on a small event
 dense = ent.sign_block_distribution(model, H)
@@ -68,3 +68,5 @@ print("first step with information rate under 1/(log h log3 h): %d" % tr.witness
 J, partial = ent.divergence_sequence(15, 0.3)
 print("divergence target 0.3 reached at J=%d, partial sums %s"
       % (J, ["%.4f" % p for p in partial]))
+cap = 10 * math.log2(15) ** 2
+print("log J = %.4f within %.4g: %s" % (math.log(J), cap, "PASS" if math.log(J) <= cap else "FAIL"))

@@ -41,6 +41,8 @@ for tau in (0.05, 0.1, 0.2):
 link = interval_stats.parseval_link(10**4, 50, 0.5)
 print("\nparseval bridge: lhs %.6g <= envelope %.6g: %s"
       % (link.lhs, link.envelope, "PASS" if link.lhs <= link.envelope else "FAIL"))
+print("bridge halving delta %.2e under 1e-2: %s"
+      % (link.halving_delta, "PASS" if link.halving_delta <= 1e-2 else "FAIL"))
 
 # additive windows are controlled by multiplicative ones up to h^(1/2) slack
 lhs, bound = interval_stats.additive_from_multiplicative_check(5000, 64)

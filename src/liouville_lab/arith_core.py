@@ -191,10 +191,10 @@ def von_mangoldt_minus_one_range(lo, hi):
     return out
 
 
-def primality_range(lo, hi, segment_len=DEFAULT_SEGMENT):
+def primality_range(lo, hi):
     """Boolean primality for n in [lo, hi), segmented Eratosthenes."""
     lo, hi = int(lo), int(hi)
-    base, bounds = _segments(lo, hi, segment_len)
+    base, bounds = _segments(lo, hi, DEFAULT_SEGMENT)
     out = np.ones(hi - lo, dtype=bool)
     if lo <= 1:
         out[: 2 - lo] = False
@@ -248,7 +248,7 @@ def prime_reciprocal_sum(x):
     return fsum(1.0 / plist.astype(np.float64))
 
 
-def squarefree_count(x, segment_len=DEFAULT_SEGMENT):
+def squarefree_count(x):
     """#{n <= x : n squarefree}, via mu(d) floor(x/d^2) over d <= sqrt(x)."""
     x = int(x)
     if x < 1:

@@ -86,10 +86,10 @@ def classify_arc(alpha, Q, R):
 
 # ------------------------------------------------------ geometric sums
 
-def geometric_sum_check(beta, m0, m1, integral_tol=1e-15):
+def geometric_sum_check(beta, m0, m1):
     """(sum of e(beta m) for m0 <= m <= m1, envelope (2/pi)/d(beta, Z)).
 
-    A beta within integral_tol of an integer is treated as the integral
+    A beta within 1e-15 of an integer is treated as the integral
     case: the sum is the interval length and the envelope is infinite.
     """
     m0, m1 = int(m0), int(m1)
@@ -97,7 +97,7 @@ def geometric_sum_check(beta, m0, m1, integral_tol=1e-15):
         raise ValueError("need m1 >= m0")
     count = m1 - m0 + 1
     d = dist_to_z(beta)
-    if d <= integral_tol:
+    if d <= 1e-15:
         return complex(count), float("inf")
     # closed form keeps the check exact for long ranges
     ratio = e_of(beta)
@@ -141,14 +141,6 @@ def vinogradov_sum(alpha, N, Xcap, C=4.0):
 
 
 # ------------------------------------------------------ prime exponential sums
-
-def prime_exp_sum(h, alpha):
-    """sum of e(alpha p) over primes p <= h."""
-    plist = arith_core.primes_upto(int(h)).primes.astype(np.float64)
-    if len(plist) == 0:
-        return 0j
-    return fsum_complex(np.exp(2j * np.pi * float(alpha) * plist))
-
 
 def exp_sum_avg(X, h, alpha):
     """(1/(hX)) sum over x in (X, 2X] of |sum_{x<n<=x+h} lambda(n) e(alpha n)|."""
@@ -422,30 +414,19 @@ class CorrelationTable:
     c: np.ndarray  # c[j] for j = 1..h at index j-1, exact int64
 
 
-def chowla_avg(X, h, method="fast"):
+def chowla_avg(X, h):
     """Autocorrelation table c_j = sum_{X<n, n+j<=2X} lambda(n) lambda(n+j)
     for 1 <= j <= h, plus the statistic (1/(h X^2)) sum_{j<=h/2} c_j^2.
 
-    method 'fast' uses vectorized exact integer dot products; 'naive' is
-    the direct double loop. Both produce identical integers.
+    Each c_j is one exact int64 dot product.
     """
     X, h = int(X), int(h)
     if h >= X:
         raise ValueError("need h < X")
-    lam = arith_core.liouville_range(X + 1, 2 * X + 1)
+    lam = arith_core.liouville_range(X + 1, 2 * X + 1).astype(np.int64)
     c = np.zeros(h, dtype=np.int64)
-    if method == "fast":
-        lam64 = lam.astype(np.int64)
-        for j in range(1, h + 1):
-            c[j - 1] = np.dot(lam64[: X - j], lam64[j:X])
-    elif method == "naive":
-        for j in range(1, h + 1):
-            total = 0
-            for i in range(0, X - j):
-                total += int(lam[i]) * int(lam[i + j])
-            c[j - 1] = total
-    else:
-        raise ValueError("method must be 'fast' or 'naive'")
+    for j in range(1, h + 1):
+        c[j - 1] = np.dot(lam[: X - j], lam[j:X])
     js = np.arange(1, h // 2 + 1)
     stat = float(np.dot(c[js - 1].astype(np.float64), c[js - 1].astype(np.float64)))
     stat /= h * float(X) ** 2

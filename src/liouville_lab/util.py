@@ -11,14 +11,6 @@ class BudgetError(RuntimeError):
     """A requested computation exceeds its memory or size budget."""
 
 
-class EnvelopeFailure(AssertionError):
-    """A measured quantity escaped its declared bound."""
-
-
-class QuadratureError(RuntimeError):
-    """Step-halving certification did not converge."""
-
-
 class PreconditionError(ValueError):
     """Inputs violate a stated hypothesis; distinct from a counterexample."""
 

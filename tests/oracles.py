@@ -142,6 +142,13 @@ def naive_correlation(lam, X, j):
     return sum(int(lam[n]) * int(lam[n + j]) for n in range(X + 1, 2 * X - j + 1))
 
 
+def naive_chowla(lam, X, h):
+    """[c_1, ..., c_h] by naive_correlation and the statistic
+    (1/(h X^2)) sum_{j <= h/2} c_j^2, summed in integers and divided once."""
+    c = [naive_correlation(lam, X, j) for j in range(1, h + 1)]
+    return c, sum(v * v for v in c[: h // 2]) / (h * X * X)
+
+
 # ------------------------------------------------------------- quadrature
 
 def trapezoid_complex(fvals, dt):

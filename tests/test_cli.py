@@ -186,6 +186,20 @@ def test_envelope_failure_exits_one(capsys):
     assert any(r[-1] == "fail" for r in rows)
 
 
+def test_failed_quadrature_certificate_is_a_row(capsys):
+    # at T = 1 the contour integral moves by about 1.5e-3 under step halving,
+    # over its 1e-4 tolerance: the run still prints every row and exits 1
+    rc, out, err = run(["tnp", "--perron-x", "100", "--perron-t", "1"], capsys)
+    assert rc == 1
+    rows = parse_csv(out)
+    checks = [r[1].rsplit(";check=", 1)[1] for r in rows]
+    assert checks == ["lambda-series-vs-zeta-ratio", "weighted-prime-count",
+                      "prime-reciprocal-sum", "contour-vs-smoothed-sum",
+                      "contour-step-halving"]
+    assert rows[-1][-1] == "fail"
+    assert [r[-1] for r in rows[:-1]] == ["pass"] * 4
+
+
 def _assert_rejected_before_work(argv, monkeypatch, capsys):
     # every sieve starts in _segments or primes_upto and every t-grid in
     # _phase_sum: none of them may run
@@ -198,7 +212,9 @@ def _assert_rejected_before_work(argv, monkeypatch, capsys):
     rc, out, err = run(argv, capsys)
     assert rc == 2
     assert out == ""
+    # the rejection comes from the declared domains, not from deeper code
     assert "usage error" in err
+    assert "is outside" in err or "unknown config key" in err
 
 
 @pytest.mark.parametrize("argv", [["squarefree", "--x", "0"], ["squarefree", "--x", "-5"],
@@ -208,7 +224,8 @@ def _assert_rejected_before_work(argv, monkeypatch, capsys):
                                   ["log-chowla", "--w", "1"],
                                   ["tnp", "--perron-x", "2"], ["tnp", "--perron-delta", "0.7"],
                                   ["goldbach", "--n", "2"], ["goldbach", "--slack", "0"],
-                                  ["decrement-trace", "--steps", "0"]])
+                                  ["decrement-trace", "--steps", "0"],
+                                  ["squarefree", "--x", "100", "--seed", "-1"]])
 def test_bad_sieve_input_exits_two_before_sieving(argv, monkeypatch, capsys):
     _assert_rejected_before_work(argv, monkeypatch, capsys)
 
@@ -223,14 +240,16 @@ def test_bad_sieve_input_exits_two_before_sieving(argv, monkeypatch, capsys):
                                   ["mean-value", "--t", "nan"], ["large-values", "--t", "nan"],
                                   ["mean-value", "--t", "inf"],
                                   ["parseval-link", "--delta", "inf"],
-                                  ["mean-value", "--count", "0"]])
+                                  ["mean-value", "--count", "0"],
+                                  ["mean-value", "--seed", "-1"]])
 def test_bad_grid_input_exits_two_before_grid_work(argv, monkeypatch, capsys):
     _assert_rejected_before_work(argv, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("experiment, line", [("chowla-avg", "X = 100"),
                                               ("chowla-avg", "jobs = 2"),
-                                              ("squarefree", "x = 0")])
+                                              ("squarefree", "x = 0"),
+                                              ("squarefree", "seed = -1")])
 def test_config_keys_and_values_checked_before_work(experiment, line, tmp_path,
                                                     monkeypatch, capsys):
     cfg = tmp_path / "run.cfg"

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liouville_lab import dirichlet_poly as dp, zeta_mellin as zm
-from liouville_lab.util import QuadratureError
 
 import oracles
 
@@ -47,21 +46,6 @@ def test_prime_band_coeffs_frozen():
     assert sorted(int(n) for n, v in zip(c2.n_array, c2.values) if v != 0) \
         == [11, 13, 17, 19]
     assert set(c2.values[c2.values != 0].tolist()) == {1.0 + 0j}
-
-
-def test_prime_dirichlet_sum_frozen():
-    # 1/11 + 1/13 + 1/17 + 1/19
-    want = 1 / 11 + 1 / 13 + 1 / 17 + 1 / 19
-    assert dp.prime_dirichlet_sum(10, 1.0, 0.0) == pytest.approx(want, rel=1e-14)
-    assert dp.prime_dirichlet_sum(10, 0.05, 0.0) == 0j  # (10, 10.5] holds none
-
-
-def test_evaluate_matches_direct_loop():
-    c = dp.coeffs_from_dict({2: 1.0, 3: -2.0j, 10: 0.5})
-    for t in (0.0, 1.7, -23.0):
-        direct = sum(a * complex(n) ** complex(0, t)
-                     for n, a in {2: 1.0, 3: -2.0j, 10: 0.5}.items())
-        assert abs(dp.evaluate(c, t) - direct) < 1e-12
 
 
 # ------------------------------------------------------ grid kernel
@@ -162,16 +146,6 @@ def test_trap_matches_each_former_copy():
     # parseval, doubled for the symmetric half line
     assert 2.0 * dp._trap(real, dt) == 2.0 * float(np.dot(w, real)) * dt
     assert 2.0 * dp._trap(real[::2], 2 * dt) == 2.0 * float(np.dot(wc, real[::2])) * 2 * dt
-
-
-def test_tgrid_step_rule():
-    c = dp.CoeffSeq(0, 100, np.ones(100))
-    ok = dp.TGrid(0.0, 10.0, math.pi / (4 * math.log(100)))
-    ok.check_for(c)
-    with pytest.raises(ValueError):
-        dp.TGrid(0.0, 10.0, 1.0).check_for(c)
-    with pytest.raises(ValueError):
-        dp.TGrid(3.0, 3.0, 0.1)
 
 
 def test_tsubset_validation_and_measure():

@@ -143,14 +143,6 @@ def test_vinogradov_envelope_seeded_sample():
 
 # ------------------------------------------------------ prime exponential sums
 
-def test_prime_exp_sum_direct():
-    plist = [2, 3, 5, 7, 11, 13, 17, 19]
-    direct = sum(ec.e_of(0.3 * p) for p in plist)
-    assert ec.prime_exp_sum(20, 0.3) == pytest.approx(direct, abs=1e-12)
-    assert ec.prime_exp_sum(1, 0.3) == 0j
-    assert ec.prime_exp_sum(20, 0.0) == pytest.approx(8.0)
-
-
 def test_exp_sum_avg_direct():
     X, h, alpha = 60, 7, 0.37
     lam = lam_upto(2 * X + h)
@@ -289,14 +281,12 @@ def test_additive_reconstruction_small_moduli():
 # ------------------------------------------------------ correlations
 
 def test_chowla_avg_fast_equals_naive():
-    tf, sf = ec.chowla_avg(1000, 20, method="fast")
-    tn, sn = ec.chowla_avg(1000, 20, method="naive")
-    assert np.array_equal(tf.c, tn.c)
+    tf, sf = ec.chowla_avg(1000, 20)
+    cn, sn = oracles.naive_chowla(lam_upto(2000), 1000, 20)
+    assert tf.c.tolist() == cn
     assert sf == sn
     with pytest.raises(ValueError):
         ec.chowla_avg(100, 100)
-    with pytest.raises(ValueError):
-        ec.chowla_avg(1000, 10, method="typo")
 
 
 def test_chowla_table_matches_window_oracle():
