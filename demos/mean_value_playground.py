@@ -8,8 +8,6 @@ then on a sparse union of intervals where the same energy bound holds
 with a square-root savings in the sparse measure.
 """
 
-import math
-
 import numpy as np
 
 from liouville_lab import dirichlet_poly as dp

@@ -7,8 +7,6 @@ window, then watch the summatory sign sum wander and the square-free
 density settle.
 """
 
-import numpy as np
-
 from liouville_lab import arith_core
 
 # build a factor table on [1, 200001): spf, Omega, lambda, mu in one pass

@@ -11,8 +11,6 @@ and the same Q-breakpoints give the integral exactly.
 
 import math
 
-import numpy as np
-
 from liouville_lab import mr_factorization as mr
 
 X, delta, P0, Q0 = 10**4, 0.1, 10, 100

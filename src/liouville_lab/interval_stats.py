@@ -10,7 +10,7 @@ import numpy as np
 
 from . import arith_core
 from .dirichlet_poly import _phase_sum, _trap
-from .util import BudgetError, check_mul64, fsum
+from .util import BudgetError, check_mul64, fsum, fsum_complex
 
 WINDOW_BUDGET = 6 * 10**7
 
@@ -62,9 +62,7 @@ def short_sum(fname, spec, x):
         hi = x + 1
     vals = _values(fname, lo, hi)
     if np.iscomplexobj(vals):
-        re = fsum(vals.real)
-        im = fsum(vals.imag)
-        return complex(re, im)
+        return fsum_complex(vals)
     if vals.dtype == np.int8:
         return int(vals.astype(np.int64).sum())
     return fsum(vals)

@@ -110,6 +110,11 @@ def _sieve_primes(limit):
 
 # ------------------------------------------------------------- direct sums
 
+def exact_sum(values):
+    """Exactly rounded sum: math.fsum over one Python float per element."""
+    return math.fsum(np.asarray(values).astype(np.float64).tolist())
+
+
 def summatory_liouville(x):
     return sum(liouville(n) for n in range(1, x + 1))
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouville_lab import arith_core, expsum_circle as ec
+from liouville_lab import expsum_circle as ec
 from liouville_lab.util import BudgetError
 
 import oracles

@@ -1,11 +1,8 @@
 """Window sums, variance over starting points, and the vertical-line bridge."""
 
-import math
-
 import numpy as np
 import pytest
 
-from liouville_lab import arith_core as ac
 from liouville_lab import interval_stats as ist
 from liouville_lab.util import BudgetError
 

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from liouville_lab import arith_core as ac
 from liouville_lab import mr_factorization as mr
 
 import oracles
