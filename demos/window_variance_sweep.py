@@ -23,16 +23,17 @@ print("sum of signs over (%d, %d] = %g" % (X + 1, X + 1 + 50, s))
 print("\n h      variance       rms mean")
 prev = None
 for h in (30, 100, 300, 1000, 3000, 10000):
-    rep = interval_stats.variance("liouville", interval_stats.WindowSpec("multiplicative", X, h))
-    tag = "" if prev is None else ("  down" if rep.mean_square < prev else "  UP?!")
-    print("%5d  %.6e  %.5f%s" % (h, rep.mean_square, math.sqrt(rep.mean_square), tag))
-    prev = rep.mean_square
+    v = interval_stats.variance("liouville", interval_stats.WindowSpec("multiplicative", X, h))
+    tag = "" if prev is None else ("  down" if v < prev else "  UP?!")
+    print("%5d  %.6e  %.5f%s" % (h, v, math.sqrt(v), tag))
+    prev = v
 
-# exceptional windows: fraction where |mean| > tau, against Chebyshev
-rep = interval_stats.variance("liouville", interval_stats.WindowSpec("multiplicative", X, 300))
-for tau in (0.05, 0.1, 0.2):
-    frac = interval_stats.exceptional_fraction(rep, tau)
-    cheb = rep.mean_square / tau**2
+# exceptional windows: fraction where |mean| >= tau, against Chebyshev
+spec = interval_stats.WindowSpec("multiplicative", X, 300)
+v = interval_stats.variance("liouville", spec)
+taus = (0.05, 0.1, 0.2)
+for tau, frac in zip(taus, interval_stats.exceptional_fraction("liouville", spec, taus)):
+    cheb = v / tau**2
     print("tau=%.2f  exceptional %.5f  chebyshev cap %.5f  %s"
           % (tau, frac, cheb, "PASS" if frac <= cheb + 1e-15 else "FAIL"))
 

@@ -315,9 +315,9 @@ def h_variance(P):
     prev = 1.0  # window means of a +-1 sequence are bounded by 1
     for h in hs:
         spec = interval_stats.WindowSpec(P["kind"], X, h)
-        rep = interval_stats.variance(P["fname"], spec)
-        rows.append(make_row("variance", {**P, "h": h}, rep.mean_square, prev))
-        prev = rep.mean_square
+        v = interval_stats.variance(P["fname"], spec)
+        rows.append(make_row("variance", {**P, "h": h}, v, prev))
+        prev = v
     return rows
 
 

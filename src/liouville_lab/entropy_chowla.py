@@ -18,6 +18,30 @@ E_CUBE = math.exp(math.e)  # h must exceed this for log log log h > 0
 
 # ------------------------------------------------------ model and joints
 
+def _support_start(x, w):
+    """Least integer n > x/w, in exact integer arithmetic when w is an
+    integer."""
+    return x // int(w) + 1 if float(w).is_integer() else math.floor(x / w) + 1
+
+
+def _primes_in(K0, K1):
+    """Primes p with K0 < p <= K1."""
+    k1 = math.floor(K1)
+    if k1 < 2:
+        return np.zeros(0, dtype=np.int64)
+    plist = arith_core.primes_upto(k1).primes
+    return plist[plist > K0]
+
+
+def _pack_signs(lam, start, count, H):
+    """Sign patterns of H consecutive values packed into integers: bit j of
+    entry i is set iff lam[start + i + j] < 0, for i < count and j < H."""
+    bits = np.zeros(count, dtype=np.int64)
+    for j in range(H):
+        bits |= (lam[start + j : start + j + count] < 0).astype(np.int64) << j
+    return bits
+
+
 @dataclass
 class LogWeightedModel:
     """Random integer N on (x/w, x] with mass proportional to 1/n."""
@@ -31,10 +55,7 @@ class LogWeightedModel:
         self.x = int(self.x)
         if not 1 <= self.w <= self.x:
             raise ValueError("need 1 <= w <= x")
-        if float(self.w).is_integer():
-            self.lo = self.x // int(self.w) + 1
-        else:
-            self.lo = math.floor(self.x / self.w) + 1
+        self.lo = _support_start(self.x, self.w)
         if self.lo > self.x:
             self.L = 0.0
         else:
@@ -48,12 +69,7 @@ class LogWeightedModel:
 
 def band_primes(H, epsilon):
     """Primes in (epsilon H / 2, epsilon H]."""
-    k1 = math.floor(epsilon * H)
-    k0 = epsilon * H / 2.0
-    if k1 < 2:
-        return np.zeros(0, dtype=np.int64)
-    plist = arith_core.primes_upto(k1).primes
-    return plist[plist > k0]
+    return _primes_in(epsilon * H / 2.0, epsilon * H)
 
 
 @dataclass
@@ -178,11 +194,7 @@ def build_joint(model, H, epsilon):
     for a in range(lo, x + 1, chunk):
         b = min(a + chunk, x + 1)
         ns = np.arange(a, b, dtype=np.int64)
-        bits = np.zeros(b - a, dtype=np.int64)
-        base = a - (lo + 1)
-        for j in range(1, H + 1):
-            neg = lam[base + j : base + j + (b - a)] < 0
-            bits |= neg.astype(np.int64) << (j - 1)
+        bits = _pack_signs(lam, a - lo, b - a, H)
         y = np.zeros(b - a, dtype=np.int64)
         radix = 1
         for p in primes:
@@ -279,7 +291,7 @@ def log_chowla_sum(x, w):
     x = int(x)
     if not 1 <= w <= x:
         raise ValueError("need 1 <= w <= x")
-    lo = x // int(w) + 1 if float(w).is_integer() else math.floor(x / w) + 1
+    lo = _support_start(x, w)
     if lo > x:
         return 0.0
     lam = arith_core.liouville_range(lo, x + 2).astype(np.float64)
@@ -291,15 +303,13 @@ def band_divisor_sum(x, w, K0, K1):
     """Sum over primes K0 < p <= K1 and multiples p | n in (x/w, x] of
     lambda(n) lambda(n+p) / n."""
     x = int(x)
-    lo = x // int(w) + 1 if float(w).is_integer() else math.floor(x / w) + 1
-    k1 = math.floor(K1)
-    if k1 < 2 or lo > x:
+    lo = _support_start(x, w)
+    if lo > x:
         return 0.0
-    plist = arith_core.primes_upto(k1).primes
-    plist = plist[plist > K0]
+    plist = _primes_in(K0, K1)
     if len(plist) == 0:
         return 0.0
-    lam = arith_core.liouville_range(lo, x + k1 + 1).astype(np.float64)
+    lam = arith_core.liouville_range(lo, x + int(plist[-1]) + 1).astype(np.float64)
     parts = []
     for p in plist:
         p = int(p)
@@ -335,8 +345,7 @@ def divisibility_trick_residual(x, w, K0, K1):
     """|consecutive-pair log sum - (1/l) band divisor pair sum| where
     l is the reciprocal sum of the band primes; the stated bound is
     5 log(K1) / l."""
-    plist = arith_core.primes_upto(math.floor(K1)).primes if K1 >= 2 else np.zeros(0)
-    plist = plist[plist > K0] if len(plist) else plist
+    plist = _primes_in(K0, K1)
     if len(plist) == 0:
         raise PreconditionError("no prime in (K0, K1]")
     ell = fsum(1.0 / plist.astype(np.float64))
@@ -486,10 +495,7 @@ def sign_block_distribution(model, H, offset=0):
         raise ValueError("model support is empty")
     lo, x = model.lo, model.x
     lam = arith_core.liouville_range(lo + offset + 1, x + offset + H + 1)
-    bits = np.zeros(model.n_count, dtype=np.int64)
-    for j in range(1, H + 1):
-        neg = lam[j - 1 : j - 1 + model.n_count] < 0
-        bits |= neg.astype(np.int64) << (j - 1)
+    bits = _pack_signs(lam, 0, model.n_count, H)
     ns = np.arange(lo, x + 1, dtype=np.float64)
     masses = np.bincount(bits, weights=1.0 / ns, minlength=2**H)
     return masses / fsum(masses)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith_core
-from .dirichlet_poly import _phase_sum
+from .interval_stats import _window_sums
 from .util import BudgetError, fsum, fsum_complex
 
 TWO_PI = 2.0 * math.pi
@@ -148,9 +148,8 @@ def exp_sum_avg(X, h, alpha):
     lam = arith_core.liouville_range(X + 1, 2 * X + h + 1).astype(np.float64)
     n = np.arange(X + 1, 2 * X + h + 1, dtype=np.float64)
     c = lam * np.exp(2j * np.pi * float(alpha) * n)
-    prefix = np.concatenate(([0j], np.cumsum(c)))
-    idx = np.arange(1, X + 1)  # x = X + idx
-    sums = prefix[idx + h] - prefix[idx]
+    xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
+    sums = _window_sums(c, xs, xs + h)
     return fsum(np.abs(sums)) / (h * X)
 
 
@@ -187,13 +186,9 @@ def major_arc_measure(h, epsilon, grid_points):
     threshold = epsilon * h / math.log(h)
     plist = arith_core.primes_upto(h).primes
     M = 2 * G
-    if M > len(plist) and M > h:
-        vec = np.zeros(M, dtype=np.float64)
-        vec[plist[plist < M]] = 1.0
-        mod = np.abs(np.fft.fft(vec))
-    else:
-        ps = plist.astype(np.float64)
-        mod = np.abs(_phase_sum(-2.0 * np.pi * ps, np.ones(len(ps)), np.arange(M) / M))
+    # at alpha = j/M the phase e(alpha p) depends only on p mod M
+    vec = np.bincount(plist % M, minlength=M).astype(np.float64)
+    mod = np.abs(np.fft.fft(vec))
     exceed = mod > threshold
     nxt = np.roll(exceed, -1)
     nxt2 = np.roll(exceed, -2)

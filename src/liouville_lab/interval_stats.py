@@ -1,10 +1,11 @@
 """Short-window statistics: window sums, variances over dyadic ranges of
 starting points, exceptional fractions, and the bridge from window variance
-to a vertical-line second moment.
+to a vertical-line second moment. Every statistic over many windows takes
+its sums from one kernel, _window_sums, with edges from _edges.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,16 +52,46 @@ def _values(fname, lo, hi):
     raise ValueError("unknown function spec %r" % (fname,))
 
 
+def _edges(spec, xs):
+    """(starts, stops) of spec's windows (start, stop] anchored at xs, an
+    integer or an int64 array: (x, x+h] when additive, ((1-h/X)x, x] when
+    multiplicative, with exact integer edges."""
+    if spec.kind == "additive":
+        return xs, xs + spec.h
+    check_mul64(np.max(xs), spec.X - spec.h)
+    return (xs * (spec.X - spec.h)) // spec.X, xs
+
+
+def _window_sums(vals, starts, stops):
+    """Sums of f over the windows (starts[i], stops[i]] as differences of one
+    prefix, where vals[k] = f(starts[0] + k) and starts, stops ascend.
+
+    The prefix is int64 for int8 input and the input dtype otherwise."""
+    dtype = np.int64 if vals.dtype == np.int8 else vals.dtype
+    prefix = np.empty(len(vals) + 1, dtype=dtype)
+    prefix[0] = 0
+    np.cumsum(vals, dtype=dtype, out=prefix[1:])
+    base = starts[0] - 1  # prefix[n - base] = sum of f over [starts[0], n]
+    sums = prefix[stops - base]
+    sums -= prefix[starts - base]
+    return sums
+
+
+def _abs_window_means(fname, spec):
+    """|window mean of f| for every integer x in (X, 2X], in order of x."""
+    X = spec.X
+    if X > WINDOW_BUDGET:
+        raise BudgetError("window count %d exceeds budget" % X)
+    xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
+    starts, stops = _edges(spec, xs)
+    sums = _window_sums(_values(fname, starts[0], stops[-1] + 1), starts, stops)
+    return np.abs(sums / np.subtract(stops, starts, dtype=np.float64))
+
+
 def short_sum(fname, spec, x):
     """Window sum of f over spec's window anchored at integer x."""
-    x = int(x)
-    if spec.kind == "additive":
-        lo, hi = x + 1, int(math.floor(x + spec.h)) + 1
-    else:
-        check_mul64(x, spec.X - spec.h)
-        lo = (x * (spec.X - spec.h)) // spec.X + 1
-        hi = x + 1
-    vals = _values(fname, lo, hi)
+    start, stop = _edges(spec, int(x))
+    vals = _values(fname, start + 1, stop + 1)
     if np.iscomplexobj(vals):
         return fsum_complex(vals)
     if vals.dtype == np.int8:
@@ -68,59 +99,24 @@ def short_sum(fname, spec, x):
     return fsum(vals)
 
 
-@dataclass
-class VarianceReport:
-    fname: object
-    spec: WindowSpec
-    mean_square: float
-    windows: int
-    abs_means: np.ndarray = field(repr=False)
-
-
 def variance(fname, spec):
     """Average of |window mean of f|^2 over integer x in (X, 2X].
 
-    Single vectorized pass: prefix sums of f, window edges by exact integer
-    arithmetic, means aggregated with exact summation. The per-window
-    |mean| values are kept (sorted) for exceptional_fraction.
-    """
-    X, h = spec.X, spec.h
-    if X > WINDOW_BUDGET:
-        raise BudgetError("window count %d exceeds budget" % X)
-    if spec.kind == "additive":
-        lo, hi = X + 1, 2 * X + h + 1
-    else:
-        lo = ((X + 1) * (X - h)) // X
-        hi = 2 * X + 1
-    vals = _values(fname, lo, hi)
-    complex_vals = np.iscomplexobj(vals)
-    if vals.dtype == np.int8:
-        acc = vals.astype(np.int64)
-    else:
-        acc = vals.astype(np.complex128 if complex_vals else np.float64)
-    prefix = np.concatenate(([0], np.cumsum(acc)))  # prefix[k] = sum vals[:k]
-
-    xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
-    if spec.kind == "additive":
-        starts, stops = xs, xs + h
-    else:
-        check_mul64(2 * X, X - h)
-        starts, stops = (xs * (X - h)) // X, xs
-    sums = prefix[stops - lo + 1] - prefix[starts - lo + 1]
-    counts = (stops - starts).astype(np.float64)
-    means = sums / counts
-    sq = np.abs(means) ** 2
-    mean_square = fsum(sq) / X
-    order = np.sort(np.abs(means))
-    return VarianceReport(fname, spec, mean_square, X, order)
+    One pass of the window kernel; the squares are added by exact
+    summation."""
+    sq = _abs_window_means(fname, spec)
+    sq *= sq
+    return fsum(sq) / spec.X
 
 
-def exceptional_fraction(report, tau):
-    """Fraction of windows with |mean| >= tau; Chebyshev-compatible."""
-    if tau <= 0:
+def exceptional_fraction(fname, spec, taus):
+    """Fraction of windows with |mean| >= tau, one per tau in taus, from one
+    pass of the window kernel; Chebyshev-compatible."""
+    taus = [float(tau) for tau in taus]
+    if not all(tau > 0 for tau in taus):
         raise ValueError("tau must be positive")
-    k = np.searchsorted(report.abs_means, tau, side="left")
-    return float(len(report.abs_means) - k) / report.windows
+    a = _abs_window_means(fname, spec)
+    return [int(np.count_nonzero(a >= tau)) / spec.X for tau in taus]
 
 
 @dataclass
@@ -145,7 +141,7 @@ def parseval_link(X, h, delta):
     X, h = int(X), int(h)
     if not delta > 0:
         raise ValueError("delta must be positive")
-    lhs = variance("liouville", WindowSpec("multiplicative", X, h)).mean_square
+    lhs = variance("liouville", WindowSpec("multiplicative", X, h))
     T = X / (h * delta * delta)
     lam = arith_core.liouville_range(X + 1, 2 * X + 1).astype(np.float64)
     n = np.arange(X + 1, 2 * X + 1, dtype=np.float64)
@@ -165,11 +161,11 @@ def additive_from_multiplicative_check(X, h):
     maximum over a geometric grid of X' in [X, 3X]."""
     X, h = int(X), int(h)
     delta = 1.0 / math.sqrt(h)
-    lhs = variance("liouville", WindowSpec("additive", X, h)).mean_square
+    lhs = variance("liouville", WindowSpec("additive", X, h))
     worst = 0.0
     Xp = float(X)
     while Xp <= 3 * X:
-        v = variance("liouville", WindowSpec("multiplicative", int(Xp), h)).mean_square
+        v = variance("liouville", WindowSpec("multiplicative", int(Xp), h))
         worst = max(worst, v)
         Xp *= 1.0 + delta
     bound = 40.0 * (delta + worst / delta)

@@ -7,8 +7,7 @@ import math
 
 import pytest
 
-from liouville_lab import (arith_core, cli, dirichlet_poly, expsum_circle, interval_stats,
-                           zeta_mellin)
+from liouville_lab import arith_core, cli, dirichlet_poly, interval_stats, zeta_mellin
 
 
 def run(argv, capsys):
@@ -207,7 +206,7 @@ def _assert_rejected_before_work(argv, monkeypatch, capsys):
         raise RuntimeError("work started")
     monkeypatch.setattr(arith_core, "_segments", started)
     monkeypatch.setattr(arith_core, "primes_upto", started)
-    for module in (dirichlet_poly, expsum_circle, interval_stats, zeta_mellin):
+    for module in (dirichlet_poly, interval_stats, zeta_mellin):
         monkeypatch.setattr(module, "_phase_sum", started)
     rc, out, err = run(argv, capsys)
     assert rc == 2

@@ -179,19 +179,24 @@ def test_major_arc_measure_basics():
 
 def test_major_arc_measure_direct_path_matches_fft_oracle():
     h, eps, G = 5000, 0.5, 10**3
-    m = ec.major_arc_measure(h, eps, G)  # M = 2G < h forces direct evaluation
+    m = ec.major_arc_measure(h, eps, G)  # M = 2G < h: primes alias mod M
     M = 2 * G
+    ps = [p for p in range(2, h + 1) if oracles.is_prime(p)]
     vec = np.zeros(M)
-    for p in range(2, h + 1):
-        if oracles.is_prime(p):
-            vec[p % M] += 1.0
+    for p in ps:
+        vec[p % M] += 1.0
     # p % M aliases are exact for the sampled frequencies j/M
-    mod = np.abs(np.fft.fft(vec))
-    exceed = mod > eps * h / math.log(h)
-    nxt = np.roll(exceed, -1)
-    nxt2 = np.roll(exceed, -2)
-    cells = exceed[0::2] | nxt[0::2] | nxt2[0::2]
-    assert m == pytest.approx(float(np.count_nonzero(cells)) / G, abs=1e-15)
+    aliased = np.abs(np.fft.fft(vec))
+    # and the phase sum itself, one exponential per prime and node
+    direct = np.abs(oracles.direct_phase_sum(-2.0 * np.pi * np.array(ps, dtype=np.float64),
+                                             np.ones(len(ps)), np.arange(M) / M))
+    threshold = eps * h / math.log(h)
+    for mod in (aliased, direct):
+        exceed = mod > threshold
+        nxt = np.roll(exceed, -1)
+        nxt2 = np.roll(exceed, -2)
+        cells = exceed[0::2] | nxt[0::2] | nxt2[0::2]
+        assert m == pytest.approx(float(np.count_nonzero(cells)) / G, abs=1e-15)
 
 
 # ------------------------------------------------------ characters

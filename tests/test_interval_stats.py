@@ -1,6 +1,7 @@
 """Window sums, variance over starting points, and the vertical-line bridge."""
 
-import numpy as np
+import tracemalloc
+
 import pytest
 
 from liouville_lab import interval_stats as ist
@@ -48,9 +49,8 @@ def test_variance_matches_naive_additive():
     means = oracles.naive_window_means(lam, list(range(X + 1, 2 * X + 1)),
                                        [x + h for x in range(X + 1, 2 * X + 1)])
     want = sum(m * m for m in means) / X
-    rep = ist.variance("liouville", ist.WindowSpec("additive", X, h))
-    assert rep.mean_square == pytest.approx(want, rel=1e-12)
-    assert rep.windows == X
+    v = ist.variance("liouville", ist.WindowSpec("additive", X, h))
+    assert v == pytest.approx(want, rel=1e-12)
 
 
 def test_variance_matches_naive_multiplicative():
@@ -60,16 +60,14 @@ def test_variance_matches_naive_multiplicative():
     means = oracles.naive_window_means(lam, starts,
                                        list(range(X + 1, 2 * X + 1)))
     want = sum(m * m for m in means) / X
-    rep = ist.variance("liouville", ist.WindowSpec("multiplicative", X, h))
-    assert rep.mean_square == pytest.approx(want, rel=1e-12)
+    v = ist.variance("liouville", ist.WindowSpec("multiplicative", X, h))
+    assert v == pytest.approx(want, rel=1e-12)
 
 
 def test_variance_mobius_and_character_kinds():
     spec = ist.WindowSpec("additive", 200, 10)
-    rep_mu = ist.variance("mobius", spec)
-    assert 0.0 <= rep_mu.mean_square <= 1.0
-    rep_chi = ist.variance(("liouville_times_character", 4, 1), spec)
-    assert 0.0 <= rep_chi.mean_square <= 1.0
+    assert 0.0 <= ist.variance("mobius", spec) <= 1.0
+    assert 0.0 <= ist.variance(("liouville_times_character", 4, 1), spec) <= 1.0
     with pytest.raises(ValueError):
         ist.variance("unknown", spec)
 
@@ -81,23 +79,29 @@ def test_variance_budget():
 
 
 def test_exceptional_fraction_chebyshev():
-    rep = ist.variance("liouville", ist.WindowSpec("additive", 2000, 50))
-    for tau in (0.05, 0.1, 0.3):
-        frac = ist.exceptional_fraction(rep, tau)
-        assert frac <= rep.mean_square / tau**2 + 1e-12
-    # direct count cross-check
-    tau = 0.1
-    direct = float(np.count_nonzero(rep.abs_means >= tau)) / rep.windows
-    assert ist.exceptional_fraction(rep, tau) == pytest.approx(direct)
+    X, h = 2000, 50
+    spec = ist.WindowSpec("additive", X, h)
+    v = ist.variance("liouville", spec)
+    taus = (0.05, 0.1, 0.3)
+    fracs = ist.exceptional_fraction("liouville", spec, taus)
+    for tau, frac in zip(taus, fracs):
+        assert frac <= v / tau**2 + 1e-12
+    # direct count cross-check against the naive window means
+    lam = [0] + [oracles.liouville(n) for n in range(1, 2 * X + h + 1)]
+    xs = list(range(X + 1, 2 * X + 1))
+    means = oracles.naive_window_means(lam, xs, [x + h for x in xs])
+    for tau, frac in zip(taus, fracs):
+        direct = sum(1 for m in means if abs(m) >= tau) / X
+        assert frac == pytest.approx(direct)
     with pytest.raises(ValueError):
-        ist.exceptional_fraction(rep, 0.0)
+        ist.exceptional_fraction("liouville", spec, [0.1, 0.0])
 
 
 def test_exceptional_fraction_monotone():
-    rep = ist.variance("liouville", ist.WindowSpec("additive", 1000, 20))
-    fr = [ist.exceptional_fraction(rep, tau) for tau in (0.02, 0.1, 0.5, 1.0)]
+    spec = ist.WindowSpec("additive", 1000, 20)
+    fr = ist.exceptional_fraction("liouville", spec, (0.02, 0.1, 0.5, 1.0))
     assert all(a >= b for a, b in zip(fr, fr[1:]))
-    assert ist.exceptional_fraction(rep, 1.0 + 1e-9) == 0.0
+    assert ist.exceptional_fraction("liouville", spec, [1.0 + 1e-9]) == [0.0]
 
 
 def test_parseval_link_envelope_and_certification():
@@ -112,15 +116,27 @@ def test_parseval_link_envelope_and_certification():
 def test_additive_from_multiplicative_envelope():
     lhs, bound = ist.additive_from_multiplicative_check(5000, 64)
     assert lhs <= bound
-    direct = ist.variance("liouville",
-                          ist.WindowSpec("additive", 5000, 64)).mean_square
+    direct = ist.variance("liouville", ist.WindowSpec("additive", 5000, 64))
     assert lhs == pytest.approx(direct, rel=1e-12)
 
 
 def test_variance_decreases_with_window_length():
     # trend over an h-ladder at fixed X (strict decrease at these sizes)
     X = 10**5
-    vs = [ist.variance("liouville",
-                       ist.WindowSpec("multiplicative", X, h)).mean_square
+    vs = [ist.variance("liouville", ist.WindowSpec("multiplicative", X, h))
           for h in (30, 300, 3000)]
     assert vs[0] > vs[1] > vs[2]
+
+
+def test_variance_peak_allocation_per_window():
+    # at its peak the window kernel holds six 8-byte arrays of length X
+    # (about 49 B per window); one more copy of every |mean| crosses 64 B
+    X = 10**6
+    spec = ist.WindowSpec("multiplicative", X, 1000)
+    tracemalloc.start()
+    try:
+        ist.variance("liouville", spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / X <= 64.0
