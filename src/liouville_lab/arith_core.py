@@ -3,7 +3,9 @@
 The central object is FactorTable: smallest prime factor, prime-factor count
 (with multiplicity), Liouville sign and Mobius value for every integer in a
 half-open window [lo, hi). Everything else in the package that needs lambda,
-mu or Lambda values at scale goes through the segmented passes here.
+mu or Lambda values at scale goes through the segmented passes here, and it
+is the one home of factoring: trial division of a single integer, the primes
+in a band (a, b] and the least prime factor above a floor.
 """
 
 import math
@@ -70,6 +72,30 @@ def primes_upto(bound):
         if mask[p]:
             mask[p * p :: p] = False
     return PrimeList(bound, np.flatnonzero(mask).astype(np.int64))
+
+
+def primes_in(a, b):
+    """Primes p with a < p <= b for real bounds a and b, ascending."""
+    plist = primes_upto(math.floor(b)).primes
+    return plist[plist > a]
+
+
+def factorize(n):
+    """[(p, e)] of an integer n >= 1 by trial division, p ascending."""
+    n = int(n)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def _segments(lo, hi, segment_len, budget=SPAN_BUDGET):
@@ -160,6 +186,20 @@ def liouville_range(lo, hi, segment_len=DEFAULT_SEGMENT):
     return out
 
 
+def least_factor_range(lo, hi, pmin):
+    """(lam, first) on [lo, hi), segmented: lam(n) as int8 and the least
+    prime factor of n that is >= pmin, 0 when there is none."""
+    lo, hi = int(lo), int(hi)
+    base, bounds = _segments(lo, hi, DEFAULT_SEGMENT)
+    lam = np.empty(hi - lo, dtype=np.int8)
+    first = np.empty(hi - lo, dtype=np.int64)
+    for a, b in bounds:
+        seg = slice(a - lo, b - lo)
+        omega, _, first[seg] = _sieve_segment(a, b, base, pmin=pmin)
+        lam[seg] = 1 - 2 * (omega & 1)
+    return lam, first
+
+
 def mobius_range(lo, hi, segment_len=DEFAULT_SEGMENT):
     """int8 array of mu(n) for n in [lo, hi), segmented."""
     lo, hi = int(lo), int(hi)
@@ -179,16 +219,22 @@ def von_mangoldt_minus_one_range(lo, hi):
     flags = primality_range(lo, hi)
     idx = np.flatnonzero(flags)
     out[idx] += np.log((idx + lo).astype(np.float64))
-    for p in primes_upto(math.isqrt(hi - 1)).primes:
-        p = int(p)
-        pk = p * p
-        while pk < hi:
-            if pk >= lo:
-                out[pk - lo] = math.log(p) - 1.0
-            pk *= p
+    for p, pk in _higher_prime_powers(hi - 1):
+        if pk >= lo:
+            out[pk - lo] = math.log(p) - 1.0
     if lo <= 1 < hi:
         out[1 - lo] = -1.0
     return out
+
+
+def _higher_prime_powers(x):
+    """(p, p^k) for every prime p and k >= 2 with p^k <= x, in order of p
+    and then k."""
+    for p in primes_upto(math.isqrt(x)).primes.tolist():
+        pk = p * p
+        while pk <= x:
+            yield p, pk
+            pk *= p
 
 
 def primality_range(lo, hi):
@@ -227,17 +273,9 @@ def chebyshev_psi(x):
     x = int(x)
     if x < 2:
         return 0.0
-    plist = primes_upto(x).primes
-    logs = np.log(plist.astype(np.float64))
-    total = fsum(logs)
-    extra = []
-    for p in plist[plist <= math.isqrt(x)]:
-        p = int(p)
-        pk = p * p
-        while pk <= x:
-            extra.append(math.log(p))
-            pk *= p
-    return total + math.fsum(extra)
+    logs = np.log(primes_upto(x).primes.astype(np.float64))
+    extra = [math.log(p) for p, _ in _higher_prime_powers(x)]
+    return fsum(logs) + math.fsum(extra)
 
 
 def prime_reciprocal_sum(x):

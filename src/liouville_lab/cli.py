@@ -163,24 +163,14 @@ def h_sieve_check(P):
     bad = 0
     for n in samples:
         n = int(n)
-        if (t1.mobius(n) != 0) != _squarefree_by_division(n):
+        squarefree = all(e == 1 for _, e in arith_core.factorize(n))
+        if (t1.mobius(n) != 0) != squarefree:
             bad += 1
         if t1.mobius(n) not in (-1, 0, 1):
             bad += 1
     rows.append(make_row("sieve-check", {**P, "check": "mobius-squarefree"},
                          bad, 0.5))
     return rows
-
-
-def _squarefree_by_division(n):
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
-            n //= d
-        d += 1
-    return True
 
 
 def h_squarefree(P):
@@ -310,19 +300,22 @@ def h_factorization(P):
 
 def h_variance(P):
     X = P["x"]
-    hs = P["h_list"]
+    # every window is checked against X before the first sieve runs
+    specs = [interval_stats.WindowSpec(P["kind"], X, h) for h in P["h_list"]]
     rows = []
     prev = 1.0  # window means of a +-1 sequence are bounded by 1
-    for h in hs:
-        spec = interval_stats.WindowSpec(P["kind"], X, h)
+    for spec in specs:
         v = interval_stats.variance(P["fname"], spec)
-        rows.append(make_row("variance", {**P, "h": h}, v, prev))
+        rows.append(make_row("variance", {**P, "h": spec.h}, v, prev))
         prev = v
     return rows
 
 
 def h_parseval_link(P):
     X, h, delta = P["x"], P["h"], P["delta"]
+    # both window conditions are checked before the first sieve runs
+    interval_stats.WindowSpec("multiplicative", X, h)
+    interval_stats.WindowSpec("additive", P["x2"], P["h2"])
     rep = interval_stats.parseval_link(X, h, delta)
     rows = [make_row("parseval-link", P, rep.lhs, rep.envelope),
             make_row("parseval-link", {**P, "check": "step-halving"},
@@ -338,7 +331,7 @@ def h_expsum(P):
     x, h = P["x"], P["h"]
     alpha = P["alpha"]
     rows = []
-    avg = expsum_circle.exp_sum_avg(x, h, alpha)
+    avg = interval_stats.exp_sum_avg(x, h, alpha)
     env = 4.0 / math.log(h)
     rows.append(make_row("expsum", {**P, "check": "twisted-window-average"},
                          avg, env))

@@ -59,8 +59,7 @@ def prime_band_coeffs(Q, delta, weight="reciprocal", sign="liouville"):
     """
     lo = int(math.floor(Q))
     hi = int(math.floor((1.0 + delta) * Q))
-    plist = arith_core.primes_upto(max(hi, 2)).primes
-    plist = plist[(plist > Q) & (plist <= hi)]
+    plist = arith_core.primes_in(Q, (1.0 + delta) * Q)
     # a band holding no integer still yields a valid all-zero sequence
     hi = max(hi, lo + 1)
     vals = np.zeros(hi - lo, dtype=np.complex128)

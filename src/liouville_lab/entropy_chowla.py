@@ -24,15 +24,6 @@ def _support_start(x, w):
     return x // int(w) + 1 if float(w).is_integer() else math.floor(x / w) + 1
 
 
-def _primes_in(K0, K1):
-    """Primes p with K0 < p <= K1."""
-    k1 = math.floor(K1)
-    if k1 < 2:
-        return np.zeros(0, dtype=np.int64)
-    plist = arith_core.primes_upto(k1).primes
-    return plist[plist > K0]
-
-
 def _pack_signs(lam, start, count, H):
     """Sign patterns of H consecutive values packed into integers: bit j of
     entry i is set iff lam[start + i + j] < 0, for i < count and j < H."""
@@ -69,7 +60,7 @@ class LogWeightedModel:
 
 def band_primes(H, epsilon):
     """Primes in (epsilon H / 2, epsilon H]."""
-    return _primes_in(epsilon * H / 2.0, epsilon * H)
+    return arith_core.primes_in(epsilon * H / 2.0, epsilon * H)
 
 
 @dataclass
@@ -306,7 +297,7 @@ def band_divisor_sum(x, w, K0, K1):
     lo = _support_start(x, w)
     if lo > x:
         return 0.0
-    plist = _primes_in(K0, K1)
+    plist = arith_core.primes_in(K0, K1)
     if len(plist) == 0:
         return 0.0
     lam = arith_core.liouville_range(lo, x + int(plist[-1]) + 1).astype(np.float64)
@@ -345,7 +336,7 @@ def divisibility_trick_residual(x, w, K0, K1):
     """|consecutive-pair log sum - (1/l) band divisor pair sum| where
     l is the reciprocal sum of the band primes; the stated bound is
     5 log(K1) / l."""
-    plist = _primes_in(K0, K1)
+    plist = arith_core.primes_in(K0, K1)
     if len(plist) == 0:
         raise PreconditionError("no prime in (K0, K1]")
     ell = fsum(1.0 / plist.astype(np.float64))

@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith_core
-from .interval_stats import _window_sums
 from .util import BudgetError, fsum, fsum_complex
 
 TWO_PI = 2.0 * math.pi
@@ -142,17 +141,6 @@ def vinogradov_sum(alpha, N, Xcap, C=4.0):
 
 # ------------------------------------------------------ prime exponential sums
 
-def exp_sum_avg(X, h, alpha):
-    """(1/(hX)) sum over x in (X, 2X] of |sum_{x<n<=x+h} lambda(n) e(alpha n)|."""
-    X, h = int(X), int(h)
-    lam = arith_core.liouville_range(X + 1, 2 * X + h + 1).astype(np.float64)
-    n = np.arange(X + 1, 2 * X + h + 1, dtype=np.float64)
-    c = lam * np.exp(2j * np.pi * float(alpha) * n)
-    xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
-    sums = _window_sums(c, xs, xs + h)
-    return fsum(np.abs(sums)) / (h * X)
-
-
 def fourth_moment_primes(h):
     """sum over all j of r(j)^2 where r(j) counts prime pairs p, q <= h
     with q - p = j. Pure pair counting, no quadrature."""
@@ -198,27 +186,10 @@ def major_arc_measure(h, epsilon, grid_points):
 
 # ------------------------------------------------------ characters
 
-def _factorize(q):
-    out = []
-    m = q
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
 def _primitive_root(pe, p, e):
     """Primitive root mod p^e for odd p."""
     phi = pe // p * (p - 1)
-    fac = [f for f, _ in _factorize(phi)]
+    fac = [f for f, _ in arith_core.factorize(phi)]
     g = 2
     while True:
         if math.gcd(g, pe) == 1 and all(pow(g, phi // f, pe) != 1 for f in fac):
@@ -340,7 +311,7 @@ def characters_mod(q):
     orders = []
     moduli = []
     dlogs = []
-    for p, e in _factorize(q):
+    for p, e in arith_core.factorize(q):
         pe, gens, dlog = _factor_group(p, e)
         moduli.append(pe)
         dlogs.append(dlog)
@@ -350,7 +321,7 @@ def characters_mod(q):
 
 def euler_phi(q):
     phi = 1
-    for p, e in _factorize(q):
+    for p, e in arith_core.factorize(q):
         phi *= p ** (e - 1) * (p - 1)
     return phi
 

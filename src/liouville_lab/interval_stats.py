@@ -1,7 +1,8 @@
 """Short-window statistics: window sums, variances over dyadic ranges of
-starting points, exceptional fractions, and the bridge from window variance
-to a vertical-line second moment. Every statistic over many windows takes
-its sums from one kernel, _window_sums, with edges from _edges.
+starting points, exceptional fractions, twisted window averages, and the
+bridge from window variance to a vertical-line second moment. Every
+statistic over many windows takes its sums from one kernel, _window_sums,
+with edges from _edges.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 
 from . import arith_core
 from .dirichlet_poly import _phase_sum, _trap
+from .expsum_circle import characters_mod
 from .util import BudgetError, check_mul64, fsum, fsum_complex
 
 WINDOW_BUDGET = 6 * 10**7
@@ -41,10 +43,8 @@ def _values(fname, lo, hi):
     if fname == "von_mangoldt_minus_one":
         return arith_core.von_mangoldt_minus_one_range(lo, hi)
     if isinstance(fname, (tuple, list)) and fname[0] == "liouville_times_character":
-        from . import expsum_circle
-
         _, q, index = fname
-        table = expsum_circle.characters_mod(int(q))
+        table = characters_mod(int(q))
         chi = table.row(int(index))
         lam = arith_core.liouville_range(lo, hi).astype(np.complex128)
         res = np.arange(lo, hi, dtype=np.int64) % int(q)
@@ -117,6 +117,17 @@ def exceptional_fraction(fname, spec, taus):
         raise ValueError("tau must be positive")
     a = _abs_window_means(fname, spec)
     return [int(np.count_nonzero(a >= tau)) / spec.X for tau in taus]
+
+
+def exp_sum_avg(X, h, alpha):
+    """(1/(hX)) sum over x in (X, 2X] of |sum_{x<n<=x+h} lambda(n) e(alpha n)|."""
+    X, h = int(X), int(h)
+    lam = arith_core.liouville_range(X + 1, 2 * X + h + 1).astype(np.float64)
+    n = np.arange(X + 1, 2 * X + h + 1, dtype=np.float64)
+    c = lam * np.exp(2j * np.pi * float(alpha) * n)
+    xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
+    sums = _window_sums(c, xs, xs + h)
+    return fsum(np.abs(sums)) / (h * X)
 
 
 @dataclass

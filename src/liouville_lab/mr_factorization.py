@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith_core
-from .util import fsum, fsum_complex
+from .util import BudgetError, fsum, fsum_complex
 
 
 @dataclass
@@ -34,21 +34,15 @@ class RamareWeight:
             raise ValueError("delta must lie in (0,1)")
         if self.X <= self.Q0:
             raise ValueError("X must exceed Q0")
+        # the weight array and the sieves behind it span (X, domain_hi]
+        if self.domain_hi - self.X > arith_core.SPAN_BUDGET:
+            raise BudgetError("span %d exceeds budget %d"
+                              % (self.domain_hi - self.X, arith_core.SPAN_BUDGET))
 
     @property
     def domain_hi(self):
         """Largest n the weight can touch: 2(1+delta)X."""
         return int(math.floor(2.0 * (1.0 + self.delta) * self.X))
-
-
-def _scan_band(lo, hi, P0):
-    """(lam, qmin) over [lo, hi): Liouville sign and the smallest prime
-    factor >= P0 (inf when none)."""
-    lo, hi = int(lo), int(hi)
-    base = arith_core.primes_upto(math.isqrt(hi - 1)).primes
-    omega, _, first = arith_core._sieve_segment(lo, hi, base, pmin=P0)
-    lam = (1 - 2 * (omega & 1)).astype(np.int8)
-    return lam, np.where(first > 0, first, np.inf)
 
 
 def _q_window(w, p, m, qmin_m):
@@ -67,24 +61,13 @@ def ramare_weight(w, n):
     if n < 2:
         return 0.0
     total = 0.0
-    m_rest = n
-    p_list = []
-    d = 2
-    while d * d <= m_rest:
-        if m_rest % d == 0:
-            p_list.append(d)
-            while m_rest % d == 0:
-                m_rest //= d
-        d += 1 if d == 2 else 2
-    if m_rest > 1:
-        p_list.append(m_rest)
     one = 1.0 + w.delta
-    for p in p_list:
+    for p, _ in arith_core.factorize(n):
         if not w.P0 < p <= one * w.Q0:
             continue
         m = n // p
-        lam_m, qmin_m = _scan_band(m, m + 1, w.P0)
-        total += _q_window(w, p, m, float(qmin_m[0]))
+        qmin_m = next((q for q, _ in arith_core.factorize(m) if q >= w.P0), math.inf)
+        total += _q_window(w, p, m, qmin_m)
     return total / math.log(one)
 
 
@@ -96,10 +79,9 @@ def weight_array(w):
     one = 1.0 + w.delta
     u = np.zeros(n_hi - n_lo, dtype=np.float64)  # index n - X - 1
     m_hi = n_hi // (w.P0 + 1) + 2
-    _, qmin = _scan_band(1, m_hi, w.P0)
-    band = arith_core.primes_upto(int(one * w.Q0)).primes
-    band = band[band > w.P0]
-    for p in band:
+    _, least = arith_core.least_factor_range(1, m_hi, w.P0)
+    qmin = np.where(least > 0, least, np.inf)
+    for p in arith_core.primes_in(w.P0, one * w.Q0):
         p = int(p)
         first = (n_lo // p + 1) * p
         ns = np.arange(first, n_hi + 1, p, dtype=np.int64)
@@ -127,14 +109,14 @@ class ErrReport:
     density: float
 
 
-def err_set(w, tol=1e-12, near_tol=1e-6):
+def err_set(w):
     """Where the weight disagrees with the indicator of (X, 2X]."""
     u = weight_array(w)
     ns = np.arange(w.X + 1, w.domain_hi + 1, dtype=np.int64)
     indicator = (ns <= 2 * w.X).astype(np.float64)
     dev = np.abs(u - indicator)
-    memb_idx = np.flatnonzero(dev > tol)
-    near_idx = np.flatnonzero((dev > tol) & (dev <= near_tol))
+    memb_idx = np.flatnonzero(dev > 1e-12)
+    near_idx = np.flatnonzero((dev > 1e-12) & (dev <= 1e-6))
     members = [(int(ns[i]), float(u[i])) for i in memb_idx]
     near = [(int(ns[i]), float(u[i])) for i in near_idx]
     return ErrReport(members, near, len(members) / w.X)
@@ -142,10 +124,9 @@ def err_set(w, tol=1e-12, near_tol=1e-6):
 
 def _z2_data(w):
     """lam and qmin over the full m-range (X/Q0, 2X/P0]."""
-    m_lo = int(w.X // w.Q0)
-    m_hi = int(2 * w.X // w.P0) + 1
-    lam, qmin = _scan_band(max(m_lo, 1), m_hi + 1, w.P0)
-    return max(m_lo, 1), lam, qmin
+    m_lo = max(int(w.X // w.Q0), 1)
+    lam, least = arith_core.least_factor_range(m_lo, int(2 * w.X // w.P0) + 2, w.P0)
+    return m_lo, lam, np.where(least > 0, least, np.inf)
 
 
 def _line_point(t):
@@ -158,7 +139,7 @@ def _line_point(t):
 
 def _n_terms(w, s):
     """n over (X, 2(1+delta)X] as float64, and lambda(n) n^{-s}."""
-    lam_n, _ = _scan_band(w.X + 1, w.domain_hi + 1, w.P0)
+    lam_n = arith_core.liouville_range(w.X + 1, w.domain_hi + 1)
     ns = np.arange(w.X + 1, w.domain_hi + 1, dtype=np.float64)
     return ns, lam_n * np.exp(-s * np.log(ns))
 
@@ -181,9 +162,7 @@ class _BandSeries:
 
     @classmethod
     def at(cls, w, s):
-        one = 1.0 + w.delta
-        band = arith_core.primes_upto(int(one * w.Q0)).primes
-        band = band[band > w.P0].astype(np.float64)
+        band = arith_core.primes_in(w.P0, (1.0 + w.delta) * w.Q0).astype(np.float64)
         m_base, lam_m, qmin_m = _z2_data(w)
         ms = np.arange(m_base, m_base + len(lam_m), dtype=np.float64)
         mvals = lam_m * np.exp(-s * np.log(ms))

@@ -249,7 +249,7 @@ def per_node_identity_residual(mr, w, t, q_nodes):
     s = 1.0 + 1j * float(t)
     one = 1.0 + w.delta
 
-    lam_n, _ = mr._scan_band(w.X + 1, w.domain_hi + 1, w.P0)
+    lam_n = mr.arith_core.liouville_range(w.X + 1, w.domain_hi + 1)
     ns = np.arange(w.X + 1, w.domain_hi + 1, dtype=np.float64)
     nvals = lam_n * np.exp(-s * np.log(ns))
     lhs = mr.fsum_complex(nvals[ns <= 2 * w.X])
@@ -257,8 +257,7 @@ def per_node_identity_residual(mr, w, t, q_nodes):
     indicator = (ns <= 2 * w.X).astype(np.float64)
     z_err = mr.fsum_complex((indicator - u) * nvals)
 
-    band = mr.arith_core.primes_upto(int(one * w.Q0)).primes
-    band = band[band > w.P0].astype(np.float64)
+    band = mr.arith_core.primes_in(w.P0, one * w.Q0).astype(np.float64)
     m_base, lam_m, qmin_m = mr._z2_data(w)
     ms = np.arange(m_base, m_base + len(lam_m), dtype=np.float64)
     mvals = lam_m * np.exp(-s * np.log(ms))

@@ -21,6 +21,34 @@ def test_primes_upto_tiny_bounds():
     assert ac.primes_upto(2).primes.tolist() == [2]
 
 
+def test_primes_in_half_open_edges():
+    assert ac.primes_in(2, 7).tolist() == [3, 5, 7]
+    assert ac.primes_in(7, 11).tolist() == [11]
+    assert ac.primes_in(2.5, 7.9).tolist() == [3, 5, 7]
+    assert ac.primes_in(1.5, 2.0).tolist() == [2]
+    assert ac.primes_in(2.0, 2.5).tolist() == []
+    # b < 2 holds no prime, and neither does a >= b
+    assert ac.primes_in(-5, 1.99).tolist() == []
+    assert ac.primes_in(-5.5, -1).tolist() == []
+    assert ac.primes_in(11, 11).tolist() == []
+    assert ac.primes_in(13, 5).tolist() == []
+    assert ac.primes_in(0, 100).dtype == np.int64
+    bounds = (-1, 0, 1.5, 2, 2.5, 10, 10.5, 11, 96.9, 97, 97.1)
+    for a in bounds:
+        for b in bounds:
+            want = [p for p in oracles.primes_upto(math.floor(max(b, 0))) if p > a]
+            assert ac.primes_in(a, b).tolist() == want, (a, b)
+
+
+def test_factorize_matches_trial_division():
+    for n in range(1, 5001):
+        assert ac.factorize(n) == oracles.trial_factor(n), n
+    # prime squares and large prime cofactors
+    for n in (999983**2, 2 * 1000003**2, 97**2 * 101**2, 2**31 - 1, 999983 * 1000003,
+              600851475143, 2**40, 3**20 * 65537):
+        assert ac.factorize(n) == oracles.trial_factor(n), n
+
+
 def test_factor_table_small_range():
     t = ac.build_sieve(1, 2001)
     for n in range(1, 2001):
@@ -68,6 +96,32 @@ def test_segment_independence(lo, span, seg):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert np.array_equal(base, t1.lam)
     assert np.array_equal(ac.mobius_range(lo, hi), t1.mu)
+
+
+def test_least_factor_range_agrees_with_trial_division():
+    # P0 = 30 and P0 = 1100 exceed sqrt(hi): the least factor then comes
+    # only from the prime cofactor the sieve leaves over
+    lo2 = 10**6 + 3
+    for lo, hi, P0 in ((2, 400, 5), (2, 400, 30), (lo2, lo2 + 400, 5),
+                       (lo2, lo2 + 400, 1100)):
+        lam, first = ac.least_factor_range(lo, hi, P0)
+        for i, n in enumerate(range(lo, hi)):
+            assert lam[i] == oracles.liouville(n)
+            facs = [p for p, _ in oracles.trial_factor(n) if p >= P0]
+            want = facs[0] if facs else 0
+            assert first[i] == want, (n, P0)
+
+
+@pytest.mark.parametrize("segment", [64, 1000])
+def test_least_factor_range_segment_independence(segment, monkeypatch):
+    cases = ((1, 5000, 7), (2, 400, 30), (10**6 + 3, 10**6 + 3000, 1100))
+    whole = [ac.least_factor_range(lo, hi, pmin) for lo, hi, pmin in cases]
+    monkeypatch.setattr(ac, "DEFAULT_SEGMENT", segment)
+    for (lo, hi, pmin), (lam, first) in zip(cases, whole):
+        lam_s, first_s = ac.least_factor_range(lo, hi, pmin)
+        assert lam_s.dtype == np.int8 and first_s.dtype == np.int64
+        assert np.array_equal(lam_s, lam) and np.array_equal(first_s, first)
+        assert np.array_equal(lam, ac.liouville_range(lo, hi))
 
 
 def test_range_functions_match_oracle():

@@ -199,7 +199,7 @@ def test_failed_quadrature_certificate_is_a_row(capsys):
     assert [r[-1] for r in rows[:-1]] == ["pass"] * 4
 
 
-def _assert_rejected_before_work(argv, monkeypatch, capsys):
+def _forbid_work(monkeypatch):
     # every sieve starts in _segments or primes_upto and every t-grid in
     # _phase_sum: none of them may run
     def started(*args, **kwargs):
@@ -208,6 +208,10 @@ def _assert_rejected_before_work(argv, monkeypatch, capsys):
     monkeypatch.setattr(arith_core, "primes_upto", started)
     for module in (dirichlet_poly, interval_stats, zeta_mellin):
         monkeypatch.setattr(module, "_phase_sum", started)
+
+
+def _assert_rejected_before_work(argv, monkeypatch, capsys):
+    _forbid_work(monkeypatch)
     rc, out, err = run(argv, capsys)
     assert rc == 2
     assert out == ""
@@ -254,6 +258,26 @@ def test_config_keys_and_values_checked_before_work(experiment, line, tmp_path,
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
     _assert_rejected_before_work([experiment, "--config", str(cfg)], monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("argv", [["variance", "--x", "100", "--h-list", "10,200"],
+                                  ["parseval-link", "--x2", "100", "--h2", "200"]])
+def test_joined_window_condition_exits_two_before_work(argv, monkeypatch, capsys):
+    # h < X joins two parameters, so the handler checks every window first
+    _forbid_work(monkeypatch)
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert "usage error: need 0 < h < X" in err
+
+
+def test_factorization_span_past_budget_exits_three_before_work(monkeypatch, capsys):
+    # (X, 2(1+delta)X] holds 7.2e7 integers, past the 2^26 sieve span budget
+    _forbid_work(monkeypatch)
+    rc, out, err = run(["factorization", "--x", "60000000"], capsys)
+    assert rc == 3
+    assert out == ""
+    assert "resource error" in err
 
 
 def test_every_default_lies_in_its_domain():

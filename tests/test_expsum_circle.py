@@ -143,16 +143,6 @@ def test_vinogradov_envelope_seeded_sample():
 
 # ------------------------------------------------------ prime exponential sums
 
-def test_exp_sum_avg_direct():
-    X, h, alpha = 60, 7, 0.37
-    lam = lam_upto(2 * X + h)
-    total = 0.0
-    for x in range(X + 1, 2 * X + 1):
-        s = sum(int(lam[n]) * ec.e_of(alpha * n) for n in range(x + 1, x + h + 1))
-        total += abs(s)
-    assert ec.exp_sum_avg(X, h, alpha) == pytest.approx(total / (h * X), rel=1e-12)
-
-
 def test_fourth_moment_primes_matches_pair_count():
     for h in (10, 50, 200):
         plist = [p for p in range(2, h + 1) if oracles.is_prime(p)]

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from liouville_lab import interval_stats as ist
+from liouville_lab.expsum_circle import e_of
 from liouville_lab.util import BudgetError
 
 import oracles
@@ -102,6 +103,16 @@ def test_exceptional_fraction_monotone():
     fr = ist.exceptional_fraction("liouville", spec, (0.02, 0.1, 0.5, 1.0))
     assert all(a >= b for a, b in zip(fr, fr[1:]))
     assert ist.exceptional_fraction("liouville", spec, [1.0 + 1e-9]) == [0.0]
+
+
+def test_exp_sum_avg_direct():
+    X, h, alpha = 60, 7, 0.37
+    lam = [0] + [oracles.liouville(n) for n in range(1, 2 * X + h + 1)]
+    total = 0.0
+    for x in range(X + 1, 2 * X + 1):
+        s = sum(int(lam[n]) * e_of(alpha * n) for n in range(x + 1, x + h + 1))
+        total += abs(s)
+    assert ist.exp_sum_avg(X, h, alpha) == pytest.approx(total / (h * X), rel=1e-12)
 
 
 def test_parseval_link_envelope_and_certification():
