@@ -62,16 +62,26 @@ class FactorTable:
 
 
 def primes_upto(bound):
-    """PrimeList of all primes <= bound via boolean Eratosthenes."""
+    """PrimeList of all primes <= bound via boolean Eratosthenes.
+
+    Raises BudgetError before the mask is allocated when its bound + 1
+    flags exceed SPAN_BUDGET."""
     bound = int(bound)
     if bound < 2:
         return PrimeList(bound, np.zeros(0, dtype=np.int64))
+    if bound + 1 > SPAN_BUDGET:
+        raise BudgetError("span %d exceeds budget %d" % (bound + 1, SPAN_BUDGET))
+    return PrimeList(bound, _eratosthenes(bound))
+
+
+def _eratosthenes(bound):
+    """int64 array of the primes <= bound, bound >= 2, from one boolean mask."""
     mask = np.ones(bound + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(bound) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return PrimeList(bound, np.flatnonzero(mask).astype(np.int64))
+    return np.flatnonzero(mask).astype(np.int64)
 
 
 def primes_in(a, b):
@@ -98,18 +108,23 @@ def factorize(n):
     return out
 
 
-def _segments(lo, hi, segment_len, budget=SPAN_BUDGET):
-    """Base primes up to sqrt(hi-1) and the (a, b) bounds tiling [lo, hi).
-
-    Raises ValueError unless 1 <= lo < hi, OverflowError when hi does not
-    fit the 64-bit invariants and BudgetError when the span exceeds budget.
-    """
+def _check_span(lo, hi, budget=SPAN_BUDGET):
+    """Raise ValueError unless 1 <= lo < hi, OverflowError when hi does not
+    fit the 64-bit invariants and BudgetError when the span [lo, hi) exceeds
+    budget. Streamed passes call it once for their whole span before any
+    work, since each of their segments fits the budget on its own."""
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
     if hi - 1 > INT64_MAX or (math.isqrt(hi - 1) + 1) ** 2 > INT64_MAX:
         raise OverflowError("sieve range exceeds 64-bit budget")
     if hi - lo > budget:
         raise BudgetError("span %d exceeds budget %d" % (hi - lo, budget))
+
+
+def _segments(lo, hi, segment_len, budget=SPAN_BUDGET):
+    """Base primes up to sqrt(hi-1) and the (a, b) bounds tiling [lo, hi),
+    after _check_span(lo, hi, budget)."""
+    _check_span(lo, hi, budget)
     base = primes_upto(math.isqrt(hi - 1)).primes
     return base, [(a, min(a + segment_len, hi)) for a in range(lo, hi, segment_len)]
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith_core
-from .util import BudgetError, PreconditionError, fsum
+from .util import BudgetError, ExactSum, PreconditionError, fsum
 
 KEY_BUDGET = 2**62
 E_CUBE = math.exp(math.e)  # h must exceed this for log log log h > 0
@@ -278,16 +278,22 @@ def expectation_F_independent(joint, method="g"):
 # ------------------------------------------------------ weighted pair sums
 
 def log_chowla_sum(x, w):
-    """Exact sum of lambda(n) lambda(n+1) / n over x/w < n <= x."""
+    """Exact sum of lambda(n) lambda(n+1) / n over x/w < n <= x, streamed in
+    arith_core.DEFAULT_SEGMENT-long pieces into one exact accumulator after
+    the whole span is checked against the sieve budget."""
     x = int(x)
     if not 1 <= w <= x:
         raise ValueError("need 1 <= w <= x")
     lo = _support_start(x, w)
     if lo > x:
         return 0.0
-    lam = arith_core.liouville_range(lo, x + 2).astype(np.float64)
-    ns = np.arange(lo, x + 1, dtype=np.float64)
-    return fsum(lam[:-1] * lam[1:] / ns)
+    arith_core._check_span(lo, x + 2)
+    acc = ExactSum()
+    for a in range(lo, x + 1, arith_core.DEFAULT_SEGMENT):
+        b = min(a + arith_core.DEFAULT_SEGMENT, x + 1)
+        lam = arith_core.liouville_range(a, b + 1).astype(np.float64)
+        acc.add(lam[:-1] * lam[1:] / np.arange(a, b, dtype=np.float64))
+    return acc.value()
 
 
 def band_divisor_sum(x, w, K0, K1):

@@ -356,18 +356,20 @@ def additive_to_multiplicative(a, q):
         phi = len(units)
         fvals = {m: e_of(a * m * d / q) for m in units}
         for idx in range(table.n_chars):
-            coeff = sum(fvals[m] * np.conj(table.value(idx, m)) for m in units) / phi
+            row = table.row(idx)
+            coeff = sum(fvals[m] * np.conj(row[m % M]) for m in units) / phi
             terms.append((d, M, idx, complex(coeff)))
     return AdditiveDecomposition(a, q, terms, tables)
 
 
 def reconstruct_additive(decomp, n):
-    """Resum the divisor/character expansion at integer n."""
+    """Resum the divisor/character expansion at integer n. Character values
+    come from the cached dense rows, which hold exactly CharacterTable.value."""
     n = int(n)
     total = 0j
     for d, M, idx, coeff in decomp.terms:
         if n % d == 0:
-            total += coeff * decomp.tables[M].value(idx, n // d)
+            total += coeff * complex(decomp.tables[M].row(idx)[(n // d) % M])
     return total
 
 

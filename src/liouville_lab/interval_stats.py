@@ -2,7 +2,8 @@
 starting points, exceptional fractions, twisted window averages, and the
 bridge from window variance to a vertical-line second moment. Every
 statistic over many windows takes its sums from one kernel, _window_sums,
-with edges from _edges.
+with edges from _edges; variance and exceptional_fraction stream it one
+segment at a time.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 from . import arith_core
 from .dirichlet_poly import _phase_sum, _trap
 from .expsum_circle import characters_mod
-from .util import BudgetError, check_mul64, fsum, fsum_complex
+from .util import BudgetError, ExactSum, check_mul64, fsum, fsum_complex
 
 WINDOW_BUDGET = 6 * 10**7
 
@@ -62,30 +63,51 @@ def _edges(spec, xs):
     return (xs * (spec.X - spec.h)) // spec.X, xs
 
 
-def _window_sums(vals, starts, stops):
-    """Sums of f over the windows (starts[i], stops[i]] as differences of one
-    prefix, where vals[k] = f(starts[0] + k) and starts, stops ascend.
-
-    The prefix is int64 for int8 input and the input dtype otherwise."""
+def _running_sums(tail, vals):
+    """tail, then tail[-1] + vals[0], tail[-1] + vals[0] + vals[1], and so
+    on, added left to right by one np.cumsum: a prefix of f carried from one
+    segment into the next gives the same floats as one np.cumsum over the
+    whole span. int64 for int8 vals, vals' dtype otherwise."""
     dtype = np.int64 if vals.dtype == np.int8 else vals.dtype
-    prefix = np.empty(len(vals) + 1, dtype=dtype)
-    prefix[0] = 0
-    np.cumsum(vals, dtype=dtype, out=prefix[1:])
-    base = starts[0] - 1  # prefix[n - base] = sum of f over [starts[0], n]
+    out = np.empty(len(tail) + len(vals), dtype=dtype)
+    out[:len(tail)] = tail
+    run = out[len(tail) - 1:]
+    run[1:] = vals
+    np.cumsum(run, out=run)
+    return out
+
+
+def _window_sums(prefix, base, starts, stops):
+    """Sums of f over the windows (starts[i], stops[i]] as differences of one
+    prefix, where prefix[n - base] is the sum of f up to n."""
     sums = prefix[stops - base]
     sums -= prefix[starts - base]
     return sums
 
 
 def _abs_window_means(fname, spec):
-    """|window mean of f| for every integer x in (X, 2X], in order of x."""
+    """|window mean of f| for every integer x in (X, 2X], in order of x,
+    yielded arith_core.DEFAULT_SEGMENT windows at a time.
+
+    The whole span is checked against the budgets before any work. One
+    prefix of f runs from the first window's start across every segment:
+    each segment extends it over its new values and keeps a tail of one
+    window length for the next, so memory stays O(segment + h) and each
+    window sum is a difference of the floats one np.cumsum would give."""
     X = spec.X
     if X > WINDOW_BUDGET:
         raise BudgetError("window count %d exceeds budget" % X)
-    xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
-    starts, stops = _edges(spec, xs)
-    sums = _window_sums(_values(fname, starts[0], stops[-1] + 1), starts, stops)
-    return np.abs(sums / np.subtract(stops, starts, dtype=np.float64))
+    first, _ = _edges(spec, X + 1)
+    _, last = _edges(spec, 2 * X)
+    arith_core._check_span(first, last + 1)
+    base, tail = first - 1, np.zeros(1)  # the prefix is 0 up to first - 1
+    for a in range(X + 1, 2 * X + 1, arith_core.DEFAULT_SEGMENT):
+        xs = np.arange(a, min(a + arith_core.DEFAULT_SEGMENT, 2 * X + 1), dtype=np.int64)
+        starts, stops = _edges(spec, xs)
+        prefix = _running_sums(tail, _values(fname, base + len(tail), stops[-1] + 1))
+        sums = _window_sums(prefix, base, starts, stops)
+        base, tail = starts[-1], prefix[starts[-1] - base:].copy()
+        yield np.abs(sums / np.subtract(stops, starts, dtype=np.float64))
 
 
 def short_sum(fname, spec, x):
@@ -102,21 +124,26 @@ def short_sum(fname, spec, x):
 def variance(fname, spec):
     """Average of |window mean of f|^2 over integer x in (X, 2X].
 
-    One pass of the window kernel; the squares are added by exact
-    summation."""
-    sq = _abs_window_means(fname, spec)
-    sq *= sq
-    return fsum(sq) / spec.X
+    One streamed pass of the window kernel; the squares of every segment
+    go into one exact accumulator."""
+    acc = ExactSum()
+    for means in _abs_window_means(fname, spec):
+        means *= means
+        acc.add(means)
+    return acc.value() / spec.X
 
 
 def exceptional_fraction(fname, spec, taus):
     """Fraction of windows with |mean| >= tau, one per tau in taus, from one
-    pass of the window kernel; Chebyshev-compatible."""
+    streamed pass of the window kernel; Chebyshev-compatible."""
     taus = [float(tau) for tau in taus]
     if not all(tau > 0 for tau in taus):
         raise ValueError("tau must be positive")
-    a = _abs_window_means(fname, spec)
-    return [int(np.count_nonzero(a >= tau)) / spec.X for tau in taus]
+    counts = [0] * len(taus)
+    for means in _abs_window_means(fname, spec):
+        for i, tau in enumerate(taus):
+            counts[i] += int(np.count_nonzero(means >= tau))
+    return [count / spec.X for count in counts]
 
 
 def exp_sum_avg(X, h, alpha):
@@ -126,7 +153,7 @@ def exp_sum_avg(X, h, alpha):
     n = np.arange(X + 1, 2 * X + h + 1, dtype=np.float64)
     c = lam * np.exp(2j * np.pi * float(alpha) * n)
     xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
-    sums = _window_sums(c, xs, xs + h)
+    sums = _window_sums(_running_sums(np.zeros(1), c), X, xs, xs + h)
     return fsum(np.abs(sums)) / (h * X)
 
 

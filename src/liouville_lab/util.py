@@ -25,51 +25,81 @@ class PreconditionError(ValueError):
     """Inputs violate a stated hypothesis; distinct from a counterexample."""
 
 
-def fsum(values):
-    """Exactly rounded sum of a 1-d array or iterable of floats.
+class ExactSum:
+    """Streaming exact sum: add() 1-d numpy arrays one after another, and
+    value() is the exactly rounded sum of everything added so far.
 
-    A numpy array is converted to float64 block by block and summed with a
-    small superaccumulator (R. Neal, arXiv:1505.05571). Each double is a
-    53-bit integer mantissa M times 2^(e - 53) with e from np.frexp. M is
-    split as H * 2^26 + L with 0 <= L < 2^26, and H and L are added per
-    exponent with np.bincount. Those float sums are exact: a block adds at
-    most 2^14 integers of magnitude at most 2^27, so every bin total is an
-    integer of magnitude at most 2^41. The totals go into two int64
-    accumulators, which therefore cannot overflow within 2^22 blocks
-    (2^36 elements, far past any array that fits in memory). At the
-    end the nonzero bins are joined into one Python integer and divided by
-    a power of two once; Python's int/int division is correctly rounded,
-    so the result is the double math.fsum returns. Any other input goes to
-    math.fsum.
+    Each array is converted to float64 block by block and added into a
+    small superaccumulator (R. Neal, arXiv:1505.05571) that lives from one
+    add() to the next. Each double is a 53-bit integer mantissa M times
+    2^(e - 53) with e from np.frexp. M is split as H * 2^26 + L with
+    0 <= L < 2^26, and H and L are added per exponent with np.bincount.
+    Those float sums are exact: a block adds at most 2^14 integers of
+    magnitude at most 2^27, so every bin total is an integer of magnitude
+    at most 2^41. The totals go into two int64 accumulators, which
+    therefore cannot overflow within 2^22 blocks (2^36 elements, far past
+    any stream a single process sums). value() joins the nonzero bins into
+    one Python integer and divides by a power of two once; Python's int/int
+    division is correctly rounded, so the result is the double math.fsum
+    returns on the concatenation of every added array, whatever the pieces.
 
-    Edge policy for arrays:
-    - Input holding nan or +-inf is handed to math.fsum, so the value and
-      the ValueError for inf + -inf are those of math.fsum.
-    - The empty array and [-0.0] give +0.0, as math.fsum does.
+    Edge policy:
+    - nan or +-inf in any piece gives what math.fsum gives: nan, +-inf, or
+      ValueError when both +inf and -inf were added.
+    - Nothing added, or only -0.0, gives +0.0, as math.fsum does.
     - Finite input never overflows on the way: [1e308, 1e308, -1e308]
       gives 1e308 where math.fsum raises "intermediate overflow".
     - A total whose rounding exceeds the largest double raises
       OverflowError.
     """
+
+    def __init__(self):
+        self._hi = np.zeros(_FSUM_BINS, dtype=np.int64)
+        self._lo = np.zeros(_FSUM_BINS, dtype=np.int64)
+        self._nan = self._pos_inf = self._neg_inf = False
+
+    def add(self, values):
+        """Add every element of the 1-d numpy array values."""
+        for start in range(0, len(values), _FSUM_BLOCK):
+            block = values[start:start + _FSUM_BLOCK].astype(np.float64, copy=False)
+            mant, exp = np.frexp(block)
+            mant *= 2.0 ** (53 - _FSUM_SPLIT)  # mant = M / 2^26
+            whole = np.floor(mant)
+            exp += _FSUM_EXP_BIAS
+            block_hi = np.bincount(exp, weights=whole)
+            if not np.isfinite(block_hi).all():  # a nan or inf is in this block
+                self._nan |= bool(np.isnan(block).any())
+                self._pos_inf |= bool((block == np.inf).any())
+                self._neg_inf |= bool((block == -np.inf).any())
+                continue
+            mant -= whole
+            block_lo = np.bincount(exp, weights=mant)
+            block_lo *= 2.0 ** _FSUM_SPLIT
+            self._hi[:len(block_hi)] += block_hi.astype(np.int64)
+            self._lo[:len(block_lo)] += block_lo.astype(np.int64)
+
+    def value(self):
+        """Exactly rounded sum of everything added so far."""
+        if self._pos_inf and self._neg_inf:
+            raise ValueError("-inf + inf in fsum")
+        if self._nan:
+            return math.nan
+        if self._pos_inf or self._neg_inf:
+            return math.inf if self._pos_inf else -math.inf
+        return _join_bins(self._hi, self._lo)
+
+
+def fsum(values):
+    """Exactly rounded sum of a 1-d array or iterable of floats.
+
+    A numpy array is added into a fresh ExactSum, whose docstring states
+    the method and the edge policy. Any other input goes to math.fsum.
+    """
     if not isinstance(values, np.ndarray):
         return math.fsum(values)
-    hi = np.zeros(_FSUM_BINS, dtype=np.int64)
-    lo = np.zeros(_FSUM_BINS, dtype=np.int64)
-    for start in range(0, len(values), _FSUM_BLOCK):
-        block = values[start:start + _FSUM_BLOCK].astype(np.float64, copy=False)
-        mant, exp = np.frexp(block)
-        mant *= 2.0 ** (53 - _FSUM_SPLIT)  # mant = M / 2^26
-        whole = np.floor(mant)
-        exp += _FSUM_EXP_BIAS
-        block_hi = np.bincount(exp, weights=whole)
-        if not np.isfinite(block_hi).all():  # a nan or inf is in this block
-            return math.fsum(values.astype(np.float64, copy=False).tolist())
-        mant -= whole
-        block_lo = np.bincount(exp, weights=mant)
-        block_lo *= 2.0 ** _FSUM_SPLIT
-        hi[:len(block_hi)] += block_hi.astype(np.int64)
-        lo[:len(block_lo)] += block_lo.astype(np.int64)
-    return _join_bins(hi, lo)
+    acc = ExactSum()
+    acc.add(values)
+    return acc.value()
 
 
 def _join_bins(hi, lo):

@@ -142,6 +142,24 @@ def naive_window_means(values, starts, stops):
     return out
 
 
+def one_shot_abs_window_means(ist, fname, spec):
+    """|window mean of f| for every x in (X, 2X] from one np.cumsum over the
+    whole span, in one array: the window kernel before it was streamed.
+
+    ist is the interval_stats module; its _values and _edges feed both
+    sides, so a comparison isolates the segment walk."""
+    X = spec.X
+    xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
+    starts, stops = ist._edges(spec, xs)
+    vals = ist._values(fname, starts[0], stops[-1] + 1)
+    dtype = np.int64 if vals.dtype == np.int8 else vals.dtype
+    prefix = np.zeros(len(vals) + 1, dtype=dtype)
+    np.cumsum(vals, dtype=dtype, out=prefix[1:])
+    base = starts[0] - 1  # prefix[n - base] = sum of f over [starts[0], n]
+    sums = prefix[stops - base] - prefix[starts - base]
+    return np.abs(sums / np.subtract(stops, starts, dtype=np.float64))
+
+
 def naive_correlation(lam, X, j):
     """Sum of lam(n) lam(n+j) over X < n, n+j <= 2X; lam is 1-indexed array."""
     return sum(int(lam[n]) * int(lam[n + j]) for n in range(X + 1, 2 * X - j + 1))

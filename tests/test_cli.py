@@ -200,12 +200,13 @@ def test_failed_quadrature_certificate_is_a_row(capsys):
 
 
 def _forbid_work(monkeypatch):
-    # every sieve starts in _segments or primes_upto and every t-grid in
-    # _phase_sum: none of them may run
+    # every sieve starts in _segments or in the Eratosthenes mask behind
+    # primes_upto (after its budget check), and every t-grid in _phase_sum:
+    # none of them may run
     def started(*args, **kwargs):
         raise RuntimeError("work started")
     monkeypatch.setattr(arith_core, "_segments", started)
-    monkeypatch.setattr(arith_core, "primes_upto", started)
+    monkeypatch.setattr(arith_core, "_eratosthenes", started)
     for module in (dirichlet_poly, interval_stats, zeta_mellin):
         monkeypatch.setattr(module, "_phase_sum", started)
 
@@ -271,10 +272,19 @@ def test_joined_window_condition_exits_two_before_work(argv, monkeypatch, capsys
     assert "usage error: need 0 < h < X" in err
 
 
-def test_factorization_span_past_budget_exits_three_before_work(monkeypatch, capsys):
+@pytest.mark.parametrize("argv", [
     # (X, 2(1+delta)X] holds 7.2e7 integers, past the 2^26 sieve span budget
+    ["factorization", "--x", "60000000"],
+    # the streamed sum checks its whole support (1e5, 1e8 + 1] up front,
+    # though each of its segments would fit the budget
+    ["log-chowla", "--x", "100000000"],
+    # prime masks of 1e9 flags are refused before they are allocated
+    ["large-values", "--q", "1000000000"],
+    ["arcs", "--h", "1000000000"],
+])
+def test_span_past_budget_exits_three_before_work(argv, monkeypatch, capsys):
     _forbid_work(monkeypatch)
-    rc, out, err = run(["factorization", "--x", "60000000"], capsys)
+    rc, out, err = run(argv, capsys)
     assert rc == 3
     assert out == ""
     assert "resource error" in err

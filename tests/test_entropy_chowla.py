@@ -1,6 +1,7 @@
 """Entropy toolbox, sign-pattern joints, weighted pair sums, decrement trace."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,28 @@ def test_log_chowla_sum_direct():
     assert ent.log_chowla_sum(100, 1) == 0.0
     with pytest.raises(ValueError):
         ent.log_chowla_sum(100, 200)
+
+
+@pytest.mark.parametrize("segment", [64, 1000])
+@pytest.mark.parametrize("x, w", [(3000, 3), (3001, 2.5), (2000, 1000)])
+def test_log_chowla_sum_is_segment_independent(segment, x, w, monkeypatch):
+    # every term +-1/n is the same double on both sides, and both sums are
+    # exactly rounded
+    monkeypatch.setattr(ent.arith_core, "DEFAULT_SEGMENT", segment)
+    lo = math.floor(x / w) + 1
+    want = math.fsum(oracles.liouville(n) * oracles.liouville(n + 1) / n
+                     for n in range(lo, x + 1))
+    assert ent.log_chowla_sum(x, w) == want
+
+
+def test_log_chowla_peak_allocation_does_not_grow_with_x():
+    tracemalloc.start()
+    try:
+        ent.log_chowla_sum(4 * 10**6, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_log_chowla_frozen():

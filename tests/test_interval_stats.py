@@ -2,8 +2,10 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from liouville_lab import arith_core
 from liouville_lab import interval_stats as ist
 from liouville_lab.expsum_circle import e_of
 from liouville_lab.util import BudgetError
@@ -139,15 +141,37 @@ def test_variance_decreases_with_window_length():
     assert vs[0] > vs[1] > vs[2]
 
 
-def test_variance_peak_allocation_per_window():
-    # at its peak the window kernel holds six 8-byte arrays of length X
-    # (about 49 B per window); one more copy of every |mean| crosses 64 B
-    X = 10**6
-    spec = ist.WindowSpec("multiplicative", X, 1000)
+# f as int8 (liouville, mobius), float64 and complex128 prefixes
+STREAM_FNAMES = ["liouville", "mobius", "von_mangoldt_minus_one",
+                 ("liouville_times_character", 5, 1)]
+
+
+@pytest.mark.parametrize("segment", [64, 1000])
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+@pytest.mark.parametrize("X, h", [(50, 7), (2000, 1500), (3001, 40)])
+def test_streamed_window_statistics_are_segment_independent(segment, kind, X, h, monkeypatch):
+    # X below, at and off a multiple of the segment; h = 1500 carries a
+    # tail longer than the segment
+    spec = ist.WindowSpec(kind, X, h)
+    taus = (0.02, 0.1, 0.3)
+    monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT", segment)
+    for fname in STREAM_FNAMES:
+        want = oracles.one_shot_abs_window_means(ist, fname, spec)
+        got = np.concatenate(list(ist._abs_window_means(fname, spec)))
+        assert np.array_equal(got, want), fname
+        assert ist.variance(fname, spec) == oracles.exact_sum(want * want) / X, fname
+        assert ist.exceptional_fraction(fname, spec, taus) == [
+            np.count_nonzero(want >= tau) / X for tau in taus], fname
+
+
+def test_streamed_peak_allocation_does_not_grow_with_x():
+    # O(segment + h): one segment of 2^18 windows and a tail of one window
+    # length, whatever X is
+    spec = ist.WindowSpec("multiplicative", 4 * 10**6, 1000)
     tracemalloc.start()
     try:
         ist.variance("liouville", spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / X <= 64.0
+    assert peak <= 32 * 2**20

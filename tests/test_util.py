@@ -127,6 +127,63 @@ def test_fsum_matches_math_fsum_on_float_lists(values):
     assert fsum(np.array(values, dtype=np.float64)) == math.fsum(values)
 
 
+@st.composite
+def pieces(draw):
+    """An array (from arrays(), or int8) and its cut into consecutive pieces
+    at block boundaries, random points and repeated points (empty pieces)."""
+    if draw(st.booleans()):
+        values = draw(arrays())
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        values = rng.integers(-128, 128, size=draw(st.sampled_from(LENGTHS)), dtype=np.int8)
+    n = len(values)
+    cut = st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B, n]) | st.integers(0, n)
+    cuts = sorted(min(c, n) for c in draw(st.lists(cut, max_size=6)))
+    return values, [values[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+
+
+@settings(max_examples=120, deadline=None)
+@given(pieces())
+def test_exact_sum_of_pieces_is_fsum_of_the_whole(case):
+    values, parts = case
+    acc = util.ExactSum()
+    for i, part in enumerate(parts):
+        acc.add(part)
+        assert acc.value() == oracles.exact_sum(np.concatenate(parts[:i + 1]))
+    assert acc.value() == fsum(values) == oracles.exact_sum(values)
+
+
+@pytest.mark.parametrize("specials", [
+    [np.inf], [-np.inf], [np.nan], [np.inf, np.nan], [np.nan, -np.inf],
+    [np.inf, -np.inf], [np.inf, np.nan, -np.inf], [np.inf, np.inf, np.nan],
+])
+def test_nonfinite_in_any_piece_is_math_fsum_of_the_whole(specials):
+    # one special value per piece, pieces cut at and inside block boundaries
+    values = np.full(3 * B + 3, 0.5)
+    cuts = [0, B, B + 5, 3 * B + 3]
+    for (a, b), special in zip(zip(cuts, cuts[1:]), specials):
+        values[(a + b) // 2] = special
+    acc = util.ExactSum()
+    for a, b in zip(cuts, cuts[1:]):
+        acc.add(values[a:b])
+    try:
+        expected = math.fsum(values.tolist())
+    except ValueError:
+        with pytest.raises(ValueError, match="inf"):
+            acc.value()
+    else:
+        got = acc.value()
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+def test_empty_accumulator_is_positive_zero():
+    acc = util.ExactSum()
+    assert same_double(acc.value(), 0.0)
+    acc.add(np.zeros(0))
+    acc.add(np.array([-0.0]))
+    assert same_double(acc.value(), 0.0)
+
+
 def test_peak_allocation_is_bounded():
     values = np.random.default_rng(0).standard_normal(2 * 10 ** 6)
     tracemalloc.start()
