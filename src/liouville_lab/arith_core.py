@@ -129,18 +129,101 @@ def _segments(lo, hi, segment_len, budget=SPAN_BUDGET):
     return base, [(a, min(a + segment_len, hi)) for a in range(lo, hi, segment_len)]
 
 
+WHEEL = 2520  # 2^3 3^2 5 7
+WHEEL_PRIMES = (2, 3, 5, 7)
+
+
+def _wheel_patterns():
+    """(omega, smooth, sqfree) on the residues 0..WHEEL-1 from the wheel
+    powers 2, 4, 8, 3, 9, 5 and 7: their part of omega and of the smooth
+    product, and False where 4 or 9 divides."""
+    omega = np.zeros(WHEEL, dtype=np.int16)
+    smooth = np.ones(WHEEL, dtype=np.int64)
+    sqfree = np.ones(WHEEL, dtype=bool)
+    for p in WHEEL_PRIMES:
+        pk = p
+        while WHEEL % pk == 0:
+            omega[::pk] += 1
+            smooth[::pk] *= p
+            pk *= p
+    sqfree[::4] = sqfree[::9] = False
+    return omega, smooth, sqfree
+
+
+_WHEEL_PATTERNS = _wheel_patterns()
+
+
+def _tile(pattern, r0, size):
+    """pattern[(r0 + i) % WHEEL] for i in 0..size-1, in a fresh array of
+    exactly size entries."""
+    out = np.empty(size, dtype=pattern.dtype)
+    period = np.roll(pattern, -r0)[:size]
+    k = len(period)
+    out[:k] = period
+    while k < size:  # k stays a multiple of WHEEL
+        n = min(k, size - k)
+        out[k : k + n] = out[:n]
+        k += n
+    return out
+
+
 def _sieve_segment(lo, hi, base_primes, pmin=2):
     """(omega, sqfree, first) on one segment [lo, hi).
 
-    base_primes must cover sqrt(hi-1). One strided pass per prime power
-    p^k < hi, with no division inside the loop: omega counts prime factors
-    with multiplicity, sqfree flags square-free n, and first is the smallest
-    prime factor >= pmin (0 when there is none). Primes run in descending
-    order, so the smallest one is the last written into first; pmin >= hi
-    skips first for the paths that need only omega and sqfree. What the
-    base-prime powers leave of n is 1 or a single prime above sqrt(hi-1).
+    base_primes must cover sqrt(hi-1). omega counts prime factors with
+    multiplicity, sqfree flags square-free n, and first is the smallest
+    prime factor >= pmin (0 when there is none; all 0 when pmin >= hi, for
+    the paths that need only omega and sqfree). No division runs per prime
+    power. The prime powers p^k < hi of base primes with p^2 < hi fall in
+    three parts:
+    - wheel: the powers dividing WHEEL are periodic mod WHEEL, so their part
+      of omega and of the smooth product, and the flags of 4 and 9, are
+      tiled from one precomputed period (Pritchard's pre-sieve);
+    - dense: every other power up to a cut of len/256 gets one strided pass;
+    - scatter: the powers above the cut hit few n each, so _scatter builds
+      all their hit indices at once and adds, multiplies and flags them in
+      one call each.
+    first is the minimum over the scatter hits, overwritten by the dense and
+    then the wheel primes >= pmin in descending order, so the smallest wins.
+    What the base-prime powers leave of n is 1 or a single prime above
+    sqrt(hi-1): one division gives it where first is still 0.
     """
-    ps = base_primes[base_primes * base_primes < hi][::-1]
+    size = hi - lo
+    r0 = lo % WHEEL
+    omega, smooth, sqfree = (_tile(pattern, r0, size) for pattern in _WHEEL_PATTERNS)
+    first = np.zeros(size, dtype=np.int64)
+    ps, pks = _prime_powers(base_primes, hi)
+    # one strided call costs about as much as a few hundred scattered hits
+    dense = pks <= size >> 8
+    _scatter(lo, size, ps[~dense], pks[~dense], pmin, omega, smooth, sqfree, first)
+    ps, pks = ps[dense].tolist(), pks[dense].tolist()
+    starts = [-lo % pk for pk in pks]
+    for p, pk, s in zip(ps, pks, starts):
+        omega[s::pk] += 1
+        smooth[s::pk] *= p
+        if pk == p * p:
+            sqfree[s::pk] = False
+    n = np.arange(lo, hi, dtype=np.int64)
+    big = smooth != n
+    omega += big
+    if pmin < hi:
+        leads = [(p, s) for p, pk, s in zip(ps, pks, starts) if pk == p >= pmin]
+        leads += [(p, -lo % p) for p in WHEEL_PRIMES if p >= pmin]
+        for p, s in sorted(leads, reverse=True):
+            first[s::p] = p
+        big &= first == 0
+        i = np.flatnonzero(big)
+        cof = n[i] // smooth[i]
+        keep = cof >= pmin
+        first[i[keep]] = cof[keep]
+    return omega, sqfree, first
+
+
+def _prime_powers(base_primes, hi):
+    """(p, p^k) for every base prime p with p^2 < hi and every k with
+    p^k < hi, leaving out the powers that divide WHEEL. The k = 1 entries
+    come first, p ascending."""
+    ps = base_primes[base_primes * base_primes < hi]
     p_all, pk_all, pk = [ps], [ps], ps
     while pk.size:
         more = pk <= (hi - 1) // ps
@@ -148,25 +231,42 @@ def _sieve_segment(lo, hi, base_primes, pmin=2):
         p_all.append(ps)
         pk_all.append(pk)
     p_all, pk_all = np.concatenate(p_all), np.concatenate(pk_all)
-    starts = (-lo) % pk_all
-    omega = np.zeros(hi - lo, dtype=np.int16)
-    smooth = np.ones(hi - lo, dtype=np.int64)
-    sqfree = np.ones(hi - lo, dtype=bool)
-    first = np.zeros(hi - lo, dtype=np.int64)
-    for p, pk, s in zip(p_all.tolist(), pk_all.tolist(), starts.tolist()):
-        omega[s::pk] += 1
-        smooth[s::pk] *= p
-        if pk == p:
-            if p >= pmin:
-                first[s::p] = p
-        elif pk == p * p:
-            sqfree[s::pk] = False
-    n = np.arange(lo, hi, dtype=np.int64)
-    omega += smooth != n
-    if pmin < hi:
-        cof = n // smooth
-        np.copyto(first, cof, where=(first == 0) & (cof >= pmin))
-    return omega, sqfree, first
+    off_wheel = WHEEL % pk_all != 0
+    return p_all[off_wheel], pk_all[off_wheel]
+
+
+def _scatter(lo, size, ps, pks, pmin, omega, smooth, sqfree, first):
+    """Add the hits of the prime powers pks of ps on [lo, lo + size) into
+    omega, smooth and sqfree in one call each, and put the least p >= pmin
+    among them into first, which is still all 0. ps and pks are ordered as
+    _prime_powers orders them.
+
+    Every hit index comes from one cumsum: each power repeats its step, and
+    the first step of each run jumps from the last hit of the run before to
+    the run's own start."""
+    starts = -lo % pks
+    counts = (size - 1 - starts) // pks + 1
+    hit = counts > 0
+    ps, pks, starts, counts = ps[hit], pks[hit], starts[hit], counts[hit]
+    if not ps.size:
+        return
+    edges = np.zeros(len(ps) + 1, dtype=np.int64)
+    np.cumsum(counts, out=edges[1:])
+    steps = np.repeat(pks, counts)
+    lasts = starts + (counts - 1) * pks
+    steps[edges[:-1]] = starts - np.concatenate(([0], lasts[:-1]))
+    idx = np.cumsum(steps)
+    del steps  # so that at most two hit-long arrays are alive at once
+    pvals = np.repeat(ps, counts)
+    # a typed one: a Python int 1 sends ufunc.at down a loop about 25x slower
+    np.add.at(omega, idx, np.ones(1, dtype=omega.dtype))
+    np.multiply.at(smooth, idx, pvals)
+    k1 = int(np.count_nonzero(pks == ps))
+    sqfree[idx[edges[k1]:]] = False
+    if pmin < lo + size:
+        lead = slice(edges[np.searchsorted(ps[:k1], pmin)], edges[k1])
+        first[idx[lead]] = INT64_MAX
+        np.minimum.at(first, idx[lead], pvals[lead])
 
 
 def build_sieve(lo, hi, segment_len=DEFAULT_SEGMENT):

@@ -339,11 +339,29 @@ def additive_to_multiplicative(a, q):
 
     Coefficients are unit-averaged twisted sums, each of modulus <= 1;
     reconstruct() resums them."""
-    a, q = int(a), int(q)
+    return _decompose(int(a), _check_modulus(q), {})
+
+
+def additive_decompositions(q):
+    """additive_to_multiplicative(a, q) for a = 0..q-1, sharing one
+    CharacterTable per modulus q/d among all of them, so each dense row is
+    built once."""
+    q = _check_modulus(q)
+    tables = {}
+    return [_decompose(a, q, tables) for a in range(q)]
+
+
+def _check_modulus(q):
+    q = int(q)
     if q < 1:
         raise ValueError("q must be positive")
+    return q
+
+
+def _decompose(a, q, tables):
+    """The expansion of n -> e(an/q), taking the table of each modulus from
+    tables and adding the ones it builds."""
     terms = []
-    tables = {}
     for d in range(1, q + 1):
         if q % d:
             continue

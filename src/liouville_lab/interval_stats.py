@@ -2,8 +2,8 @@
 starting points, exceptional fractions, twisted window averages, and the
 bridge from window variance to a vertical-line second moment. Every
 statistic over many windows takes its sums from one kernel, _window_sums,
-with edges from _edges; variance and exceptional_fraction stream it one
-segment at a time.
+with edges from _edges; variance, exceptional_fraction and exp_sum_avg
+stream it one segment at a time through _streamed_windows.
 """
 
 import math
@@ -85,29 +85,40 @@ def _window_sums(prefix, base, starts, stops):
     return sums
 
 
-def _abs_window_means(fname, spec):
-    """|window mean of f| for every integer x in (X, 2X], in order of x,
-    yielded arith_core.DEFAULT_SEGMENT windows at a time.
+def _streamed_windows(values, edges, X, stat):
+    """stat(sums, starts, stops) of the windows (starts, stops] = edges(xs)
+    for every integer x in (X, 2X], in order of x, yielded
+    arith_core.DEFAULT_SEGMENT windows at a time; values(lo, hi) gives f on
+    [lo, hi).
 
-    The whole span is checked against the budgets before any work. One
+    The whole span is checked against the budget before any work. One
     prefix of f runs from the first window's start across every segment:
     each segment extends it over its new values and keeps a tail of one
-    window length for the next, so memory stays O(segment + h) and each
-    window sum is a difference of the floats one np.cumsum would give."""
-    X = spec.X
-    if X > WINDOW_BUDGET:
-        raise BudgetError("window count %d exceeds budget" % X)
-    first, _ = _edges(spec, X + 1)
-    _, last = _edges(spec, 2 * X)
+    window length for the next, so each window sum is a difference of the
+    floats one np.cumsum would give. Only stat's result is handed out, so a
+    segment's edges and sums are freed as the next one is built and memory
+    stays O(segment + h)."""
+    first, _ = edges(X + 1)
+    _, last = edges(2 * X)
     arith_core._check_span(first, last + 1)
     base, tail = first - 1, np.zeros(1)  # the prefix is 0 up to first - 1
     for a in range(X + 1, 2 * X + 1, arith_core.DEFAULT_SEGMENT):
         xs = np.arange(a, min(a + arith_core.DEFAULT_SEGMENT, 2 * X + 1), dtype=np.int64)
-        starts, stops = _edges(spec, xs)
-        prefix = _running_sums(tail, _values(fname, base + len(tail), stops[-1] + 1))
+        starts, stops = edges(xs)
+        prefix = _running_sums(tail, values(base + len(tail), stops[-1] + 1))
         sums = _window_sums(prefix, base, starts, stops)
         base, tail = starts[-1], prefix[starts[-1] - base:].copy()
-        yield np.abs(sums / np.subtract(stops, starts, dtype=np.float64))
+        yield stat(sums, starts, stops)
+
+
+def _abs_window_means(fname, spec):
+    """|window mean of f| for every integer x in (X, 2X], in order of x,
+    one streamed segment of windows at a time."""
+    if spec.X > WINDOW_BUDGET:
+        raise BudgetError("window count %d exceeds budget" % spec.X)
+    yield from _streamed_windows(
+        lambda lo, hi: _values(fname, lo, hi), lambda xs: _edges(spec, xs), spec.X,
+        lambda sums, starts, stops: np.abs(sums / np.subtract(stops, starts, dtype=np.float64)))
 
 
 def short_sum(fname, spec, x):
@@ -147,14 +158,18 @@ def exceptional_fraction(fname, spec, taus):
 
 
 def exp_sum_avg(X, h, alpha):
-    """(1/(hX)) sum over x in (X, 2X] of |sum_{x<n<=x+h} lambda(n) e(alpha n)|."""
-    X, h = int(X), int(h)
-    lam = arith_core.liouville_range(X + 1, 2 * X + h + 1).astype(np.float64)
-    n = np.arange(X + 1, 2 * X + h + 1, dtype=np.float64)
-    c = lam * np.exp(2j * np.pi * float(alpha) * n)
-    xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
-    sums = _window_sums(_running_sums(np.zeros(1), c), X, xs, xs + h)
-    return fsum(np.abs(sums)) / (h * X)
+    """(1/(hX)) sum over x in (X, 2X] of |sum_{x<n<=x+h} lambda(n) e(alpha n)|,
+    from one streamed pass of the window kernel over a complex prefix."""
+    X, h, alpha = int(X), int(h), float(alpha)
+
+    def twisted(lo, hi):
+        lam = arith_core.liouville_range(lo, hi).astype(np.float64)
+        return lam * np.exp(2j * np.pi * alpha * np.arange(lo, hi, dtype=np.float64))
+    acc = ExactSum()
+    for abs_sums in _streamed_windows(twisted, lambda xs: (xs, xs + h), X,
+                                      lambda sums, starts, stops: np.abs(sums)):
+        acc.add(abs_sums)
+    return acc.value() / (h * X)
 
 
 @dataclass

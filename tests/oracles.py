@@ -96,6 +96,46 @@ def batch_trial_factor(ns):
     return spf_arr, omega, sqfree
 
 
+def strided_sieve_segment(lo, hi, base_primes, pmin=2):
+    """(omega, sqfree, first) on one segment [lo, hi).
+
+    base_primes must cover sqrt(hi-1). One strided pass per prime power
+    p^k < hi, with no division inside the loop: omega counts prime factors
+    with multiplicity, sqfree flags square-free n, and first is the smallest
+    prime factor >= pmin (0 when there is none). Primes run in descending
+    order, so the smallest one is the last written into first; pmin >= hi
+    skips first for the paths that need only omega and sqfree. What the
+    base-prime powers leave of n is 1 or a single prime above sqrt(hi-1).
+    """
+    ps = base_primes[base_primes * base_primes < hi][::-1]
+    p_all, pk_all, pk = [ps], [ps], ps
+    while pk.size:
+        more = pk <= (hi - 1) // ps
+        ps, pk = ps[more], pk[more] * ps[more]
+        p_all.append(ps)
+        pk_all.append(pk)
+    p_all, pk_all = np.concatenate(p_all), np.concatenate(pk_all)
+    starts = (-lo) % pk_all
+    omega = np.zeros(hi - lo, dtype=np.int16)
+    smooth = np.ones(hi - lo, dtype=np.int64)
+    sqfree = np.ones(hi - lo, dtype=bool)
+    first = np.zeros(hi - lo, dtype=np.int64)
+    for p, pk, s in zip(p_all.tolist(), pk_all.tolist(), starts.tolist()):
+        omega[s::pk] += 1
+        smooth[s::pk] *= p
+        if pk == p:
+            if p >= pmin:
+                first[s::p] = p
+        elif pk == p * p:
+            sqfree[s::pk] = False
+    n = np.arange(lo, hi, dtype=np.int64)
+    omega += smooth != n
+    if pmin < hi:
+        cof = n // smooth
+        np.copyto(first, cof, where=(first == 0) & (cof >= pmin))
+    return omega, sqfree, first
+
+
 def _sieve_primes(limit):
     # plain boolean Eratosthenes, used only to feed trial division
     if limit < 2:
@@ -158,6 +198,21 @@ def one_shot_abs_window_means(ist, fname, spec):
     base = starts[0] - 1  # prefix[n - base] = sum of f over [starts[0], n]
     sums = prefix[stops - base] - prefix[starts - base]
     return np.abs(sums / np.subtract(stops, starts, dtype=np.float64))
+
+
+def one_shot_exp_sum_avg(ist, X, h, alpha):
+    """exp_sum_avg from one np.cumsum of lambda(n) e(alpha n) over all of
+    (X, 2X + h], in one array: the twisted average before it was streamed.
+
+    ist is the interval_stats module; its sieve, prefix and window kernels
+    and exact sum feed both sides, so a comparison isolates the segment
+    walk."""
+    lam = ist.arith_core.liouville_range(X + 1, 2 * X + h + 1).astype(np.float64)
+    n = np.arange(X + 1, 2 * X + h + 1, dtype=np.float64)
+    c = lam * np.exp(2j * np.pi * float(alpha) * n)
+    xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
+    sums = ist._window_sums(ist._running_sums(np.zeros(1), c), X, xs, xs + h)
+    return ist.fsum(np.abs(sums)) / (h * X)
 
 
 def naive_correlation(lam, X, j):

@@ -124,6 +124,73 @@ def test_least_factor_range_segment_independence(segment, monkeypatch):
         assert np.array_equal(lam, ac.liouville_range(lo, hi))
 
 
+def _assert_kernel_matches_strided(lo, hi, pmin):
+    # omega, sqfree and first, values and dtypes, against the one-strided-
+    # pass-per-prime-power kernel
+    base = ac.primes_upto(math.isqrt(hi - 1)).primes
+    got = ac._sieve_segment(lo, hi, base, pmin)
+    want = oracles.strided_sieve_segment(lo, hi, base, pmin)
+    for name, g, w in zip(("omega", "sqfree", "first"), got, want):
+        assert g.dtype == w.dtype, (lo, hi, pmin, name)
+        assert np.array_equal(g, w), (lo, hi, pmin, name)
+
+
+@pytest.mark.parametrize("length", [64, 1 << 14, 1 << 18])
+def test_kernel_matches_strided_oracle_at_segment_lengths(length):
+    # the cut between strided and scattered powers is length / 256: none of
+    # the powers are strided at 64, those up to 64 at 2^14, to 1024 at 2^18
+    for lo in (1, 10**7 + 3):
+        hi = lo + length
+        for pmin in (2, 10, 30, hi):
+            _assert_kernel_matches_strided(lo, hi, pmin)
+
+
+def test_kernel_matches_strided_oracle_at_wheel_and_power_edges():
+    wheel = ac.WHEEL
+    # lo just below, at and above multiples of the wheel period
+    for m in (1, 2, 397, 4 * 10**5):
+        for d in (-1, 0, 1):
+            for length in (64, 3000):
+                _assert_kernel_matches_strided(m * wheel + d, m * wheel + d + length, 2)
+                _assert_kernel_matches_strided(m * wheel + d, m * wheel + d + length, 7)
+    # segments that start or end on a multiple of a power near the cut:
+    # 61, 67, 2^6, 7^2, 11^2 and 5^3 near 64; 1021, 2^10, 31^2, 37^2, 11^3
+    # and 3^7 near 1024
+    for length, powers in ((1 << 14, (61, 67, 64, 49, 121, 125)),
+                           (1 << 18, (1021, 1024, 961, 1369, 1331, 2187))):
+        for pk in powers:
+            m = (10**6 // pk + 1) * pk
+            for d in (-1, 0, 1):
+                _assert_kernel_matches_strided(m + d, m + d + length, 2)
+                _assert_kernel_matches_strided(m + d - length + 1, m + d + 1, 10)
+    # tiny segments near 1, where 5 and 7 exceed sqrt(hi - 1) and the wheel
+    # counts them in place of the prime cofactor
+    for hi in range(2, 60):
+        for pmin in (2, 3, 5, 7, 8, hi):
+            _assert_kernel_matches_strided(1, hi, pmin)
+            _assert_kernel_matches_strided(max(1, hi - 5), hi, pmin)
+
+
+def test_kernel_matches_strided_oracle_beyond_1e9():
+    # segments shorter than the wheel period repeat no residue, and nearly
+    # every base prime lands in the scatter
+    for lo, length in ((10**9, 64), (10**9 + 7, 2000), (10**9 + 2519, 1 << 14),
+                       (10**11 + 1, 1 << 12)):
+        for pmin in (2, 30, lo + length):
+            _assert_kernel_matches_strided(lo, lo + length, pmin)
+
+
+@given(st.integers(min_value=1, max_value=10**10),
+       st.integers(min_value=1, max_value=6000),
+       st.one_of(st.integers(min_value=2, max_value=200),
+                 st.integers(min_value=2, max_value=10**5),
+                 st.just(None)))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_strided_oracle_property(lo, length, pmin):
+    hi = lo + length
+    _assert_kernel_matches_strided(lo, hi, hi if pmin is None else pmin)
+
+
 def test_range_functions_match_oracle():
     lo, hi = 1, 3000
     lam = ac.liouville_range(lo, hi)

@@ -273,6 +273,29 @@ def test_additive_reconstruction_small_moduli():
         ec.additive_to_multiplicative(1, 0)
 
 
+def test_additive_decompositions_share_one_table_per_modulus(monkeypatch):
+    built = []
+    characters_mod = ec.characters_mod
+
+    def counted(M):
+        built.append(M)
+        return characters_mod(M)
+    for q in (1, 2, 12, 30):
+        shared = ec.additive_decompositions(q)
+        fresh = [ec.additive_to_multiplicative(a, q) for a in range(q)]
+        assert [d.a for d in shared] == list(range(q))
+        # the same coefficients, bit for bit, as one fresh table set per a
+        for s, f in zip(shared, fresh):
+            assert s.terms == f.terms and s.q == f.q
+        monkeypatch.setattr(ec, "characters_mod", counted)
+        built.clear()
+        ec.additive_decompositions(q)
+        assert sorted(built) == [M for M in range(1, q + 1) if q % M == 0]
+        monkeypatch.setattr(ec, "characters_mod", characters_mod)
+    with pytest.raises(ValueError):
+        ec.additive_decompositions(0)
+
+
 # ------------------------------------------------------ correlations
 
 def test_chowla_avg_fast_equals_naive():

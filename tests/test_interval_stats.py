@@ -117,6 +117,29 @@ def test_exp_sum_avg_direct():
     assert ist.exp_sum_avg(X, h, alpha) == pytest.approx(total / (h * X), rel=1e-12)
 
 
+@pytest.mark.parametrize("segment", [64, 1000, arith_core.DEFAULT_SEGMENT])
+def test_exp_sum_avg_stream_equals_one_shot(segment, monkeypatch):
+    # several segments, windows longer than X, and a tail of one window
+    cases = ((3000, 7, 0.37), (2000, 150, 0.6180339887498949), (5, 100, 0.25),
+             (1, 2, 0.5), (4097, 64, -1.3))
+    want = [oracles.one_shot_exp_sum_avg(ist, X, h, a) for X, h, a in cases]
+    monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT", segment)
+    for (X, h, alpha), w in zip(cases, want):
+        assert ist.exp_sum_avg(X, h, alpha) == w, (X, h, alpha)
+
+
+def test_exp_sum_avg_peak_allocation_is_per_segment():
+    # one segment of 2^18 complex windows and a tail of one window length:
+    # the one-shot pass held about 104 bytes per window (99 MiB here)
+    tracemalloc.start()
+    try:
+        ist.exp_sum_avg(10**6, 100, 0.6180339887498949)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
 def test_parseval_link_envelope_and_certification():
     rep = ist.parseval_link(10**4, 50, 0.25)
     assert rep.T == pytest.approx(10**4 / (50 * 0.25**2))
