@@ -358,8 +358,7 @@ def h_arcs(P):
 
 def h_characters(P):
     q = P["q"]
-    decomps = expsum_circle.additive_decompositions(q)
-    table = decomps[0].tables[q]  # shared by every decomposition
+    table = expsum_circle.characters_mod(q)
     V = table.values
     phi = table.n_chars
     G = (V @ V.conj().T) / phi
@@ -370,7 +369,8 @@ def h_characters(P):
     rows.append(make_row("characters", {**P, "check": "nonprincipal-sum"},
                          colsum, 1e-12))
     worst = 0.0
-    for a, decomp in enumerate(decomps):
+    for a in range(q):
+        decomp = expsum_circle.additive_to_multiplicative(a, q)
         for n in range(1, 3 * q + 1):
             got = expsum_circle.reconstruct_additive(decomp, n)
             want = expsum_circle.e_of(a * n / q)

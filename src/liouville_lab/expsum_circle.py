@@ -4,6 +4,7 @@ bridge, autocorrelation tables, and ternary convolution sums.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -301,8 +302,13 @@ class CharacterTable:
         return np.vstack([self.row(i) for i in range(self.n_chars)])
 
 
+@functools.lru_cache(maxsize=32)
 def characters_mod(q):
-    """CharacterTable for modulus q (q = 1 gives the trivial table)."""
+    """CharacterTable for modulus q (q = 1 gives the trivial table).
+
+    Each table, with the dense rows it caches, is built once and shared by
+    every caller, so the divisor expansions of all a mod q build each row
+    once. 32 entries hold every divisor of any q <= MAX_DENSE_Q."""
     q = int(q)
     if not 1 <= q <= 10**4:
         raise ValueError("q must lie in 1..1e4")
@@ -339,29 +345,11 @@ def additive_to_multiplicative(a, q):
 
     Coefficients are unit-averaged twisted sums, each of modulus <= 1;
     reconstruct() resums them."""
-    return _decompose(int(a), _check_modulus(q), {})
-
-
-def additive_decompositions(q):
-    """additive_to_multiplicative(a, q) for a = 0..q-1, sharing one
-    CharacterTable per modulus q/d among all of them, so each dense row is
-    built once."""
-    q = _check_modulus(q)
-    tables = {}
-    return [_decompose(a, q, tables) for a in range(q)]
-
-
-def _check_modulus(q):
-    q = int(q)
+    a, q = int(a), int(q)
     if q < 1:
         raise ValueError("q must be positive")
-    return q
-
-
-def _decompose(a, q, tables):
-    """The expansion of n -> e(an/q), taking the table of each modulus from
-    tables and adding the ones it builds."""
     terms = []
+    tables = {}
     for d in range(1, q + 1):
         if q % d:
             continue

@@ -165,11 +165,15 @@ def exp_sum_avg(X, h, alpha):
     def twisted(lo, hi):
         lam = arith_core.liouville_range(lo, hi).astype(np.float64)
         return lam * np.exp(2j * np.pi * alpha * np.arange(lo, hi, dtype=np.float64))
-    acc = ExactSum()
-    for abs_sums in _streamed_windows(twisted, lambda xs: (xs, xs + h), X,
-                                      lambda sums, starts, stops: np.abs(sums)):
-        acc.add(abs_sums)
-    return acc.value() / (h * X)
+    # |sums| of every segment go into one array of X floats, 8 bytes per
+    # window, summed by one fsum; the span is checked before it is allocated
+    arith_core._check_span(X + 1, 2 * X + h + 1)
+    abs_sums = np.empty(X)
+    for _ in _streamed_windows(
+            twisted, lambda xs: (xs, xs + h), X,
+            lambda sums, starts, stops: np.abs(sums, out=abs_sums[starts[0] - X - 1:starts[-1] - X])):
+        pass
+    return fsum(abs_sums) / (h * X)
 
 
 @dataclass

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from liouville_lab import arith_core, cli, dirichlet_poly, interval_stats, zeta_mellin
+from liouville_lab import arith_core, cli, dirichlet_poly, expsum_circle, interval_stats, zeta_mellin
 
 
 def run(argv, capsys):
@@ -201,12 +201,13 @@ def test_failed_quadrature_certificate_is_a_row(capsys):
 
 def _forbid_work(monkeypatch):
     # every sieve starts in _segments or in the Eratosthenes mask behind
-    # primes_upto (after its budget check), and every t-grid in _phase_sum:
-    # none of them may run
+    # primes_upto (after its budget check), every t-grid in _phase_sum and
+    # every dense character row in CharacterTable.row: none of them may run
     def started(*args, **kwargs):
         raise RuntimeError("work started")
     monkeypatch.setattr(arith_core, "_segments", started)
     monkeypatch.setattr(arith_core, "_eratosthenes", started)
+    monkeypatch.setattr(expsum_circle.CharacterTable, "row", started)
     for module in (dirichlet_poly, interval_stats, zeta_mellin):
         monkeypatch.setattr(module, "_phase_sum", started)
 
@@ -281,6 +282,11 @@ def test_joined_window_condition_exits_two_before_work(argv, monkeypatch, capsys
     # prime masks of 1e9 flags are refused before they are allocated
     ["large-values", "--q", "1000000000"],
     ["arcs", "--h", "1000000000"],
+    # the twisted average's (1e8, 2e8 + 100] is refused before its
+    # X-long array of |sums| is allocated
+    ["expsum", "--x", "100000000"],
+    # the dense table past MAX_DENSE_Q is refused before any row is built
+    ["characters", "--q", "1025"],
 ])
 def test_span_past_budget_exits_three_before_work(argv, monkeypatch, capsys):
     _forbid_work(monkeypatch)

@@ -273,27 +273,19 @@ def test_additive_reconstruction_small_moduli():
         ec.additive_to_multiplicative(1, 0)
 
 
-def test_additive_decompositions_share_one_table_per_modulus(monkeypatch):
-    built = []
-    characters_mod = ec.characters_mod
-
-    def counted(M):
-        built.append(M)
-        return characters_mod(M)
+def test_one_character_table_per_modulus():
     for q in (1, 2, 12, 30):
-        shared = ec.additive_decompositions(q)
-        fresh = [ec.additive_to_multiplicative(a, q) for a in range(q)]
-        assert [d.a for d in shared] == list(range(q))
-        # the same coefficients, bit for bit, as one fresh table set per a
+        fresh = []
+        for a in range(q):
+            ec.characters_mod.cache_clear()
+            fresh.append(ec.additive_to_multiplicative(a, q))
+        ec.characters_mod.cache_clear()
+        shared = [ec.additive_to_multiplicative(a, q) for a in range(q)]
+        # every a reads the one table of each modulus q/d ...
+        assert ec.characters_mod.cache_info().misses == sum(q % M == 0 for M in range(1, q + 1))
+        # ... and gets the same coefficients, bit for bit, as from fresh tables
         for s, f in zip(shared, fresh):
-            assert s.terms == f.terms and s.q == f.q
-        monkeypatch.setattr(ec, "characters_mod", counted)
-        built.clear()
-        ec.additive_decompositions(q)
-        assert sorted(built) == [M for M in range(1, q + 1) if q % M == 0]
-        monkeypatch.setattr(ec, "characters_mod", characters_mod)
-    with pytest.raises(ValueError):
-        ec.additive_decompositions(0)
+            assert s.terms == f.terms
 
 
 # ------------------------------------------------------ correlations

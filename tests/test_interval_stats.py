@@ -128,9 +128,10 @@ def test_exp_sum_avg_stream_equals_one_shot(segment, monkeypatch):
         assert ist.exp_sum_avg(X, h, alpha) == w, (X, h, alpha)
 
 
-def test_exp_sum_avg_peak_allocation_is_per_segment():
-    # one segment of 2^18 complex windows and a tail of one window length:
-    # the one-shot pass held about 104 bytes per window (99 MiB here)
+def test_exp_sum_avg_peak_allocation_per_window():
+    # one segment of 2^18 complex windows, a tail of one window length and
+    # 8 bytes of |sum| per window (29.6 MiB here): the one-shot pass held
+    # about 104 bytes per window (99 MiB here)
     tracemalloc.start()
     try:
         ist.exp_sum_avg(10**6, 100, 0.6180339887498949)
