@@ -121,14 +121,6 @@ def _check_span(lo, hi, budget=SPAN_BUDGET):
         raise BudgetError("span %d exceeds budget %d" % (hi - lo, budget))
 
 
-def _segments(lo, hi, segment_len, budget=SPAN_BUDGET):
-    """Base primes up to sqrt(hi-1) and the (a, b) bounds tiling [lo, hi),
-    after _check_span(lo, hi, budget)."""
-    _check_span(lo, hi, budget)
-    base = primes_upto(math.isqrt(hi - 1)).primes
-    return base, [(a, min(a + segment_len, hi)) for a in range(lo, hi, segment_len)]
-
-
 WHEEL = 2520  # 2^3 3^2 5 7
 WHEEL_PRIMES = (2, 3, 5, 7)
 
@@ -167,15 +159,16 @@ def _tile(pattern, r0, size):
     return out
 
 
-def _sieve_segment(lo, hi, base_primes, pmin=2):
+def _sieve_segment(lo, hi, powers, pmin=2):
     """(omega, sqfree, first) on one segment [lo, hi).
 
-    base_primes must cover sqrt(hi-1). omega counts prime factors with
-    multiplicity, sqfree flags square-free n, and first is the smallest
-    prime factor >= pmin (0 when there is none; all 0 when pmin >= hi, for
-    the paths that need only omega and sqfree). No division runs per prime
-    power. The prime powers p^k < hi of base primes with p^2 < hi fall in
-    three parts:
+    powers is _prime_powers(base, hi') for base primes covering sqrt(hi-1)
+    and any hi' >= hi: one list serves every segment of a span. omega
+    counts prime factors with multiplicity, sqfree flags square-free n, and
+    first is the smallest prime factor >= pmin (0 when there is none; all 0
+    when pmin >= hi, for the paths that need only omega and sqfree). No
+    division runs per prime power. The powers p^k < hi of the primes with
+    p^2 < hi fall in three parts:
     - wheel: the powers dividing WHEEL are periodic mod WHEEL, so their part
       of omega and of the smooth product, and the flags of 4 and 9, are
       tiled from one precomputed period (Pritchard's pre-sieve);
@@ -192,7 +185,9 @@ def _sieve_segment(lo, hi, base_primes, pmin=2):
     r0 = lo % WHEEL
     omega, smooth, sqfree = (_tile(pattern, r0, size) for pattern in _WHEEL_PATTERNS)
     first = np.zeros(size, dtype=np.int64)
-    ps, pks = _prime_powers(base_primes, hi)
+    ps, pks = powers
+    reached = (pks < hi) & (ps * ps < hi)
+    ps, pks = ps[reached], pks[reached]
     # one strided call costs about as much as a few hundred scattered hits
     dense = pks <= size >> 8
     _scatter(lo, size, ps[~dense], pks[~dense], pmin, omega, smooth, sqfree, first)
@@ -203,8 +198,7 @@ def _sieve_segment(lo, hi, base_primes, pmin=2):
         smooth[s::pk] *= p
         if pk == p * p:
             sqfree[s::pk] = False
-    n = np.arange(lo, hi, dtype=np.int64)
-    big = smooth != n
+    big = smooth != np.arange(lo, hi, dtype=np.int64)
     omega += big
     if pmin < hi:
         leads = [(p, s) for p, pk, s in zip(ps, pks, starts) if pk == p >= pmin]
@@ -213,18 +207,17 @@ def _sieve_segment(lo, hi, base_primes, pmin=2):
             first[s::p] = p
         big &= first == 0
         i = np.flatnonzero(big)
-        cof = n[i] // smooth[i]
+        cof = (i + lo) // smooth[i]
         keep = cof >= pmin
         first[i[keep]] = cof[keep]
     return omega, sqfree, first
 
 
 def _prime_powers(base_primes, hi):
-    """(p, p^k) for every base prime p with p^2 < hi and every k with
+    """(p, p^k) for every base prime p, all below hi, and every k with
     p^k < hi, leaving out the powers that divide WHEEL. The k = 1 entries
-    come first, p ascending."""
-    ps = base_primes[base_primes * base_primes < hi]
-    p_all, pk_all, pk = [ps], [ps], ps
+    come first, p ascending, then k = 2 and so on."""
+    p_all, pk_all, ps, pk = [base_primes], [base_primes], base_primes, base_primes
     while pk.size:
         more = pk <= (hi - 1) // ps
         ps, pk = ps[more], pk[more] * ps[more]
@@ -269,35 +262,46 @@ def _scatter(lo, size, ps, pks, pmin, omega, smooth, sqfree, first):
         np.minimum.at(first, idx[lead], pvals[lead])
 
 
-def build_sieve(lo, hi, segment_len=DEFAULT_SEGMENT):
-    """FactorTable over [lo, hi), processed in segments of segment_len.
+def _walk(lo, hi, pmin=math.inf, segment_len=None, budget=SPAN_BUDGET):
+    """(seg, omega, sqfree, first) for each segment of [lo, hi) in turn: seg
+    its slice of [lo, hi), the rest _sieve_segment's outputs for pmin.
 
-    Base primes up to sqrt(hi-1) are sieved once up front. Raises
-    BudgetError when the span exceeds the memory budget and OverflowError
-    when hi does not fit the 64-bit invariants.
-    """
+    The span check, base primes and _prime_powers run once, when _walk is
+    called, not on the first next(), so callers allocate after the check.
+    Segments hold segment_len integers, DEFAULT_SEGMENT when None. Loop
+    variables hold their arrays while the next segment is sieved, so
+    callers unpack the arrays they copy straight into their outputs."""
+    _check_span(lo, hi, budget)
+    step = DEFAULT_SEGMENT if segment_len is None else segment_len
+    powers = _prime_powers(primes_upto(math.isqrt(hi - 1)).primes, hi)
+    bounds = ((a, min(a + step, hi)) for a in range(lo, hi, step))
+    return ((slice(a - lo, b - lo),) + _sieve_segment(a, b, powers, pmin) for a, b in bounds)
+
+
+def build_sieve(lo, hi, segment_len=None):
+    """FactorTable over [lo, hi), processed in segments of segment_len
+    (DEFAULT_SEGMENT when None). Raises BudgetError when the span exceeds
+    the memory budget and OverflowError when hi does not fit the 64-bit
+    invariants."""
     lo, hi = int(lo), int(hi)
-    base, bounds = _segments(lo, hi, segment_len)
+    segments = _walk(lo, hi, 2, segment_len)
     spf = np.empty(hi - lo, dtype=np.int64)
     omega = np.empty(hi - lo, dtype=np.int16)
     lam = np.empty(hi - lo, dtype=np.int8)
     mu = np.empty(hi - lo, dtype=np.int8)
-    for a, b in bounds:
-        seg = slice(a - lo, b - lo)
-        omega[seg], sq, spf[seg] = _sieve_segment(a, b, base)
+    for seg, omega[seg], sq, spf[seg] in segments:
         lam[seg] = 1 - 2 * (omega[seg] & 1)
         mu[seg] = np.where(sq, lam[seg], 0)
     return FactorTable(lo, hi, spf, omega, lam, mu)
 
 
-def liouville_range(lo, hi, segment_len=DEFAULT_SEGMENT):
+def liouville_range(lo, hi):
     """int8 array of lambda(n) for n in [lo, hi); lean path for bulk scans."""
     lo, hi = int(lo), int(hi)
-    base, bounds = _segments(lo, hi, segment_len)
+    segments = _walk(lo, hi)
     out = np.empty(hi - lo, dtype=np.int8)
-    for a, b in bounds:
-        omega, _, _ = _sieve_segment(a, b, base, pmin=b)
-        out[a - lo : b - lo] = 1 - 2 * (omega & 1)
+    for seg, omega, _, _ in segments:
+        out[seg] = 1 - 2 * (omega & 1)
     return out
 
 
@@ -305,24 +309,21 @@ def least_factor_range(lo, hi, pmin):
     """(lam, first) on [lo, hi), segmented: lam(n) as int8 and the least
     prime factor of n that is >= pmin, 0 when there is none."""
     lo, hi = int(lo), int(hi)
-    base, bounds = _segments(lo, hi, DEFAULT_SEGMENT)
+    segments = _walk(lo, hi, pmin)
     lam = np.empty(hi - lo, dtype=np.int8)
     first = np.empty(hi - lo, dtype=np.int64)
-    for a, b in bounds:
-        seg = slice(a - lo, b - lo)
-        omega, _, first[seg] = _sieve_segment(a, b, base, pmin=pmin)
+    for seg, omega, _, first[seg] in segments:
         lam[seg] = 1 - 2 * (omega & 1)
     return lam, first
 
 
-def mobius_range(lo, hi, segment_len=DEFAULT_SEGMENT):
+def mobius_range(lo, hi):
     """int8 array of mu(n) for n in [lo, hi), segmented."""
     lo, hi = int(lo), int(hi)
-    base, bounds = _segments(lo, hi, segment_len)
+    segments = _walk(lo, hi)
     out = np.empty(hi - lo, dtype=np.int8)
-    for a, b in bounds:
-        omega, sq, _ = _sieve_segment(a, b, base, pmin=b)
-        out[a - lo : b - lo] = np.where(sq, 1 - 2 * (omega & 1), 0)
+    for seg, omega, sq, _ in segments:
+        out[seg] = np.where(sq, 1 - 2 * (omega & 1), 0)
     return out
 
 
@@ -355,31 +356,29 @@ def _higher_prime_powers(x):
 def primality_range(lo, hi):
     """Boolean primality for n in [lo, hi), segmented Eratosthenes."""
     lo, hi = int(lo), int(hi)
-    base, bounds = _segments(lo, hi, DEFAULT_SEGMENT)
+    _check_span(lo, hi)
+    base = primes_upto(math.isqrt(hi - 1)).primes.tolist()
     out = np.ones(hi - lo, dtype=bool)
     if lo <= 1:
         out[: 2 - lo] = False
-    for a, b in bounds:
-        seg = out[a - lo : b - lo]
+    for a in range(lo, hi, DEFAULT_SEGMENT):
+        seg = out[a - lo : a - lo + DEFAULT_SEGMENT]
         for p in base:
-            p = int(p)
-            if p * p >= b:
+            if p * p >= a + len(seg):
                 break
             first = max(p * p, ((a + p - 1) // p) * p)
             seg[first - a :: p] = False
     return out
 
 
-def summatory_lambda(x, segment_len=DEFAULT_SEGMENT):
+def summatory_lambda(x):
     """Exact integer value of sum_{n <= x} lambda(n), streamed by segment."""
     x = int(x)
     if x < 1:
         return 0
-    base, bounds = _segments(1, x + 1, segment_len, budget=math.inf)
     total = 0
-    for a, b in bounds:
-        omega, _, _ = _sieve_segment(a, b, base, pmin=b)
-        total += b - a - 2 * int(np.count_nonzero(omega & 1))
+    for _, omega, _, _ in _walk(1, x + 1, budget=math.inf):
+        total += omega.size - 2 * int(np.count_nonzero(omega & 1))
     return total
 
 

@@ -163,6 +163,13 @@ def mutual_information(joint):
     return entropy_x(joint) + entropy_y(joint) - joint_entropy(joint)
 
 
+def _key_space(H, epsilon):
+    """(band primes, their product omega, whether 2^H omega fits KEY_BUDGET)."""
+    primes = band_primes(H, epsilon)
+    omega = math.prod(int(p) for p in primes)
+    return primes, omega, float(omega) * float(2**H) <= KEY_BUDGET
+
+
 def build_joint(model, H, epsilon):
     """Exact joint law of H consecutive signs past N and N's residues at
     the band primes, enumerated over the whole support (no sampling)."""
@@ -171,11 +178,8 @@ def build_joint(model, H, epsilon):
         raise ValueError("H must be positive")
     if model.n_count == 0 or model.L == 0.0:
         raise ValueError("model support is empty")
-    primes = band_primes(H, epsilon)
-    omega = 1
-    for p in primes:
-        omega *= int(p)
-    if float(omega) * float(2**H) > KEY_BUDGET:
+    primes, omega, fits = _key_space(H, epsilon)
+    if not fits:
         raise BudgetError("2^H * |Omega| = 2^%d * %d exceeds key budget" % (H, omega))
     lo, x = model.lo, model.x
     lam = arith_core.liouville_range(lo + 1, x + H + 1)
@@ -440,11 +444,7 @@ def decrement_trace(x, w, epsilon, H0, max_steps):
     witness = -1
     exhausted = False
     for j in range(int(max_steps)):
-        primes = band_primes(h, epsilon)
-        omega = 1
-        for p in primes:
-            omega *= int(p)
-        if h > 32 or float(omega) * float(2**h) > KEY_BUDGET:
+        if h > 32 or not _key_space(h, epsilon)[2]:
             exhausted = True
             break
         joint = build_joint(model, h, epsilon)

@@ -1,14 +1,27 @@
 """Sieve layer against trial-division oracles."""
 
+import contextlib
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liouville_lab import arith_core as ac
+from liouville_lab.util import BudgetError
 
 import oracles
+
+
+@contextlib.contextmanager
+def segment_length(length):
+    # DEFAULT_SEGMENT for the block; a context manager, since hypothesis
+    # rejects function-scoped fixtures such as monkeypatch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ac, "DEFAULT_SEGMENT", length)
+        yield
 
 
 def test_primes_upto_matches_oracle():
@@ -81,21 +94,23 @@ def test_liouville_completely_multiplicative(a, b):
        st.sampled_from([64, 257, 1 << 12, 1 << 20]))
 @settings(max_examples=40, deadline=None)
 def test_segment_independence(lo, span, seg):
-    # same values regardless of segment boundaries
+    # same values regardless of segment boundaries, whether the segment
+    # length comes from DEFAULT_SEGMENT or from build_sieve's argument
     hi = lo + span
-    base = ac.liouville_range(lo, hi)
-    assert np.array_equal(base, ac.liouville_range(lo, hi, segment_len=seg))
-    assert np.array_equal(ac.mobius_range(lo, hi),
-                          ac.mobius_range(lo, hi, segment_len=seg))
+    base, mobius, t0 = ac.liouville_range(lo, hi), ac.mobius_range(lo, hi), ac.build_sieve(lo, hi)
+    with segment_length(seg):
+        assert np.array_equal(base, ac.liouville_range(lo, hi))
+        assert np.array_equal(mobius, ac.mobius_range(lo, hi))
+        t2 = ac.build_sieve(lo, hi)
     # every table array, dtype included, and the parity-only paths agree with it
-    t0 = ac.build_sieve(lo, hi)
     t1 = ac.build_sieve(lo, hi, segment_len=seg)
     assert t1.omega.dtype == np.int16
-    for name in ("spf", "omega", "lam", "mu"):
-        a, b = getattr(t0, name), getattr(t1, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for t in (t1, t2):
+        for name in ("spf", "omega", "lam", "mu"):
+            a, b = getattr(t0, name), getattr(t, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert np.array_equal(base, t1.lam)
-    assert np.array_equal(ac.mobius_range(lo, hi), t1.mu)
+    assert np.array_equal(mobius, t1.mu)
 
 
 def test_least_factor_range_agrees_with_trial_division():
@@ -124,15 +139,19 @@ def test_least_factor_range_segment_independence(segment, monkeypatch):
         assert np.array_equal(lam, ac.liouville_range(lo, hi))
 
 
-def _assert_kernel_matches_strided(lo, hi, pmin):
+def _assert_matches_strided(got, lo, hi, pmin):
     # omega, sqfree and first, values and dtypes, against the one-strided-
-    # pass-per-prime-power kernel
+    # pass-per-prime-power kernel given the segment's own base primes
     base = ac.primes_upto(math.isqrt(hi - 1)).primes
-    got = ac._sieve_segment(lo, hi, base, pmin)
     want = oracles.strided_sieve_segment(lo, hi, base, pmin)
     for name, g, w in zip(("omega", "sqfree", "first"), got, want):
         assert g.dtype == w.dtype, (lo, hi, pmin, name)
         assert np.array_equal(g, w), (lo, hi, pmin, name)
+
+
+def _assert_kernel_matches_strided(lo, hi, pmin):
+    powers = ac._prime_powers(ac.primes_upto(math.isqrt(hi - 1)).primes, hi)
+    _assert_matches_strided(ac._sieve_segment(lo, hi, powers, pmin), lo, hi, pmin)
 
 
 @pytest.mark.parametrize("length", [64, 1 << 14, 1 << 18])
@@ -191,6 +210,62 @@ def test_kernel_matches_strided_oracle_property(lo, length, pmin):
     _assert_kernel_matches_strided(lo, hi, hi if pmin is None else pmin)
 
 
+@pytest.mark.parametrize("lo, hi", [(1, 10**10), (10**6 + 1, 10**12)])
+def test_walk_segments_match_strided_oracle(lo, hi):
+    # the walk's powers cover sqrt(hi - 1), far past sqrt(b - 1) of its
+    # first segments [a, b), which must come out as their own base primes
+    # give them
+    for pmin in (2, 30, math.inf):
+        walk = ac._walk(lo, hi, pmin, 1 << 12, budget=math.inf)
+        for seg, *got in itertools.islice(walk, 3):
+            _assert_matches_strided(got, lo + seg.start, lo + seg.stop, pmin)
+
+
+def test_walk_checks_span_when_called():
+    # before the first next(), so that callers allocate their outputs after
+    # the check
+    with pytest.raises(BudgetError):
+        ac._walk(1, ac.SPAN_BUDGET + 2)
+    with pytest.raises(ValueError):
+        ac._walk(5, 5)
+    with pytest.raises(OverflowError):
+        ac._walk(1, 2**63 + 1, budget=math.inf)
+
+
+def test_walk_bounds_are_lazy():
+    # [1, 1e11] holds 381,470 segments of 2^18: a list of their bounds
+    # alone took 48.4 MiB
+    tracemalloc.start()
+    try:
+        walk = ac._walk(1, 10**11 + 1, budget=math.inf)
+        next(walk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_prime_powers_built_once_per_walk(monkeypatch):
+    # rebuilt per segment, they took 123 calls on the first sieve below
+    calls = []
+    prime_powers = ac._prime_powers
+
+    def counted(base_primes, hi):
+        calls.append(hi)
+        return prime_powers(base_primes, hi)
+
+    monkeypatch.setattr(ac, "_prime_powers", counted)
+    ac.build_sieve(1, 2 * 10**6 + 1, segment_len=1 << 14)
+    assert calls == [2 * 10**6 + 1]
+    monkeypatch.setattr(ac, "DEFAULT_SEGMENT", 1 << 10)
+    for entry in (lambda: ac.build_sieve(1, 10**4), lambda: ac.liouville_range(1, 10**4),
+                  lambda: ac.mobius_range(1, 10**4), lambda: ac.least_factor_range(1, 10**4, 7),
+                  lambda: ac.summatory_lambda(10**4 - 1)):
+        calls.clear()
+        entry()
+        assert calls == [10**4]
+
+
 def test_range_functions_match_oracle():
     lo, hi = 1, 3000
     lam = ac.liouville_range(lo, hi)
@@ -220,8 +295,10 @@ def test_summatory_lambda_frozen_and_oracle():
 
 
 def test_summatory_lambda_segment_invariance():
-    assert ac.summatory_lambda(10**5) == ac.summatory_lambda(
-        10**5, segment_len=1 << 12)
+    want = ac.summatory_lambda(10**5)
+    for length in (64, 257, 1 << 12):
+        with segment_length(length):
+            assert ac.summatory_lambda(10**5) == want, length
 
 
 def test_chebyshev_psi_matches_oracle():

@@ -200,13 +200,14 @@ def test_failed_quadrature_certificate_is_a_row(capsys):
 
 
 def _forbid_work(monkeypatch):
-    # every sieve starts in _segments or in the Eratosthenes mask behind
-    # primes_upto (after its budget check), every t-grid in _phase_sum and
-    # every dense character row in CharacterTable.row: none of them may run
+    # every factor sieve starts in _walk, every boolean one in
+    # primality_range or in the Eratosthenes mask behind primes_upto (after
+    # its budget check), every t-grid in _phase_sum and every dense
+    # character row in CharacterTable.row: none of them may run
     def started(*args, **kwargs):
         raise RuntimeError("work started")
-    monkeypatch.setattr(arith_core, "_segments", started)
-    monkeypatch.setattr(arith_core, "_eratosthenes", started)
+    for name in ("_walk", "primality_range", "_eratosthenes"):
+        monkeypatch.setattr(arith_core, name, started)
     monkeypatch.setattr(expsum_circle.CharacterTable, "row", started)
     for module in (dirichlet_poly, interval_stats, zeta_mellin):
         monkeypatch.setattr(module, "_phase_sum", started)

@@ -91,16 +91,28 @@ def test_build_joint_matches_brute_force():
 
 
 def test_joint_marginals_and_decode():
-    joint = ent.build_joint(small_model(), 4, 1.0)
-    xs, xm = joint.x_marginal
-    ys, ym = joint.y_marginal
-    assert math.fsum(xm) == pytest.approx(1.0, abs=1e-12)
-    assert math.fsum(ym) == pytest.approx(1.0, abs=1e-12)
-    dense = joint.y_dense()
-    assert dense.shape == (3,)
-    for y, mass in zip(ys, ym):
-        assert dense[int(y)] == pytest.approx(mass, rel=1e-14)
-    assert joint.y_residues(2) == [2]
+    # against the brute-force joint: (20, 2, 20) has 10 integers against
+    # omega = 11 13 17 19, so most residues carry no mass, and at epsilon 16
+    # omega = 37 41 43 47 53 59 61, about 5.8e11: a dense residue marginal
+    # would not fit in memory, so its entropy comes from the sparse one
+    for x, w, H, eps in ((200, 4, 4, 1.0), (20, 2, 20, 1.0), (20, 2, 4, 16.0)):
+        joint = ent.build_joint(ent.LogWeightedModel(x, w), H, eps)
+        want, primes = brute_joint(x, w, H, eps)
+        assert joint.omega == math.prod(primes)
+        want_x, want_y = {}, {}
+        for (bits, y), mass in want.items():
+            want_x[bits] = want_x.get(bits, 0.0) + mass
+            want_y[y] = want_y.get(y, 0.0) + mass
+        for (got, masses), marginal in ((joint.x_marginal, want_x), (joint.y_marginal, want_y)):
+            assert got.tolist() == sorted(marginal)
+            assert masses == pytest.approx([marginal[k] for k in sorted(marginal)], rel=1e-12)
+        assert ent.entropy_y(joint) == pytest.approx(
+            oracles.entropy_nats(want_y.values()), rel=1e-12)
+        if joint.omega < 10**6:
+            dense = np.zeros(joint.omega)
+            dense[list(want_y)] = list(want_y.values())
+            assert joint.y_dense() == pytest.approx(dense, rel=1e-12, abs=0.0)
+    assert joint.y_residues(37 + 37 * 41 * 5) == [0, 1, 5, 0, 0, 0, 0]
     with pytest.raises(ValueError):
         ent.build_joint(small_model(), 0, 1.0)
 
@@ -335,6 +347,17 @@ def test_decrement_trace_small_model():
     assert tr2.steps == tr.steps
     with pytest.raises(ValueError):
         ent.decrement_trace(2000, 10, 1.0, 1, 5)
+
+
+def test_decrement_trace_stops_on_key_budget():
+    # at epsilon 8, h = 8 takes the primes in (32, 64] (omega about 5.8e11)
+    # and h = 16 those in (64, 128], whose 2^16 omega keys pass KEY_BUDGET:
+    # the trace stops where build_joint would refuse
+    tr = ent.decrement_trace(2000, 10, 8.0, 8, 5)
+    assert [h for h, _, _ in tr.steps] == [8]
+    assert tr.exhausted is True
+    with pytest.raises(BudgetError):
+        ent.build_joint(ent.LogWeightedModel(2000, 10), 16, 8.0)
 
 
 def test_decrement_trace_respects_max_steps():
