@@ -20,17 +20,6 @@ SPAN_BUDGET = 1 << 26
 
 
 @dataclass
-class PrimeList:
-    """Primes up to an inclusive bound, ascending."""
-
-    bound: int
-    primes: np.ndarray
-
-    def __len__(self):
-        return len(self.primes)
-
-
-@dataclass
 class FactorTable:
     """Per-integer factor data on [lo, hi)."""
 
@@ -62,31 +51,22 @@ class FactorTable:
 
 
 def primes_upto(bound):
-    """PrimeList of all primes <= bound via boolean Eratosthenes.
+    """int64 array of the primes <= bound, ascending, from the segmented
+    Eratosthenes of primality_range.
 
-    Raises BudgetError before the mask is allocated when its bound + 1
-    flags exceed SPAN_BUDGET."""
+    Raises BudgetError before any work when the bound + 1 flags of [0, bound]
+    exceed SPAN_BUDGET."""
     bound = int(bound)
     if bound < 2:
-        return PrimeList(bound, np.zeros(0, dtype=np.int64))
+        return np.zeros(0, dtype=np.int64)
     if bound + 1 > SPAN_BUDGET:
         raise BudgetError("span %d exceeds budget %d" % (bound + 1, SPAN_BUDGET))
-    return PrimeList(bound, _eratosthenes(bound))
-
-
-def _eratosthenes(bound):
-    """int64 array of the primes <= bound, bound >= 2, from one boolean mask."""
-    mask = np.ones(bound + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(bound) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    return np.flatnonzero(primality_range(2, bound + 1)) + 2
 
 
 def primes_in(a, b):
     """Primes p with a < p <= b for real bounds a and b, ascending."""
-    plist = primes_upto(math.floor(b)).primes
+    plist = primes_upto(math.floor(b))
     return plist[plist > a]
 
 
@@ -171,7 +151,8 @@ def _sieve_segment(lo, hi, powers, pmin=2):
     p^2 < hi fall in three parts:
     - wheel: the powers dividing WHEEL are periodic mod WHEEL, so their part
       of omega and of the smooth product, and the flags of 4 and 9, are
-      tiled from one precomputed period (Pritchard's pre-sieve);
+      tiled from one precomputed period (Pritchard's pre-sieve), and they
+      are masked out of powers;
     - dense: every other power up to a cut of len/256 gets one strided pass;
     - scatter: the powers above the cut hit few n each, so _scatter builds
       all their hit indices at once and adds, multiplies and flags them in
@@ -186,7 +167,7 @@ def _sieve_segment(lo, hi, powers, pmin=2):
     omega, smooth, sqfree = (_tile(pattern, r0, size) for pattern in _WHEEL_PATTERNS)
     first = np.zeros(size, dtype=np.int64)
     ps, pks = powers
-    reached = (pks < hi) & (ps * ps < hi)
+    reached = (pks < hi) & (ps * ps < hi) & (WHEEL % pks != 0)
     ps, pks = ps[reached], pks[reached]
     # one strided call costs about as much as a few hundred scattered hits
     dense = pks <= size >> 8
@@ -215,17 +196,15 @@ def _sieve_segment(lo, hi, powers, pmin=2):
 
 def _prime_powers(base_primes, hi):
     """(p, p^k) for every base prime p, all below hi, and every k with
-    p^k < hi, leaving out the powers that divide WHEEL. The k = 1 entries
-    come first, p ascending, then k = 2 and so on."""
+    p^k < hi. The k = 1 entries come first, p ascending, then k = 2 and so
+    on."""
     p_all, pk_all, ps, pk = [base_primes], [base_primes], base_primes, base_primes
     while pk.size:
         more = pk <= (hi - 1) // ps
         ps, pk = ps[more], pk[more] * ps[more]
         p_all.append(ps)
         pk_all.append(pk)
-    p_all, pk_all = np.concatenate(p_all), np.concatenate(pk_all)
-    off_wheel = WHEEL % pk_all != 0
-    return p_all[off_wheel], pk_all[off_wheel]
+    return np.concatenate(p_all), np.concatenate(pk_all)
 
 
 def _scatter(lo, size, ps, pks, pmin, omega, smooth, sqfree, first):
@@ -273,7 +252,7 @@ def _walk(lo, hi, pmin=math.inf, segment_len=None, budget=SPAN_BUDGET):
     callers unpack the arrays they copy straight into their outputs."""
     _check_span(lo, hi, budget)
     step = DEFAULT_SEGMENT if segment_len is None else segment_len
-    powers = _prime_powers(primes_upto(math.isqrt(hi - 1)).primes, hi)
+    powers = _prime_powers(primes_upto(math.isqrt(hi - 1)), hi)
     bounds = ((a, min(a + step, hi)) for a in range(lo, hi, step))
     return ((slice(a - lo, b - lo),) + _sieve_segment(a, b, powers, pmin) for a, b in bounds)
 
@@ -335,29 +314,17 @@ def von_mangoldt_minus_one_range(lo, hi):
     flags = primality_range(lo, hi)
     idx = np.flatnonzero(flags)
     out[idx] += np.log((idx + lo).astype(np.float64))
-    for p, pk in _higher_prime_powers(hi - 1):
-        if pk >= lo:
-            out[pk - lo] = math.log(p) - 1.0
-    if lo <= 1 < hi:
-        out[1 - lo] = -1.0
+    ps, pks = _prime_powers(primes_upto(math.isqrt(hi - 1)), hi)
+    higher = (pks != ps) & (pks >= lo)
+    out[pks[higher] - lo] = [math.log(p) - 1.0 for p in ps[higher].tolist()]
     return out
-
-
-def _higher_prime_powers(x):
-    """(p, p^k) for every prime p and k >= 2 with p^k <= x, in order of p
-    and then k."""
-    for p in primes_upto(math.isqrt(x)).primes.tolist():
-        pk = p * p
-        while pk <= x:
-            yield p, pk
-            pk *= p
 
 
 def primality_range(lo, hi):
     """Boolean primality for n in [lo, hi), segmented Eratosthenes."""
     lo, hi = int(lo), int(hi)
     _check_span(lo, hi)
-    base = primes_upto(math.isqrt(hi - 1)).primes.tolist()
+    base = primes_upto(math.isqrt(hi - 1)).tolist()
     out = np.ones(hi - lo, dtype=bool)
     if lo <= 1:
         out[: 2 - lo] = False
@@ -387,14 +354,15 @@ def chebyshev_psi(x):
     x = int(x)
     if x < 2:
         return 0.0
-    logs = np.log(primes_upto(x).primes.astype(np.float64))
-    extra = [math.log(p) for p, _ in _higher_prime_powers(x)]
-    return fsum(logs) + math.fsum(extra)
+    primes = primes_upto(x)
+    ps, pks = _prime_powers(primes[primes <= math.isqrt(x)], x + 1)
+    extra = [math.log(p) for p in ps[pks != ps].tolist()]
+    return fsum(np.log(primes.astype(np.float64))) + math.fsum(extra)
 
 
 def prime_reciprocal_sum(x):
     """sum of 1/p over primes p <= x, exactly rounded accumulation."""
-    plist = primes_upto(int(x)).primes
+    plist = primes_upto(int(x))
     if len(plist) == 0:
         return 0.0
     return fsum(1.0 / plist.astype(np.float64))
@@ -408,10 +376,10 @@ def squarefree_count(x):
     d_max = math.isqrt(x)
     if d_max < 2:
         return x
-    table = build_sieve(1, d_max + 1)
+    mu = mobius_range(1, d_max + 1)
     total = 0
     for d in range(1, d_max + 1):
-        m = int(table.mu[d - 1])
+        m = int(mu[d - 1])
         if m:
             total += m * (x // (d * d))
     return total

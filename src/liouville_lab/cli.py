@@ -106,14 +106,9 @@ def _json_scalar(v):
         return json.dumps(v)
     if isinstance(v, (tuple, list)):
         return "[" + ", ".join(_json_scalar(e) for e in v) + "]"
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    x = float(v)
-    if math.isinf(x) or math.isnan(x):
-        return json.dumps(_fmt(x))  # JSON numbers cannot hold inf/nan
-    return "%.12g" % x
+    text = _fmt(v)
+    # JSON numbers cannot hold inf/nan
+    return json.dumps(text) if text in ("inf", "-inf", "nan") else text
 
 
 def render_json(rows):
@@ -413,6 +408,7 @@ def h_goldbach(P):
 def h_entropy(P):
     x, w, H, eps = P["x"], P["w"], P["H"], P["epsilon"]
     model = entropy_chowla.LogWeightedModel(x, w)
+    entropy_chowla.check_residue_space(H, eps)  # the rows below read y_dense
     joint = entropy_chowla.build_joint(model, H, eps)
     hx = entropy_chowla.entropy_x(joint)
     hy = entropy_chowla.entropy_y(joint)
@@ -698,7 +694,7 @@ def main(argv=None):
     except (BudgetError, MemoryError, OverflowError) as exc:
         sys.stderr.write("resource error: %s\n" % exc)
         return EXIT_RESOURCE
-    except (ValueError, PreconditionError) as exc:
+    except PreconditionError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return EXIT_USAGE
     except Exception as exc:  # a crash is not an envelope failure

@@ -45,7 +45,7 @@ class LogWeightedModel:
     def __post_init__(self):
         self.x = int(self.x)
         if not 1 <= self.w <= self.x:
-            raise ValueError("need 1 <= w <= x")
+            raise PreconditionError("need 1 <= w <= x")
         self.lo = _support_start(self.x, self.w)
         if self.lo > self.x:
             self.L = 0.0
@@ -170,6 +170,15 @@ def _key_space(H, epsilon):
     return primes, omega, float(omega) * float(2**H) <= KEY_BUDGET
 
 
+def check_residue_space(H, epsilon):
+    """Raise BudgetError when the dense residue marginal (y_dense, one float
+    per class mod omega) would exceed arith_core.SPAN_BUDGET; callers that
+    read it check before building the joint."""
+    omega = _key_space(H, epsilon)[1]
+    if omega > arith_core.SPAN_BUDGET:
+        raise BudgetError("residue space %d exceeds budget %d" % (omega, arith_core.SPAN_BUDGET))
+
+
 def build_joint(model, H, epsilon):
     """Exact joint law of H consecutive signs past N and N's residues at
     the band primes, enumerated over the whole support (no sampling)."""
@@ -287,7 +296,7 @@ def log_chowla_sum(x, w):
     the whole span is checked against the sieve budget."""
     x = int(x)
     if not 1 <= w <= x:
-        raise ValueError("need 1 <= w <= x")
+        raise PreconditionError("need 1 <= w <= x")
     lo = _support_start(x, w)
     if lo > x:
         return 0.0

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith_core
-from .util import BudgetError, fsum, fsum_complex
+from .util import BudgetError, PreconditionError, fsum, fsum_complex
 
 TWO_PI = 2.0 * math.pi
 
@@ -145,7 +145,7 @@ def vinogradov_sum(alpha, N, Xcap, C=4.0):
 def fourth_moment_primes(h):
     """sum over all j of r(j)^2 where r(j) counts prime pairs p, q <= h
     with q - p = j. Pure pair counting, no quadrature."""
-    plist = arith_core.primes_upto(int(h)).primes
+    plist = arith_core.primes_upto(int(h))
     k = len(plist)
     if k == 0:
         return 0
@@ -173,7 +173,7 @@ def major_arc_measure(h, epsilon, grid_points):
     if G < 10**3:
         raise ValueError("grid_points must be at least 1e3")
     threshold = epsilon * h / math.log(h)
-    plist = arith_core.primes_upto(h).primes
+    plist = arith_core.primes_upto(h)
     M = 2 * G
     # at alpha = j/M the phase e(alpha p) depends only on p mod M
     vec = np.bincount(plist % M, minlength=M).astype(np.float64)
@@ -199,29 +199,30 @@ def _primitive_root(pe, p, e):
 
 
 def _factor_group(p, e):
-    """Generators [(g, order)] and dlog table for units mod p^e."""
+    """[(order, dlog)] for the units mod p^e: one cyclic factor per
+    generator, dlog an int64 array over the residues mod p^e holding each
+    unit's exponent of that generator (0 off the units)."""
     pe = p**e
     if pe == 2:
-        return pe, [], {1: ()}
-    if pe == 4:
-        return pe, [(3, 2)], {1: (0,), 3: (1,)}
+        return []
     if p == 2:
-        half = 2 ** (e - 2)
-        gens = [(pe - 1, 2), (5, half)]
-        dlog = {}
-        for a in range(2):
-            for b in range(half):
-                r = (pow(pe - 1, a, pe) * pow(5, b, pe)) % pe
-                dlog[r] = (a, b)
-        return pe, gens, dlog
+        # every unit is (-1)^a 5^b, a < 2, b < 2^(e-2); mod 4 only a is left
+        half = pe // 4
+        sign, five = np.zeros(pe, dtype=np.int64), np.zeros(pe, dtype=np.int64)
+        x = 1
+        for b in range(half):
+            five[x] = five[pe - x] = b
+            sign[pe - x] = 1
+            x = x * 5 % pe
+        return [(2, sign)] if pe == 4 else [(2, sign), (half, five)]
     phi = pe // p * (p - 1)
     g = _primitive_root(pe, p, e)
-    dlog = {}
+    dlog = np.zeros(pe, dtype=np.int64)
     x = 1
     for k in range(phi):
-        dlog[x] = (k,)
-        x = (x * g) % pe
-    return pe, [(g, phi)], dlog
+        dlog[x] = k
+        x = x * g % pe
+    return [(phi, dlog)]
 
 
 MAX_DENSE_Q = 1024
@@ -233,12 +234,12 @@ class CharacterTable:
 
     Characters are enumerated by mixed-radix exponent tuples over the
     cyclic decomposition of the unit group; values come from exact
-    discrete logarithms, one root of unity per factor.
+    discrete logarithms, one int64 array over the residues mod q per
+    generator.
     """
 
     q: int
     orders: list          # cyclic factor orders, flattened
-    _moduli: list = field(repr=False)
     _dlogs: list = field(repr=False)
     _rows: dict = field(default_factory=dict, repr=False)
 
@@ -257,43 +258,29 @@ class CharacterTable:
         return k
 
     def value(self, index, n):
-        """chi_index(n) as complex; 0 off the unit group."""
-        n = int(n) % self.q if self.q > 1 else 0
-        if self.q == 1:
-            return 1.0 + 0j
+        """chi_index(n) as complex; 0 off the unit group. The same sum of
+        phases as row's entry at n, without building or caching the row."""
+        n = int(n) % self.q
         if math.gcd(n, self.q) != 1:
             return 0j
-        ks = self.exponents(index)
-        pos = 0
         phase = 0.0
-        for (pe, dlog), dcount in zip(zip(self._moduli, self._dlogs), self._gen_counts()):
-            exps = dlog[n % pe]
-            for j in range(dcount):
-                d = self.orders[pos + j]
-                phase += ((ks[pos + j] * exps[j]) % d) / d
-            pos += dcount
-        return cmath.exp(2j * math.pi * phase)
-
-    def _gen_counts(self):
-        counts = []
-        for dlog in self._dlogs:
-            sample = next(iter(dlog.values()))
-            counts.append(len(sample))
-        return counts
+        for k, d, dlog in zip(self.exponents(index), self.orders, self._dlogs):
+            phase += (k * int(dlog[n]) % d) / d
+        return e_of(phase)
 
     def row(self, index):
-        """Dense value vector over residues 0..q-1 (cached)."""
-        if index in self._rows:
-            return self._rows[index]
-        out = np.zeros(self.q, dtype=np.complex128)
-        if self.q == 1:
-            out[0] = 1.0
-        else:
-            for r in range(self.q):
-                if math.gcd(r, self.q) == 1:
-                    out[r] = self.value(index, r)
-        self._rows[index] = out
-        return out
+        """Dense value vector over residues 0..q-1 (cached): e(phase) at the
+        units, the phase summing (k dlog mod d) / d over the generators in
+        order, and 0 off the units."""
+        if index not in self._rows:
+            phase = np.zeros(self.q)
+            for k, d, dlog in zip(self.exponents(index), self.orders, self._dlogs):
+                phase += (k * dlog % d) / d
+            units = np.gcd(np.arange(self.q), self.q) == 1
+            out = np.zeros(self.q, dtype=np.complex128)
+            out[units] = np.exp(2j * np.pi * phase[units])
+            self._rows[index] = out
+        return self._rows[index]
 
     @property
     def values(self):
@@ -311,18 +298,15 @@ def characters_mod(q):
     once. 32 entries hold every divisor of any q <= MAX_DENSE_Q."""
     q = int(q)
     if not 1 <= q <= 10**4:
-        raise ValueError("q must lie in 1..1e4")
-    if q == 1:
-        return CharacterTable(1, [], [], [])
+        raise PreconditionError("q must lie in 1..1e4")
     orders = []
-    moduli = []
     dlogs = []
+    residues = np.arange(q)
     for p, e in arith_core.factorize(q):
-        pe, gens, dlog = _factor_group(p, e)
-        moduli.append(pe)
-        dlogs.append(dlog)
-        orders.extend(d for _, d in gens)
-    return CharacterTable(q, orders, moduli, dlogs)
+        for d, dlog in _factor_group(p, e):
+            orders.append(d)
+            dlogs.append(dlog[residues % p**e])
+    return CharacterTable(q, orders, dlogs)
 
 
 def euler_phi(q):
@@ -369,8 +353,8 @@ def additive_to_multiplicative(a, q):
 
 
 def reconstruct_additive(decomp, n):
-    """Resum the divisor/character expansion at integer n. Character values
-    come from the cached dense rows, which hold exactly CharacterTable.value."""
+    """Resum the divisor/character expansion at integer n, with character
+    values from the cached dense rows."""
     n = int(n)
     total = 0j
     for d, M, idx, coeff in decomp.terms:
@@ -396,7 +380,7 @@ def chowla_avg(X, h):
     """
     X, h = int(X), int(h)
     if h >= X:
-        raise ValueError("need h < X")
+        raise PreconditionError("need h < X")
     lam = arith_core.liouville_range(X + 1, 2 * X + 1).astype(np.int64)
     c = np.zeros(h, dtype=np.int64)
     for j in range(1, h + 1):
@@ -412,7 +396,7 @@ def prime_shift_correlation(X, h):
     normalized value * log h / (h X))."""
     X, h = int(X), int(h)
     lam = arith_core.liouville_range(X + 1, 2 * X + h + 1).astype(np.int64)
-    plist = arith_core.primes_upto(h).primes
+    plist = arith_core.primes_upto(h)
     total = 0
     for p in plist:
         total += int(np.dot(lam[:X], lam[int(p) : int(p) + X]))

@@ -14,7 +14,7 @@ import numpy as np
 from . import arith_core
 from .dirichlet_poly import _phase_sum, _trap
 from .expsum_circle import characters_mod
-from .util import BudgetError, ExactSum, check_mul64, fsum, fsum_complex
+from .util import BudgetError, ExactSum, PreconditionError, check_mul64, fsum, fsum_complex
 
 WINDOW_BUDGET = 6 * 10**7
 
@@ -31,7 +31,7 @@ class WindowSpec:
         if self.kind not in ("additive", "multiplicative"):
             raise ValueError("kind must be 'additive' or 'multiplicative'")
         if not (0 < self.h < self.X):
-            raise ValueError("need 0 < h < X")
+            raise PreconditionError("need 0 < h < X")
 
 
 def _values(fname, lo, hi):

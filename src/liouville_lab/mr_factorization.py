@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith_core
-from .util import BudgetError, fsum, fsum_complex
+from .util import BudgetError, PreconditionError, fsum, fsum_complex
 
 
 @dataclass
@@ -29,11 +29,11 @@ class RamareWeight:
 
     def __post_init__(self):
         if not (2 <= self.P0 < self.Q0):
-            raise ValueError("need 2 <= P0 < Q0")
+            raise PreconditionError("need 2 <= P0 < Q0")
         if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0,1)")
+            raise PreconditionError("delta must lie in (0,1)")
         if self.X <= self.Q0:
-            raise ValueError("X must exceed Q0")
+            raise PreconditionError("X must exceed Q0")
         # the weight array and the sieves behind it span (X, domain_hi]
         if self.domain_hi - self.X > arith_core.SPAN_BUDGET:
             raise BudgetError("span %d exceeds budget %d"

@@ -4,6 +4,9 @@ Everything here is deliberately naive: trial division, direct double loops,
 brute-force quadrature. None of it imports the package under test.
 """
 
+import cmath
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -350,3 +353,59 @@ def per_node_identity_residual(mr, w, t, q_nodes):
         acc += z1 * z2 * du
     rhs = acc / math.log(one)
     return abs(lhs - z_err - rhs)
+
+
+# -------------------------------------------------------------- characters
+
+def _order(g, m):
+    k, x = 1, g % m
+    while x != 1:
+        x = x * g % m
+        k += 1
+    return k
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_group(q):
+    """[(p^e, orders, dlog)] for each prime power p^e of q: the orders of the
+    cyclic factors of the units mod p^e, and a dict from each unit to its
+    tuple of exponents. The generators are -1 and 5 mod 2^e (3 mod 4) and
+    the least primitive root mod odd p^e."""
+    out = []
+    for p, e in trial_factor(q) if q > 1 else []:
+        pe = p**e
+        if pe == 2:
+            gens = []
+        elif pe == 4:
+            gens = [(3, 2)]
+        elif p == 2:
+            gens = [(pe - 1, 2), (5, pe // 4)]
+        else:
+            phi = pe // p * (p - 1)
+            g = next(g for g in range(2, pe) if g % p and _order(g, pe) == phi)
+            gens = [(g, phi)]
+        dlog = {}
+        for exps in itertools.product(*(range(d) for _, d in gens)):
+            r = 1
+            for (g, _), k in zip(gens, exps):
+                r = r * pow(g, k, pe) % pe
+            dlog[r] = exps
+        out.append((pe, [d for _, d in gens], dlog))
+    return out
+
+
+def character_value(q, index, n):
+    """chi_index(n) mod q, one residue at a time: the exponents of index in
+    mixed radix over the factor orders, one phase (k e mod d) / d added per
+    factor in order, then one cmath.exp; 0 off the units."""
+    if q == 1:
+        return 1.0 + 0j
+    n %= q
+    if math.gcd(n, q) != 1:
+        return 0j
+    phase = 0.0
+    for pe, orders, dlog in _unit_group(q):
+        for d, e in zip(orders, dlog[n % pe]):
+            phase += ((index % d) * e % d) / d
+            index //= d
+    return cmath.exp(2j * math.pi * phase)

@@ -217,7 +217,7 @@ def test_c10_entropy_suite():
 def test_c11_bridge_residuals():
     t0 = time.perf_counter()
     r1 = entropy_chowla.divisibility_trick_residual(10**7, 10**2, 10, 100)
-    plist = arith_core.primes_upto(100).primes
+    plist = arith_core.primes_upto(100)
     ell = math.fsum(1.0 / p for p in plist[plist > 10])
     assert r1 <= 5.0 * math.log(100) / ell
     assert r1 == pytest.approx(0.00985353161601242, rel=1e-9)

@@ -25,13 +25,13 @@ def segment_length(length):
 
 
 def test_primes_upto_matches_oracle():
-    got = ac.primes_upto(1000).primes
+    got = ac.primes_upto(1000)
     assert got.tolist() == oracles.primes_upto(1000)
 
 
 def test_primes_upto_tiny_bounds():
-    assert ac.primes_upto(1).primes.tolist() == []
-    assert ac.primes_upto(2).primes.tolist() == [2]
+    assert ac.primes_upto(1).tolist() == []
+    assert ac.primes_upto(2).tolist() == [2]
 
 
 def test_primes_in_half_open_edges():
@@ -142,7 +142,7 @@ def test_least_factor_range_segment_independence(segment, monkeypatch):
 def _assert_matches_strided(got, lo, hi, pmin):
     # omega, sqfree and first, values and dtypes, against the one-strided-
     # pass-per-prime-power kernel given the segment's own base primes
-    base = ac.primes_upto(math.isqrt(hi - 1)).primes
+    base = ac.primes_upto(math.isqrt(hi - 1))
     want = oracles.strided_sieve_segment(lo, hi, base, pmin)
     for name, g, w in zip(("omega", "sqfree", "first"), got, want):
         assert g.dtype == w.dtype, (lo, hi, pmin, name)
@@ -150,7 +150,7 @@ def _assert_matches_strided(got, lo, hi, pmin):
 
 
 def _assert_kernel_matches_strided(lo, hi, pmin):
-    powers = ac._prime_powers(ac.primes_upto(math.isqrt(hi - 1)).primes, hi)
+    powers = ac._prime_powers(ac.primes_upto(math.isqrt(hi - 1)), hi)
     _assert_matches_strided(ac._sieve_segment(lo, hi, powers, pmin), lo, hi, pmin)
 
 
@@ -299,6 +299,35 @@ def test_summatory_lambda_segment_invariance():
     for length in (64, 257, 1 << 12):
         with segment_length(length):
             assert ac.summatory_lambda(10**5) == want, length
+
+
+@pytest.mark.parametrize("segment", [64, 1000])
+def test_prime_tables_across_segment_edges(segment, monkeypatch):
+    # primes_upto runs on the segmented Eratosthenes: the prime tables match
+    # the oracles and their own default-segment values at any segment
+    # length, on ranges that start or end on or next to segment edges and
+    # the prime powers 2^12, 3^7 and 67^2
+    bound = 5000
+    primes = oracles.primes_upto(bound)
+    vm = [-1.0] + [math.log(f[0][0]) - 1.0 if len(f) == 1 else -1.0
+                   for f in map(oracles.trial_factor, range(2, bound + 1))]
+    edges = [1, 2, 3, 63, 64, 65, 127, 128, 999, 1000, 1001, bound]
+    for pk in (2**12, 3**7, 67**2):
+        edges += [pk - 1, pk, pk + 1]
+    whole = (ac.primes_upto(bound), ac.von_mangoldt_minus_one_range(1, bound + 1),
+             ac.chebyshev_psi(bound))
+    monkeypatch.setattr(ac, "DEFAULT_SEGMENT", segment)
+    assert np.array_equal(ac.primes_upto(bound), whole[0])
+    assert np.array_equal(ac.von_mangoldt_minus_one_range(1, bound + 1), whole[1])
+    assert ac.chebyshev_psi(bound) == whole[2]
+    for b in edges:
+        assert ac.primes_upto(b).tolist() == [p for p in primes if p <= b], b
+        assert ac.chebyshev_psi(b) == pytest.approx(oracles.chebyshev_psi(b), rel=1e-12), b
+        for a in edges:
+            assert ac.primes_in(a, b).tolist() == [p for p in primes if a < p <= b], (a, b)
+            if a < b:
+                got = ac.von_mangoldt_minus_one_range(a, b)
+                assert got == pytest.approx(vm[a - 1 : b - 1], abs=1e-12), (a, b)
 
 
 def test_chebyshev_psi_matches_oracle():

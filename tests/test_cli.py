@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from liouville_lab import arith_core, cli, dirichlet_poly, expsum_circle, interval_stats, zeta_mellin
@@ -103,6 +104,25 @@ def test_json_format_agrees_with_csv(capsys):
         assert obj["parameters"]["h"] == 50
 
 
+def test_json_non_finite_and_typed_scalars():
+    # JSON numbers cannot hold inf or nan, so they are quoted; bools, ints and
+    # floats, numpy scalars included, print as in the CSV cells
+    rows = [cli.make_row("t", {"x": 3, "h_list": (1, 2), "flag": True, "f": np.float64(0.25),
+                               "n": np.int64(7), "kind": 'a"b'}, math.inf),
+            cli.make_row("t", {"x": -math.inf}, math.nan, 2.0, ratio=math.nan, status="fail"),
+            cli.make_row("t", {"b": np.bool_(False)}, -math.inf, None)]
+    assert cli.render_json(rows) == (
+        '[\n'
+        '  {"experiment": "t", "parameters": {"x": 3, "h_list": [1, 2], "flag": true, '
+        '"f": 0.25, "n": 7, "kind": "a\\"b"}, "value": "inf", "envelope": null, '
+        '"ratio": null, "status": "info"},\n'
+        '  {"experiment": "t", "parameters": {"x": "-inf"}, "value": "nan", "envelope": 2, '
+        '"ratio": "nan", "status": "fail"},\n'
+        '  {"experiment": "t", "parameters": {"b": false}, "value": "-inf", "envelope": null, '
+        '"ratio": null, "status": "info"}\n'
+        ']\n')
+
+
 def test_tuple_parameter_rendering(capsys):
     argv = ["variance", "--x", "100000", "--h-list", "100,1000", "--fname", "liouville"]
     rc, out, _ = run(argv, capsys)
@@ -199,15 +219,20 @@ def test_failed_quadrature_certificate_is_a_row(capsys):
     assert [r[-1] for r in rows[:-1]] == ["pass"] * 4
 
 
-def _forbid_work(monkeypatch):
+def _forbid_work(monkeypatch, prime_bound=0):
     # every factor sieve starts in _walk, every boolean one in
-    # primality_range or in the Eratosthenes mask behind primes_upto (after
-    # its budget check), every t-grid in _phase_sum and every dense
-    # character row in CharacterTable.row: none of them may run
+    # primality_range (behind primes_upto too, after its budget check),
+    # every t-grid in _phase_sum and every dense character row in
+    # CharacterTable.row: none of them may run, save a prime list up to
+    # prime_bound where a parameter is sized from primes
     def started(*args, **kwargs):
         raise RuntimeError("work started")
-    for name in ("_walk", "primality_range", "_eratosthenes"):
-        monkeypatch.setattr(arith_core, name, started)
+    primality_range = arith_core.primality_range
+
+    def small_primality_range(lo, hi):
+        return primality_range(lo, hi) if hi <= prime_bound + 1 else started()
+    monkeypatch.setattr(arith_core, "_walk", started)
+    monkeypatch.setattr(arith_core, "primality_range", small_primality_range)
     monkeypatch.setattr(expsum_circle.CharacterTable, "row", started)
     for module in (dirichlet_poly, interval_stats, zeta_mellin):
         monkeypatch.setattr(module, "_phase_sum", started)
@@ -288,9 +313,13 @@ def test_joined_window_condition_exits_two_before_work(argv, monkeypatch, capsys
     ["expsum", "--x", "100000000"],
     # the dense table past MAX_DENSE_Q is refused before any row is built
     ["characters", "--q", "1025"],
+    # the residue space of the band primes in (32, 64] holds 5.8e11 classes,
+    # one dense float each, refused before the joint is sieved; only the
+    # band primes themselves may be listed
+    ["entropy", "--h", "4", "--epsilon", "16"],
 ])
 def test_span_past_budget_exits_three_before_work(argv, monkeypatch, capsys):
-    _forbid_work(monkeypatch)
+    _forbid_work(monkeypatch, prime_bound=64 if argv[0] == "entropy" else 0)
     rc, out, err = run(argv, capsys)
     assert rc == 3
     assert out == ""
@@ -322,6 +351,19 @@ def test_handler_crash_exits_four(monkeypatch, capsys):
     assert rc == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert "internal error: ZeroDivisionError" in err
+
+
+def test_bare_value_error_in_handler_exits_four(monkeypatch, capsys):
+    # only a stated precondition (PreconditionError) is a usage error; any
+    # other ValueError raised inside a handler is a crash
+    def broken(X, h):
+        raise ValueError("broken library call")
+    monkeypatch.setattr(expsum_circle, "chowla_avg", broken)
+    rc, out, err = run(["chowla-avg"], capsys)
+    assert rc == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "internal error: ValueError: broken library call" in err
+    assert "usage error" not in err
 
 
 def test_resource_exhaustion_exits_three(capsys):

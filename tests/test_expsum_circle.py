@@ -250,6 +250,26 @@ def test_character_multiplicativity(q, idx_seed, m, n):
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def test_character_rows_match_per_residue_oracle():
+    # every row, computed in numpy, and every single value against the
+    # per-residue loop, bit for bit
+    for q in range(1, 121):
+        tab = ec.characters_mod(q)
+        for idx in range(tab.n_chars):
+            want = [oracles.character_value(q, idx, n) for n in range(q)]
+            assert tab.row(idx).tolist() == want, (q, idx)
+            assert [tab.value(idx, n + q) for n in range(q)] == want, (q, idx)
+
+
+def test_character_value_builds_no_row():
+    # a single value at a large modulus costs one phase per generator and
+    # caches nothing, unlike a dense q-long row
+    tab = ec.characters_mod.__wrapped__(9973)
+    assert tab.value(5, 2) == oracles.character_value(9973, 5, 2)
+    assert tab.value(5, 9973) == 0j
+    assert tab._rows == {}
+
+
 def test_character_budget_and_domain():
     with pytest.raises(BudgetError):
         ec.characters_mod(1025).values
