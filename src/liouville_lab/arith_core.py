@@ -126,13 +126,13 @@ _WHEEL_PATTERNS = _wheel_patterns()
 
 
 def _tile(pattern, r0, size):
-    """pattern[(r0 + i) % WHEEL] for i in 0..size-1, in a fresh array of
-    exactly size entries."""
+    """pattern[(r0 + i) % len(pattern)] for i in 0..size-1, in a fresh array
+    of exactly size entries."""
     out = np.empty(size, dtype=pattern.dtype)
     period = np.roll(pattern, -r0)[:size]
     k = len(period)
     out[:k] = period
-    while k < size:  # k stays a multiple of WHEEL
+    while k < size:  # k stays a multiple of len(pattern)
         n = min(k, size - k)
         out[k : k + n] = out[:n]
         k += n

@@ -407,8 +407,8 @@ def h_goldbach(P):
 
 def h_entropy(P):
     x, w, H, eps = P["x"], P["w"], P["H"], P["epsilon"]
-    model = entropy_chowla.LogWeightedModel(x, w)
     entropy_chowla.check_residue_space(H, eps)  # the rows below read y_dense
+    model = entropy_chowla.LogWeightedModel(x, w)
     joint = entropy_chowla.build_joint(model, H, eps)
     hx = entropy_chowla.entropy_x(joint)
     hy = entropy_chowla.entropy_y(joint)

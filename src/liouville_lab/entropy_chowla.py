@@ -26,11 +26,29 @@ def _support_start(x, w):
 
 def _pack_signs(lam, start, count, H):
     """Sign patterns of H consecutive values packed into integers: bit j of
-    entry i is set iff lam[start + i + j] < 0, for i < count and j < H."""
-    bits = np.zeros(count, dtype=np.int64)
-    for j in range(H):
-        bits |= (lam[start + j : start + j + count] < 0).astype(np.int64) << j
-    return bits
+    entry i is set iff lam[start + i + j] < 0, for i < count and j < H.
+
+    A pattern of width 2h is two of width h side by side, so doubling builds
+    width H in ceil(log2 H) shifted ORs; the last one overlaps when H is not
+    a power of two, on bits that agree."""
+    bits = (lam[start : start + count + H - 1] < 0).astype(np.int64)
+    h = 1
+    while 2 * h <= H:
+        bits[: len(bits) - h] |= bits[h:] << h
+        h *= 2
+    if h < H:
+        bits[:count] |= bits[H - h : H - h + count] << (H - h)
+    return bits[:count]
+
+
+def _mixed_radix(ns, primes):
+    """Residue index sum_k (n mod p_k) prod_{l < k} p_l of each n in ns."""
+    y = np.zeros(len(ns), dtype=np.int64)
+    radix = 1
+    for p in primes:
+        y += radix * (ns % p)
+        radix *= p
+    return y
 
 
 @dataclass
@@ -81,21 +99,27 @@ class JointDistribution:
     _xm: tuple = field(default=None, repr=False)
     _ym: tuple = field(default=None, repr=False)
 
-    def _marginal(self, values):
+    def _marginal(self, values, space):
+        """(distinct values ascending, their masses) for values in
+        [0, space). Both routes add the masses in key order: a dense count
+        when the space is no longer than the keys, else one sort."""
+        if space <= len(values):
+            m = np.bincount(values, weights=self.masses, minlength=space)
+            uniq = np.flatnonzero(m)  # every key carries positive mass
+            return uniq, m[uniq]
         uniq, inv = np.unique(values, return_inverse=True)
-        m = np.bincount(inv, weights=self.masses)
-        return uniq, m
+        return uniq, np.bincount(inv, weights=self.masses)
 
     @property
     def x_marginal(self):
         if self._xm is None:
-            self._xm = self._marginal(self.keys // self.omega)
+            self._xm = self._marginal(self.keys // self.omega, 1 << self.H)
         return self._xm
 
     @property
     def y_marginal(self):
         if self._ym is None:
-            self._ym = self._marginal(self.keys % self.omega)
+            self._ym = self._marginal(self.keys % self.omega, self.omega)
         return self._ym
 
     def y_dense(self):
@@ -171,17 +195,27 @@ def _key_space(H, epsilon):
 
 
 def check_residue_space(H, epsilon):
-    """Raise BudgetError when the dense residue marginal (y_dense, one float
-    per class mod omega) would exceed arith_core.SPAN_BUDGET; callers that
-    read it check before building the joint."""
-    omega = _key_space(H, epsilon)[1]
+    """Check the residue space the dense residue marginal (y_dense, one float
+    per class mod omega) spans, before the joint is built: PreconditionError
+    when the band holds no prime (omega = 1 leaves log omega = 0), BudgetError
+    when omega exceeds arith_core.SPAN_BUDGET."""
+    primes, omega, _ = _key_space(H, epsilon)
+    if len(primes) == 0:
+        raise PreconditionError("no prime in (epsilon H / 2, epsilon H]")
     if omega > arith_core.SPAN_BUDGET:
         raise BudgetError("residue space %d exceeds budget %d" % (omega, arith_core.SPAN_BUDGET))
 
 
 def build_joint(model, H, epsilon):
     """Exact joint law of H consecutive signs past N and N's residues at
-    the band primes, enumerated over the whole support (no sampling)."""
+    the band primes, enumerated over the whole support (no sampling).
+
+    The support is walked in 2^21-integer chunks. A key space of 2^H omega
+    no larger than the support is counted densely, one bincount per chunk
+    added in order; a larger one is grouped by one sort per chunk, and the
+    chunk groups are merged by a second sort only when there are several.
+    Either way each key's mass adds its 1/n in increasing n within a chunk
+    and the chunk totals in chunk order, so both routes give the same bits."""
     H = int(H)
     if H < 1:
         raise ValueError("H must be positive")
@@ -190,32 +224,44 @@ def build_joint(model, H, epsilon):
     primes, omega, fits = _key_space(H, epsilon)
     if not fits:
         raise BudgetError("2^H * |Omega| = 2^%d * %d exceeds key budget" % (H, omega))
+    primes = tuple(int(p) for p in primes)
     lo, x = model.lo, model.x
     lam = arith_core.liouville_range(lo + 1, x + H + 1)
+    chunk = 1 << 21
+    # the residue index has period omega in n: one period, when it is no
+    # longer than a chunk and the support, tiles every chunk
+    period = None
+    if omega <= min(chunk, model.n_count):
+        period = _mixed_radix(np.arange(omega, dtype=np.int64), primes)
+    space = omega << H
+    total = np.zeros(space) if space <= model.n_count else None
     key_parts = []
     wt_parts = []
-    chunk = 1 << 21
     for a in range(lo, x + 1, chunk):
         b = min(a + chunk, x + 1)
-        ns = np.arange(a, b, dtype=np.int64)
-        bits = _pack_signs(lam, a - lo, b - a, H)
-        y = np.zeros(b - a, dtype=np.int64)
-        radix = 1
-        for p in primes:
-            y += radix * (ns % int(p))
-            radix *= int(p)
-        keys = bits * omega + y
-        uniq, inv = np.unique(keys, return_inverse=True)
-        wts = np.bincount(inv, weights=1.0 / ns.astype(np.float64))
-        key_parts.append(uniq)
-        wt_parts.append(wts)
-    keys = np.concatenate(key_parts)
-    wts = np.concatenate(wt_parts)
-    uniq, inv = np.unique(keys, return_inverse=True)
-    masses = np.bincount(inv, weights=wts)
+        keys = _pack_signs(lam, a - lo, b - a, H)
+        keys *= omega
+        if period is None:
+            keys += _mixed_radix(np.arange(a, b, dtype=np.int64), primes)
+        else:
+            keys += arith_core._tile(period, a % omega, b - a)
+        wts = 1.0 / np.arange(a, b, dtype=np.float64)
+        if total is not None:
+            total += np.bincount(keys, weights=wts, minlength=space)
+        else:
+            uniq, inv = np.unique(keys, return_inverse=True)
+            key_parts.append(uniq)
+            wt_parts.append(np.bincount(inv, weights=wts))
+    if total is not None:
+        keys = np.flatnonzero(total)  # every n adds a positive 1/n
+        masses = total[keys]
+    elif len(key_parts) == 1:
+        keys, masses = key_parts[0], wt_parts[0]
+    else:
+        keys, inv = np.unique(np.concatenate(key_parts), return_inverse=True)
+        masses = np.bincount(inv, weights=np.concatenate(wt_parts))
     masses /= fsum(masses)  # total mass exactly 1 to rounding
-    return JointDistribution(H, tuple(int(p) for p in primes), omega, uniq, masses,
-                             model.x, float(model.w))
+    return JointDistribution(H, primes, omega, keys, masses, model.x, float(model.w))
 
 
 def y_uniformity(joint):

@@ -193,16 +193,21 @@ def parseval_link(X, h, delta):
     int_{|t| <= X/(h delta^2)} |Z(1+it)|^2 dt + delta with Z the
     (X, 2X]-restricted series. The integrand has bandwidth log 2, so a
     0.5 step suffices; halving_delta reports the relative change under
-    step halving. Envelope lhs <= 50 rhs.
+    step halving. Envelope lhs <= 50 rhs. A grid of more than
+    arith_core.SPAN_BUDGET nodes raises BudgetError before any sieve runs.
     """
     X, h = int(X), int(h)
     if not delta > 0:
         raise ValueError("delta must be positive")
+    scale = h * delta * delta
+    T = X / scale if scale > 0 else math.inf
+    nodes = 2 * math.ceil(T / 0.5) + 1 if T <= arith_core.SPAN_BUDGET else math.inf
+    if nodes > arith_core.SPAN_BUDGET:
+        raise BudgetError("%g t-nodes exceed budget %d" % (nodes, arith_core.SPAN_BUDGET))
     lhs = variance("liouville", WindowSpec("multiplicative", X, h))
-    T = X / (h * delta * delta)
     lam = arith_core.liouville_range(X + 1, 2 * X + 1).astype(np.float64)
     n = np.arange(X + 1, 2 * X + 1, dtype=np.float64)
-    ts = np.linspace(0.0, T, 2 * int(math.ceil(T / 0.5)) + 1)
+    ts = np.linspace(0.0, T, nodes)
     sq = np.abs(_phase_sum(-np.log(n), lam / n, ts)) ** 2
     dt = ts[1] - ts[0]
     fine = 2.0 * _trap(sq, dt)  # symmetric in t

@@ -285,6 +285,47 @@ def mutual_information_table(table):
     return entropy_nats(px) + entropy_nats(py) - joint_entropy_table(table)
 
 
+def loop_pack_signs(lam, start, count, H):
+    """Sign patterns packed one bit per pass: bit j of entry i is set iff
+    lam[start + i + j] < 0, for i < count and j < H."""
+    bits = np.zeros(count, dtype=np.int64)
+    for j in range(H):
+        bits |= (lam[start + j : start + j + count] < 0).astype(np.int64) << j
+    return bits
+
+
+def sort_twice_joint(lam, lo, x, H, primes):
+    """(keys, masses) of the 1/n-weighted law on lo <= n <= x of the key
+    (sign bits of lam past n) * prod(primes) + mixed-radix residue index of
+    n, with lam[i] = lambda(lo + 1 + i). Each 2^21-integer chunk is grouped by
+    one sort, the concatenated chunk groups by a second one, and the masses
+    are divided by their exactly rounded total."""
+    omega = math.prod(primes)
+    chunk = 1 << 21
+    key_parts, wt_parts = [], []
+    for a in range(lo, x + 1, chunk):
+        b = min(a + chunk, x + 1)
+        ns = np.arange(a, b, dtype=np.int64)
+        y = np.zeros(b - a, dtype=np.int64)
+        radix = 1
+        for p in primes:
+            y += radix * (ns % p)
+            radix *= p
+        keys = loop_pack_signs(lam, a - lo, b - a, H) * omega + y
+        uniq, inv = np.unique(keys, return_inverse=True)
+        key_parts.append(uniq)
+        wt_parts.append(np.bincount(inv, weights=1.0 / ns.astype(np.float64)))
+    keys, inv = np.unique(np.concatenate(key_parts), return_inverse=True)
+    masses = np.bincount(inv, weights=np.concatenate(wt_parts))
+    return keys, masses / math.fsum(masses)
+
+
+def sort_marginal(values, masses):
+    """(distinct values ascending, their summed masses) by one sort."""
+    uniq, inv = np.unique(values, return_inverse=True)
+    return uniq, np.bincount(inv, weights=masses)
+
+
 # ------------------------------------------------------------ diophantine
 
 def convergents(frac):

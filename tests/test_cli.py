@@ -317,6 +317,9 @@ def test_joined_window_condition_exits_two_before_work(argv, monkeypatch, capsys
     # one dense float each, refused before the joint is sieved; only the
     # band primes themselves may be listed
     ["entropy", "--h", "4", "--epsilon", "16"],
+    # T = X/(h delta^2) = 2e14 asks for 8e14 t-nodes, refused before the
+    # variance pass sieves (X, 2X]
+    ["parseval-link", "--delta", "1e-06"],
 ])
 def test_span_past_budget_exits_three_before_work(argv, monkeypatch, capsys):
     _forbid_work(monkeypatch, prime_bound=64 if argv[0] == "entropy" else 0)
@@ -324,6 +327,17 @@ def test_span_past_budget_exits_three_before_work(argv, monkeypatch, capsys):
     assert rc == 3
     assert out == ""
     assert "resource error" in err
+
+
+@pytest.mark.parametrize("argv", [["entropy", "--h", "1"], ["entropy", "--epsilon", "1e-06"]])
+def test_empty_prime_band_exits_two_before_work(argv, monkeypatch, capsys):
+    # no prime in (eps H / 2, eps H]: one residue class, and the
+    # concentration rows would divide by its log 1 = 0
+    _forbid_work(monkeypatch, prime_bound=64)
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert "usage error: no prime in" in err
 
 
 def test_every_default_lies_in_its_domain():

@@ -159,6 +159,49 @@ def test_build_joint_key_budget():
         ent.build_joint(ent.LogWeightedModel(10**6, 10), 62, 1.0)
 
 
+# the dense route (2^H omega no larger than the support) and the sort route,
+# each on one chunk and on two (3e6 - 3e3 integers against chunks of 2^21),
+# and omega ~ 5.8e11, whose residue index is too long a period to tile
+@pytest.mark.parametrize("x, w, H, eps, dense", [
+    (10**6, 10**3, 8, 1.0, True), (10**6, 10**3, 10, 1.0, True),
+    (10**6, 10**3, 16, 1.0, False), (3 * 10**6, 10**3, 8, 1.0, True),
+    (3 * 10**6, 10**3, 16, 1.0, False), (20, 2, 4, 16.0, False)])
+def test_build_joint_matches_sort_twice_oracle(x, w, H, eps, dense):
+    model = ent.LogWeightedModel(x, w)
+    joint = ent.build_joint(model, H, eps)
+    assert ((joint.omega << H) <= model.n_count) == dense
+    lam = ent.arith_core.liouville_range(model.lo + 1, x + H + 1)
+    keys, masses = oracles.sort_twice_joint(lam, model.lo, x, H, list(joint.primes))
+    assert np.array_equal(joint.keys, keys)
+    assert np.array_equal(joint.masses, masses)
+    for got, values in ((joint.x_marginal, keys // joint.omega),
+                        (joint.y_marginal, keys % joint.omega)):
+        want = oracles.sort_marginal(values, masses)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+def test_pack_signs_doubling_matches_bit_loop():
+    lam = np.random.default_rng(5).choice(np.array([-1, 1], dtype=np.int8), size=200)
+    for H in range(1, 33):
+        for start, count in ((1, 100), (3, 120), (17, 150)):
+            got = ent._pack_signs(lam, start, count, H)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, oracles.loop_pack_signs(lam, start, count, H)), (H, start)
+
+
+def test_build_joint_peak_allocation():
+    # the dense route holds the key space and one chunk's arrays
+    model = ent.LogWeightedModel(10**6, 10**3)
+    tracemalloc.start()
+    try:
+        ent.build_joint(model, 8, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
+
+
 # ------------------------------------------------------ F functional
 
 def brute_F(xs, res, primes, H):

@@ -150,6 +150,14 @@ def test_parseval_link_envelope_and_certification():
     assert rep.integral > 0.0
 
 
+def test_parseval_link_node_budget():
+    # 2 ceil(T / 0.5) + 1 nodes for T = X/(h delta^2); delta^2 = 1e-400
+    # underflows to 0, so T is infinite
+    for delta in (1e-6, 1e-200):
+        with pytest.raises(BudgetError):
+            ist.parseval_link(10**4, 50, delta)
+
+
 def test_additive_from_multiplicative_envelope():
     lhs, bound = ist.additive_from_multiplicative_check(5000, 64)
     assert lhs <= bound
