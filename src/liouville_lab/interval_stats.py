@@ -194,7 +194,9 @@ def parseval_link(X, h, delta):
     (X, 2X]-restricted series. The integrand has bandwidth log 2, so a
     0.5 step suffices; halving_delta reports the relative change under
     step halving. Envelope lhs <= 50 rhs. A grid of more than
-    arith_core.SPAN_BUDGET nodes raises BudgetError before any sieve runs.
+    arith_core.SPAN_BUDGET nodes raises BudgetError, and one of fewer than
+    3 nodes (T = 0 once h delta^2 overflows) PreconditionError, before any
+    sieve runs.
     """
     X, h = int(X), int(h)
     if not delta > 0:
@@ -204,6 +206,9 @@ def parseval_link(X, h, delta):
     nodes = 2 * math.ceil(T / 0.5) + 1 if T <= arith_core.SPAN_BUDGET else math.inf
     if nodes > arith_core.SPAN_BUDGET:
         raise BudgetError("%g t-nodes exceed budget %d" % (nodes, arith_core.SPAN_BUDGET))
+    if nodes < 3:
+        raise PreconditionError("T = X/(h delta^2) = %g gives %d t-nodes; need at least 3"
+                                % (T, nodes))
     lhs = variance("liouville", WindowSpec("multiplicative", X, h))
     lam = arith_core.liouville_range(X + 1, 2 * X + 1).astype(np.float64)
     n = np.arange(X + 1, 2 * X + 1, dtype=np.float64)

@@ -26,6 +26,7 @@ class RamareWeight:
     P0: int
     Q0: int
     _u: np.ndarray = field(default=None, repr=False, compare=False)
+    _sweep: "_Sweep" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (2 <= self.P0 < self.Q0):
@@ -78,17 +79,15 @@ def weight_array(w):
     n_lo, n_hi = w.X, w.domain_hi
     one = 1.0 + w.delta
     u = np.zeros(n_hi - n_lo, dtype=np.float64)  # index n - X - 1
-    m_hi = n_hi // (w.P0 + 1) + 2
-    _, least = arith_core.least_factor_range(1, m_hi, w.P0)
-    qmin = np.where(least > 0, least, np.inf)
-    for p in arith_core.primes_in(w.P0, one * w.Q0):
+    sweep = _Sweep.of(w)
+    for p in sweep.band:
         p = int(p)
         first = (n_lo // p + 1) * p
         ns = np.arange(first, n_hi + 1, p, dtype=np.int64)
         if ns.size == 0:
             continue
         ms = ns // p
-        qm = qmin[ms - 1]
+        qm = sweep.qmin_all[ms - 1]
         lo = np.maximum(np.maximum(float(w.P0), p / one), w.X / ms)
         hi = np.minimum.reduce([
             np.full(len(ms), min(float(w.Q0), float(p))),
@@ -122,13 +121,6 @@ def err_set(w):
     return ErrReport(members, near, len(members) / w.X)
 
 
-def _z2_data(w):
-    """lam and qmin over the full m-range (X/Q0, 2X/P0]."""
-    m_lo = max(int(w.X // w.Q0), 1)
-    lam, least = arith_core.least_factor_range(m_lo, int(2 * w.X // w.P0) + 2, w.P0)
-    return m_lo, lam, np.where(least > 0, least, np.inf)
-
-
 def _line_point(t):
     """s = 1 + it; a non-finite t is a usage error, not a nan residual."""
     t = float(t)
@@ -137,54 +129,64 @@ def _line_point(t):
     return 1.0 + 1j * t
 
 
-def _n_terms(w, s):
-    """n over (X, 2(1+delta)X] as float64, and lambda(n) n^{-s}."""
-    lam_n = arith_core.liouville_range(w.X + 1, w.domain_hi + 1)
-    ns = np.arange(w.X + 1, w.domain_hi + 1, dtype=np.float64)
-    return ns, lam_n * np.exp(-s * np.log(ns))
-
-
-@dataclass
-class _BandSeries:
-    """The two factors of the identity at one s.
+class _Sweep:
+    """What the weight and the identity read of one weight, sieved once.
 
     Z1(Q) sums -p^{-s} over band primes p in (Q, (1+delta)Q]; Z2(Q) sums
     lambda(m) m^{-s} over cofactors m in (X/Q, 2X/Q] with no prime factor
-    in [P0, (1+delta)Q). Both are step functions of Q.
+    in [P0, (1+delta)Q). Both are step functions of Q. One cofactor sieve
+    from 1 serves the weight's cofactors and Z2's (X/Q0, 2X/P0].
     """
 
-    w: RamareWeight
-    band: np.ndarray   # band primes in (P0, (1+delta)Q0], float64
-    pvals: np.ndarray  # -p^{-s}
-    ms: np.ndarray     # cofactors in (X/Q0, 2X/P0], float64
-    mvals: np.ndarray  # lambda(m) m^{-s}
-    qmin: np.ndarray   # smallest prime factor >= P0 of each m (inf when none)
+    def __init__(self, w):
+        self.w, one = w, 1.0 + w.delta
+        self.band = arith_core.primes_in(w.P0, one * w.Q0).astype(np.float64)
+        m_hi = max(w.domain_hi // (w.P0 + 1), 2 * w.X // w.P0) + 2
+        lam, least = arith_core.least_factor_range(1, m_hi, w.P0)
+        self.qmin_all = np.where(least > 0, least, np.inf)  # index m - 1
+        z2 = slice(max(w.X // w.Q0, 1) - 1, 2 * w.X // w.P0 + 1)
+        self.ms = np.arange(z2.start + 1, z2.stop + 1, dtype=np.float64)
+        self.lam_m, self.qmin = lam[z2], self.qmin_all[z2]
+        self.lam_n = arith_core.liouville_range(w.X + 1, w.domain_hi + 1)
 
     @classmethod
-    def at(cls, w, s):
-        band = arith_core.primes_in(w.P0, (1.0 + w.delta) * w.Q0).astype(np.float64)
-        m_base, lam_m, qmin_m = _z2_data(w)
-        ms = np.arange(m_base, m_base + len(lam_m), dtype=np.float64)
-        mvals = lam_m * np.exp(-s * np.log(ms))
-        pvals = -np.exp(-s * np.log(band)) if len(band) else np.zeros(0, np.complex128)
-        return cls(w, band, pvals, ms, mvals, qmin_m)
+    def of(cls, w):
+        if w._sweep is None:
+            w._sweep = cls(w)
+        return w._sweep
 
-    def product(self, Q):
-        """Z1(Q) Z2(Q); Z2 is not evaluated where Z1 vanishes."""
+    def n_values(self, s):
+        """lambda(n) n^{-s} over (X, 2(1+delta)X]."""
+        ns = np.arange(self.w.X + 1, self.w.domain_hi + 1, dtype=np.float64)
+        return self.lam_n * np.exp(-s * np.log(ns))
+
+    def products(self, s, qs):
+        """Z1(Q) Z2(Q) at each Q of the ascending array qs, evaluated once
+        per run of qs on which it is constant; Z2 is not evaluated where
+        Z1 vanishes. Band and cofactor range are slices found on the float
+        expressions of the membership tests, so each sum adds the elements
+        of the plain masks in their order."""
         w, one = self.w, 1.0 + self.w.delta
-        in_band = (self.band > Q) & (self.band <= one * Q)
-        z1 = self.pvals[in_band].sum() if in_band.any() else 0j
-        if z1 == 0:
-            return 0j
-        keep = (self.ms > w.X / Q) & (self.ms <= 2 * w.X / Q) & (self.qmin >= one * Q)
-        z2 = self.mvals[keep].sum() if keep.any() else 0j
-        return z1 * z2
+        pvals = -np.exp(-s * np.log(self.band))
+        mvals = self.lam_m * np.exp(-s * np.log(self.ms))
+        breaks = self.node_breaks(qs)
+        Q = qs[breaks[:-1]]  # the first node of each run
+        ends = [np.searchsorted(self.band, Q, "right").tolist(),
+                np.searchsorted(self.band, one * Q, "right").tolist(),
+                np.searchsorted(self.ms, w.X / Q, "right").tolist(),
+                np.searchsorted(self.ms, 2 * w.X / Q, "right").tolist()]
+        vals = np.zeros(len(Q), dtype=np.complex128)
+        for k, (a, b, c, d) in enumerate(zip(*ends)):
+            z1 = pvals[a:b].sum()
+            if z1 != 0:
+                vals[k] = z1 * mvals[c:d][self.qmin[c:d] >= one * Q[k]].sum()
+        return np.repeat(vals, np.diff(breaks))
 
     def node_breaks(self, centers):
         """Sorted node indices, 0 and len(centers) included, between which
         Z1 Z2 is constant along the increasing array centers.
 
-        Every membership test in product() is monotone in Q, so each prime
+        Every membership test in products() is monotone in Q, so each prime
         and each cofactor is active on one run of consecutive nodes. The
         run ends are searched on the same float expressions the tests
         evaluate, so the masks agree at every node of a piece.
@@ -193,7 +195,7 @@ class _BandSeries:
         up = one * centers
         return np.unique(np.concatenate([
             [0, n],
-            # run ends, in the order of the tests in product()
+            # run ends, in the order of the tests in products()
             np.searchsorted(centers, self.band, "left"),   # p > Q stops
             np.searchsorted(up, self.band, "left"),        # p <= (1+d)Q starts
             n - np.searchsorted((w.X / centers)[::-1], self.ms, "left"),      # m > X/Q starts
@@ -231,21 +233,18 @@ def factorization_identity_residual(w, t, q_nodes):
     s = _line_point(t)
     one = 1.0 + w.delta
 
-    ns, nvals = _n_terms(w, s)
-    lhs = fsum_complex(nvals[ns <= 2 * w.X])
+    sweep = _Sweep.of(w)
+    nvals = sweep.n_values(s)
+    lhs = fsum_complex(nvals[:w.X])  # n <= 2X
     u = weight_array(w)
-    indicator = (ns <= 2 * w.X).astype(np.float64)
+    indicator = (np.arange(len(u)) < w.X).astype(np.float64)
     z_err = fsum_complex((indicator - u) * nvals)
 
-    series = _BandSeries.at(w, s)
     log_lo, log_hi = math.log(w.P0), math.log(w.Q0)
     du = (log_hi - log_lo) / q_nodes
     centers = np.exp(log_lo + du * (np.arange(q_nodes) + 0.5))
-    breaks = series.node_breaks(centers)
-    piece = np.array([series.product(centers[i]) * du for i in breaks[:-1]],
-                     dtype=np.complex128)
     # a running sum in node order, as the per-node loop adds
-    acc = np.add.accumulate(np.repeat(piece, np.diff(breaks)))[-1]
+    acc = np.add.accumulate(sweep.products(s, centers) * du)[-1]
     rhs = acc / math.log(one)
     return abs(lhs - z_err - rhs)
 
@@ -284,16 +283,14 @@ def factorization_identity_exact(w, t):
     """
     s = _line_point(t)
     one = 1.0 + w.delta
-    _, nvals = _n_terms(w, s)
-    terms = weight_array(w) * nvals
+    sweep = _Sweep.of(w)
+    terms = weight_array(w) * sweep.n_values(s)
     lhs = fsum_complex(terms)
     scale = fsum(np.abs(terms))
 
-    series = _BandSeries.at(w, s)
-    cuts = series.q_breaks()
+    cuts = sweep.q_breaks()
     lo, hi = cuts[:-1], cuts[1:]
-    rhs = fsum_complex([series.product(q) * d for q, d in
-                        zip(np.sqrt(lo * hi), np.log(hi / lo))]) / math.log(one)
+    rhs = fsum_complex(sweep.products(s, np.sqrt(lo * hi)) * np.log(hi / lo)) / math.log(one)
     longest = min(math.log(one), math.log(w.Q0 / w.P0))
     ulps = 8.0 * (1.0 + 1.0 / longest + abs(s.imag) * math.log(w.domain_hi))
     return ExactIdentity(abs(lhs - rhs), scale,

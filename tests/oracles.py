@@ -354,12 +354,40 @@ def dist_to_z(x):
 
 # ------------------------------------------------------- two-factor identity
 
+def _identity_factors(mr, w, s):
+    """Band primes with -p^{-s}, and the cofactors m of Z2 over
+    (X/Q0, 2X/P0] with lambda(m) m^{-s} and their smallest prime factor
+    >= P0 (inf when none), all listed and sieved here."""
+    one = 1.0 + w.delta
+    band = mr.arith_core.primes_in(w.P0, one * w.Q0).astype(np.float64)
+    pvals = -np.exp(-s * np.log(band)) if len(band) else np.zeros(0, np.complex128)
+    m_base = max(w.X // w.Q0, 1)
+    lam_m, least = mr.arith_core.least_factor_range(m_base, 2 * w.X // w.P0 + 2, w.P0)
+    ms = np.arange(m_base, m_base + len(lam_m), dtype=np.float64)
+    mvals = lam_m * np.exp(-s * np.log(ms))
+    return band, pvals, ms, mvals, np.where(least > 0, least, np.inf)
+
+
+def _plain_product(w, factors, Q):
+    """Z1(Q) Z2(Q) from full-length masks over every prime and cofactor."""
+    band, pvals, ms, mvals, qmin = factors
+    one = 1.0 + w.delta
+    in_band = (band > Q) & (band <= one * Q)
+    z1 = pvals[in_band].sum() if in_band.any() else 0j
+    if z1 == 0:
+        return 0j
+    keep = (ms > w.X / Q) & (ms <= 2 * w.X / Q) & (qmin >= one * Q)
+    z2 = mvals[keep].sum() if keep.any() else 0j
+    return z1 * z2
+
+
 def per_node_identity_residual(mr, w, t, q_nodes):
     """The band identity residual by the plain midpoint loop, one Q-node at
     a time: masks over every band prime and every cofactor at each node.
 
-    mr is the two-factor module; its sieve, weight and exact sums feed
-    both sides, so a comparison isolates the quadrature of Z1(Q) Z2(Q).
+    mr is the two-factor module; its weight and exact sums feed both sides,
+    while the band and the cofactors are listed and sieved here, so a
+    comparison isolates the quadrature of Z1(Q) Z2(Q).
     """
     if q_nodes < 16:
         raise ValueError("q_nodes must be at least 16")
@@ -374,26 +402,38 @@ def per_node_identity_residual(mr, w, t, q_nodes):
     indicator = (ns <= 2 * w.X).astype(np.float64)
     z_err = mr.fsum_complex((indicator - u) * nvals)
 
-    band = mr.arith_core.primes_in(w.P0, one * w.Q0).astype(np.float64)
-    m_base, lam_m, qmin_m = mr._z2_data(w)
-    ms = np.arange(m_base, m_base + len(lam_m), dtype=np.float64)
-    mvals = lam_m * np.exp(-s * np.log(ms))
-
+    factors = _identity_factors(mr, w, s)
     log_lo, log_hi = math.log(w.P0), math.log(w.Q0)
     du = (log_hi - log_lo) / q_nodes
     centers = np.exp(log_lo + du * (np.arange(q_nodes) + 0.5))
     acc = 0j
-    pvals = -np.exp(-s * np.log(band)) if len(band) else np.zeros(0, np.complex128)
     for Q in centers:
-        in_band = (band > Q) & (band <= one * Q)
-        z1 = pvals[in_band].sum() if in_band.any() else 0j
-        if z1 == 0:
-            continue
-        keep = (ms > w.X / Q) & (ms <= 2 * w.X / Q) & (qmin_m >= one * Q)
-        z2 = mvals[keep].sum() if keep.any() else 0j
-        acc += z1 * z2 * du
+        acc += _plain_product(w, factors, Q) * du
     rhs = acc / math.log(one)
     return abs(lhs - z_err - rhs)
+
+
+def per_piece_identity_exact(mr, w, t):
+    """(residual, scale) of the exact band identity by the plain per-piece
+    loop: its own cuts at p, p/(1+delta), X/m, 2X/m and qmin/(1+delta)
+    clipped to [P0, Q0], and one full-length-mask product per piece."""
+    s = 1.0 + 1j * float(t)
+    one = 1.0 + w.delta
+    lam_n = mr.arith_core.liouville_range(w.X + 1, w.domain_hi + 1)
+    ns = np.arange(w.X + 1, w.domain_hi + 1, dtype=np.float64)
+    terms = mr.weight_array(w) * (lam_n * np.exp(-s * np.log(ns)))
+    lhs = mr.fsum_complex(terms)
+    scale = mr.fsum(np.abs(terms))
+
+    factors = _identity_factors(mr, w, s)
+    band, _, ms, _, qmin = factors
+    cuts = np.concatenate([[w.P0, w.Q0], band, band / one, w.X / ms, 2 * w.X / ms,
+                           qmin[np.isfinite(qmin)] / one])
+    cuts = np.unique(np.clip(cuts, w.P0, w.Q0))
+    lo, hi = cuts[:-1], cuts[1:]
+    rhs = mr.fsum_complex([_plain_product(w, factors, q) * d for q, d in
+                           zip(np.sqrt(lo * hi), np.log(hi / lo))]) / math.log(one)
+    return abs(lhs - rhs), scale
 
 
 # -------------------------------------------------------------- characters

@@ -340,6 +340,15 @@ def test_empty_prime_band_exits_two_before_work(argv, monkeypatch, capsys):
     assert "usage error: no prime in" in err
 
 
+def test_one_node_grid_exits_two_before_work(monkeypatch, capsys):
+    # h delta^2 overflows to inf, so T = 0 leaves a one-node t-grid
+    _forbid_work(monkeypatch)
+    rc, out, err = run(["parseval-link", "--delta", "1e200"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "usage error" in err
+
+
 def test_every_default_lies_in_its_domain():
     for name, (_, spec, _) in cli.EXPERIMENTS.items():
         for pname, (kind, default, (text, test)) in spec.items():

@@ -8,7 +8,7 @@ import pytest
 from liouville_lab import arith_core
 from liouville_lab import interval_stats as ist
 from liouville_lab.expsum_circle import e_of
-from liouville_lab.util import BudgetError
+from liouville_lab.util import BudgetError, PreconditionError
 
 import oracles
 
@@ -156,6 +156,21 @@ def test_parseval_link_node_budget():
     for delta in (1e-6, 1e-200):
         with pytest.raises(BudgetError):
             ist.parseval_link(10**4, 50, delta)
+
+
+def test_parseval_link_needs_three_nodes(monkeypatch):
+    # delta^2 = 1e400 overflows, so h delta^2 is infinite, T = 0 and the
+    # t-grid would hold one node: refused before the variance pass sieves
+    def started(*args, **kwargs):
+        raise RuntimeError("sieve started")
+    with monkeypatch.context() as m:
+        m.setattr(arith_core, "_walk", started)
+        with pytest.raises(PreconditionError):
+            ist.parseval_link(10**4, 50, 1e200)
+    # delta = 1e150 keeps T > 0, and 2 ceil(T / 0.5) + 1 = 3 nodes
+    rep = ist.parseval_link(10**4, 50, 1e150)
+    assert 0.0 < rep.T < 0.5
+    assert rep.lhs <= rep.envelope
 
 
 def test_additive_from_multiplicative_envelope():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from liouville_lab import mr_factorization as mr
+from liouville_lab import arith_core, cli, mr_factorization as mr
 
 import oracles
 
@@ -192,6 +192,38 @@ def test_identity_exact_within_envelope():
     # empty band: both sides vanish exactly
     rep = mr.factorization_identity_exact(mr.RamareWeight(500, 0.1, 24, 25), 0.7)
     assert (rep.residual, rep.scale, rep.ratio) == (0.0, 0.0, 0.0)
+
+
+def test_identity_exact_matches_per_piece_oracle():
+    # one evaluation per constant run of pieces, on slices of the sweep,
+    # must give the plain per-piece loop's doubles: equality, not closeness
+    for params in ((10**4, 0.1, 10, 100), (10**4, 0.1, 60, 61),
+                   (500, 0.99, 3, 20), (1000, 0.01, 2, 250)):
+        w = mr.RamareWeight(*params)
+        for t in (0.0, 0.7, 13.0):
+            rep = mr.factorization_identity_exact(w, t)
+            want = oracles.per_piece_identity_exact(mr, w, t)
+            assert (rep.residual, rep.scale) == want, (params, t)
+
+
+def test_default_factorization_sieves_once_per_weight(monkeypatch, capsys):
+    # one cofactor sieve and one lambda sieve serve the weight and all
+    # twelve evaluations of the identity; the band primes are listed once
+    counts = {"_walk": 0, "primes_in": 0}
+
+    def counted(name):
+        inner = getattr(arith_core, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+    for name in counts:
+        monkeypatch.setattr(arith_core, name, counted(name))
+    assert cli.main(["factorization"]) == 0
+    assert "factorization" in capsys.readouterr().out
+    assert counts["_walk"] <= 2
+    assert counts["primes_in"] == 1
 
 
 def test_identity_exact_fails_with_indicator_weight():
