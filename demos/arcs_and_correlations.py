@@ -66,8 +66,7 @@ V = tab.values
 gram = V @ V.conj().T / ec.euler_phi(12)
 print("q=12: %d characters, orthonormality dev %.2e"
       % (tab.n_chars, float(np.max(np.abs(gram - np.eye(tab.n_chars))))))
-dec = ec.additive_to_multiplicative(5, 12)
-worst = max(abs(ec.reconstruct_additive(dec, n) - ec.e_of(5 * n / 12))
-            for n in range(1, 25))
+got = ec.reconstruct_additive(ec.additive_to_multiplicative(12), np.arange(1, 25))
+worst = max(abs(got[5, n - 1] - ec.e_of(5 * n / 12)) for n in range(1, 25))
 print("phase rebuilt from characters, worst dev %.2e: %s"
       % (worst, "PASS" if worst <= 1e-10 else "FAIL"))

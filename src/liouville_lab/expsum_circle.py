@@ -88,6 +88,8 @@ def classify_arc(alpha, Q, R):
 
 def geometric_sum_check(beta, m0, m1):
     """(sum of e(beta m) for m0 <= m <= m1, envelope (2/pi)/d(beta, Z)).
+    The sum is the direct fsum for at most 4096 terms, the closed form
+    otherwise.
 
     A beta within 1e-15 of an integer is treated as the integral
     case: the sum is the interval length and the envelope is infinite.
@@ -99,12 +101,12 @@ def geometric_sum_check(beta, m0, m1):
     d = dist_to_z(beta)
     if d <= 1e-15:
         return complex(count), float("inf")
-    # closed form keeps the check exact for long ranges
-    ratio = e_of(beta)
-    value = e_of(beta * m0) * (e_of(beta * count) - 1.0) / (ratio - 1.0)
     if count <= 4096:
         ms = np.arange(m0, m1 + 1, dtype=np.float64)
         value = fsum_complex(np.exp(2j * np.pi * beta * ms))
+    else:
+        # closed form keeps the check exact for long ranges
+        value = e_of(beta * m0) * (e_of(beta * count) - 1.0) / (e_of(beta) - 1.0)
     return value, (2.0 / math.pi) / d
 
 
@@ -251,6 +253,10 @@ class CharacterTable:
         return n
 
     def exponents(self, index):
+        """Mixed-radix exponents of index over the factor orders; an index
+        outside [0, n_chars) raises IndexError."""
+        if not 0 <= index < self.n_chars:
+            raise IndexError("character index %d outside [0, %d)" % (index, self.n_chars))
         k = []
         for d in self.orders:
             k.append(index % d)
@@ -260,11 +266,12 @@ class CharacterTable:
     def value(self, index, n):
         """chi_index(n) as complex; 0 off the unit group. The same sum of
         phases as row's entry at n, without building or caching the row."""
+        ks = self.exponents(index)
         n = int(n) % self.q
         if math.gcd(n, self.q) != 1:
             return 0j
         phase = 0.0
-        for k, d, dlog in zip(self.exponents(index), self.orders, self._dlogs):
+        for k, d, dlog in zip(ks, self.orders, self._dlogs):
             phase += (k * int(dlog[n]) % d) / d
         return e_of(phase)
 
@@ -294,8 +301,9 @@ def characters_mod(q):
     """CharacterTable for modulus q (q = 1 gives the trivial table).
 
     Each table, with the dense rows it caches, is built once and shared by
-    every caller, so the divisor expansions of all a mod q build each row
-    once. 32 entries hold every divisor of any q <= MAX_DENSE_Q."""
+    every caller: the divisor bridge reads the one table of each M | q,
+    in additive_to_multiplicative and again in reconstruct_additive.
+    32 entries hold every divisor of any q <= MAX_DENSE_Q."""
     q = int(q)
     if not 1 <= q <= 10**4:
         raise PreconditionError("q must lie in 1..1e4")
@@ -316,50 +324,39 @@ def euler_phi(q):
     return phi
 
 
-@dataclass
-class AdditiveDecomposition:
-    a: int
-    q: int
-    terms: list  # (d, modulus q/d, chi index, coefficient)
-    tables: dict = field(repr=False)
-
-
-def additive_to_multiplicative(a, q):
-    """Expand n -> e(an/q) over divisors d of q and characters mod q/d.
-
-    Coefficients are unit-averaged twisted sums, each of modulus <= 1;
-    reconstruct() resums them."""
-    a, q = int(a), int(q)
+def additive_to_multiplicative(q):
+    """[(d, C_d)] over the divisors d of q, d ascending: the expansion
+    e(an/q) = sum_d sum_chi C_d[a, chi] chi(n/d), chi mod M = q/d, for
+    every a < q at once. C_d = E_M conj(V_M)^T / phi(M), one matrix
+    product, with V_M = characters_mod(M).values and the phases
+    E_M[a, r] = e((ar mod M) / M) taken from integer residues; each
+    coefficient is a unit-averaged twisted sum, of modulus <= 1."""
+    q = int(q)
     if q < 1:
         raise ValueError("q must be positive")
-    terms = []
-    tables = {}
+    out = []
     for d in range(1, q + 1):
         if q % d:
             continue
         M = q // d
-        table = tables.get(M)
-        if table is None:
-            table = characters_mod(M)
-            tables[M] = table
-        units = [m for m in range(1, M + 1) if math.gcd(m, M) == 1] if M > 1 else [0]
-        phi = len(units)
-        fvals = {m: e_of(a * m * d / q) for m in units}
-        for idx in range(table.n_chars):
-            row = table.row(idx)
-            coeff = sum(fvals[m] * np.conj(row[m % M]) for m in units) / phi
-            terms.append((d, M, idx, complex(coeff)))
-    return AdditiveDecomposition(a, q, terms, tables)
+        table = characters_mod(M)
+        V = table.values
+        E = np.exp(2j * np.pi * (np.outer(np.arange(q), np.arange(M)) % M / M))
+        out.append((d, E @ V.conj().T / table.n_chars))
+    return out
 
 
-def reconstruct_additive(decomp, n):
-    """Resum the divisor/character expansion at integer n, with character
-    values from the cached dense rows."""
-    n = int(n)
-    total = 0j
-    for d, M, idx, coeff in decomp.terms:
-        if n % d == 0:
-            total += coeff * complex(decomp.tables[M].row(idx)[(n // d) % M])
+def reconstruct_additive(coeffs, ns):
+    """Resum the expansion at the integers ns for every a < q: the array
+    [a, j] = sum_d C_d B_d, with B_d[chi, j] = V_M[chi, (n_j/d) mod M] when
+    d | n_j and 0 otherwise (a chi mod M vanishes off the units, so only
+    d = gcd(n_j, q) contributes)."""
+    ns = np.asarray(ns, dtype=np.int64)
+    total = 0
+    for d, C in coeffs:
+        M = len(C) // d
+        V = characters_mod(M).values
+        total += C @ np.where(ns % d == 0, V[:, ns // d % M], 0)
     return total
 
 

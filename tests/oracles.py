@@ -490,3 +490,30 @@ def character_value(q, index, n):
             phase += ((index % d) * e % d) / d
             index //= d
     return cmath.exp(2j * math.pi * phase)
+
+
+def bridge_terms(a, q):
+    """The divisor bridge of e(an/q), one term at a time: [(d, M, index,
+    coefficient)] over d | q and the characters mod M = q/d, each
+    coefficient the unit-averaged sum of e(amd/q) conj(chi(m)) over the
+    units m in 1..M (m = 0 alone when M = 1)."""
+    terms = []
+    for d in range(1, q + 1):
+        if q % d:
+            continue
+        M = q // d
+        units = [m for m in range(1, M + 1) if math.gcd(m, M) == 1] if M > 1 else [0]
+        for idx in range(len(units)):
+            coeff = sum(cmath.exp(2j * math.pi * a * m * d / q)
+                        * character_value(M, idx, m).conjugate() for m in units)
+            terms.append((d, M, idx, coeff / len(units)))
+    return terms
+
+
+def bridge_resum(terms, n):
+    """Sum of coefficient * chi(n/d) over the terms with d | n."""
+    total = 0j
+    for d, M, idx, coeff in terms:
+        if n % d == 0:
+            total += coeff * character_value(M, idx, n // d)
+    return total

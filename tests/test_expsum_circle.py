@@ -279,33 +279,65 @@ def test_character_budget_and_domain():
         ec.characters_mod(10**4 + 1)
 
 
+def test_character_index_outside_range_raises():
+    # index n_chars would wrap to the principal row and -1 to a
+    # nonprincipal one; both are refused, at a unit and off the units
+    tab = ec.characters_mod(5)
+    for bad in (-1, tab.n_chars):
+        with pytest.raises(IndexError):
+            tab.row(bad)
+        for n in (2, 5):
+            with pytest.raises(IndexError):
+                tab.value(bad, n)
+
+
 def test_additive_reconstruction_small_moduli():
     for q in range(1, 21):
-        for a in {1 % q, q // 2, q - 1}:
-            decomp = ec.additive_to_multiplicative(a, q)
-            for _, _, _, coeff in decomp.terms:
-                assert abs(coeff) <= 1.0 + 1e-12
+        coeffs = ec.additive_to_multiplicative(q)
+        assert [d for d, _ in coeffs] == [d for d in range(1, q + 1) if q % d == 0]
+        for _, C in coeffs:
+            assert np.max(np.abs(C)) <= 1.0 + 1e-12
+        got = ec.reconstruct_additive(coeffs, np.arange(1, 2 * q + 1))
+        for a in range(q):
             for n in range(1, 2 * q + 1):
-                want = ec.e_of(a * n / q)
-                got = ec.reconstruct_additive(decomp, n)
-                assert got == pytest.approx(want, abs=1e-10)
+                assert got[a, n - 1] == pytest.approx(ec.e_of(a * n / q), abs=1e-10)
     with pytest.raises(ValueError):
-        ec.additive_to_multiplicative(1, 0)
+        ec.additive_to_multiplicative(0)
 
 
 def test_one_character_table_per_modulus():
     for q in (1, 2, 12, 30):
-        fresh = []
-        for a in range(q):
-            ec.characters_mod.cache_clear()
-            fresh.append(ec.additive_to_multiplicative(a, q))
         ec.characters_mod.cache_clear()
-        shared = [ec.additive_to_multiplicative(a, q) for a in range(q)]
-        # every a reads the one table of each modulus q/d ...
+        coeffs = ec.additive_to_multiplicative(q)
+        ec.reconstruct_additive(coeffs, np.arange(1, 2 * q + 1))
+        # the coefficients and the resummation read the one table of each
+        # modulus q/d: one cache miss per divisor
         assert ec.characters_mod.cache_info().misses == sum(q % M == 0 for M in range(1, q + 1))
-        # ... and gets the same coefficients, bit for bit, as from fresh tables
-        for s, f in zip(shared, fresh):
-            assert s.terms == f.terms
+
+
+def test_divisor_bridge_matches_loop_oracle():
+    # every coefficient against the per-term loop with its own characters,
+    # and the resummation against the oracle's at a few n
+    for q in range(1, 31):
+        coeffs = ec.additive_to_multiplicative(q)
+        ns = np.array([1, 2, q, q + 1, 2 * q - 1])
+        got = ec.reconstruct_additive(coeffs, ns)
+        by_d = dict(coeffs)
+        for a in range(q):
+            terms = oracles.bridge_terms(a, q)
+            for d, M, idx, coeff in terms:
+                assert abs(by_d[d][a, idx] - coeff) <= 1e-12, (q, a, d, idx)
+            for j, n in enumerate(ns):
+                assert abs(got[a, j] - oracles.bridge_resum(terms, int(n))) <= 1e-12
+
+
+def test_divisor_bridge_at_largest_dense_modulus():
+    # every a and every residue class of n at q = MAX_DENSE_Q
+    q = ec.MAX_DENSE_Q
+    ns = np.arange(1, q + 1)
+    got = ec.reconstruct_additive(ec.additive_to_multiplicative(q), ns)
+    want = np.exp(2j * np.pi * (np.outer(np.arange(q), ns) % q / q))
+    assert float(np.max(np.abs(got - want))) <= 1e-10
 
 
 # ------------------------------------------------------ correlations

@@ -71,6 +71,9 @@ def test_variance_mobius_and_character_kinds():
     spec = ist.WindowSpec("additive", 200, 10)
     assert 0.0 <= ist.variance("mobius", spec) <= 1.0
     assert 0.0 <= ist.variance(("liouville_times_character", 4, 1), spec) <= 1.0
+    # there are 4 characters mod 5: index 9 is refused, not read as 9 mod 4
+    with pytest.raises(IndexError):
+        ist.variance(("liouville_times_character", 5, 9), spec)
     with pytest.raises(ValueError):
         ist.variance("unknown", spec)
 
