@@ -339,14 +339,40 @@ def primality_range(lo, hi):
 
 
 def summatory_lambda(x):
-    """Exact integer value of sum_{n <= x} lambda(n), streamed by segment."""
+    """Exact integer value of L(x) = sum_{n <= x} lambda(n).
+
+    lambda = mu * 1_squares, so L(x) = sum_{d <= sqrt(x)} M(x // d^2), with
+    M the Mertens function; every argument is some x // m. The values
+    M(v) for v <= u = x^(2/3) are one cumulative sum of mobius_range(1, u],
+    and M(x // k) for the k <= x // (u + 1) left come in increasing order
+    of x // k from M(v) = 1 - sum_{j >= 2} M(v // j), with the j above
+    sqrt(v) grouped by quotient: the simple O(x^(2/3)) form of
+    Deleglise-Rivat. Raises OverflowError when x + 1 does not fit the
+    64-bit sieve invariants and BudgetError when u exceeds SPAN_BUDGET."""
     x = int(x)
     if x < 1:
         return 0
-    total = 0
-    for _, omega, _, _ in _walk(1, x + 1, budget=math.inf):
-        total += omega.size - 2 * int(np.count_nonzero(omega & 1))
-    return total
+    _check_span(1, x + 1, budget=math.inf)
+    u = min(max(math.isqrt(x), round(x ** (2 / 3))), x)
+    mu = mobius_range(1, u + 1)
+    small = np.zeros(u + 1, dtype=np.int64)  # small[v] = M(v)
+    np.cumsum(mu, out=small[1:])
+    k_max = x // (u + 1)
+    large = np.zeros(k_max + 1, dtype=np.int64)  # large[k] = M(x // k)
+    for k in range(k_max, 0, -1):
+        v = x // k
+        s = math.isqrt(v)
+        # j = 2..s: v // j = x // (kj) is a large value while kj <= k_max
+        kj = k * np.arange(2, s + 1, dtype=np.int64)
+        inner = kj <= k_max
+        total = int(large[kj[inner]].sum()) + int(small[x // kj[~inner]].sum())
+        # j > s: each quotient q <= v // (s + 1) for the j in (v/(q+1), v/q]
+        q = np.arange(1, v // (s + 1) + 1, dtype=np.int64)
+        total += int(np.dot(small[q], v // q - np.maximum(v // (q + 1), s)))
+        large[k] = 1 - total
+    d2 = np.arange(1, math.isqrt(x) + 1, dtype=np.int64) ** 2
+    inner = d2 <= k_max
+    return int(large[d2[inner]].sum()) + int(small[x // d2[~inner]].sum())
 
 
 def chebyshev_psi(x):

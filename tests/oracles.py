@@ -162,6 +162,19 @@ def summatory_liouville(x):
     return sum(liouville(n) for n in range(1, x + 1))
 
 
+def segmented_summatory_lambda(x, segment=1 << 18):
+    """sum_{n <= x} lambda(n) from the parity of omega on each segment of the
+    strided sieve, the route summatory_lambda took before the Mertens
+    table."""
+    base = np.array(_sieve_primes(math.isqrt(x)), dtype=np.int64)
+    total = 0
+    for a in range(1, x + 1, segment):
+        b = min(a + segment, x + 1)
+        omega, _, _ = strided_sieve_segment(a, b, base, pmin=b)
+        total += (b - a) - 2 * int(np.count_nonzero(omega & 1))
+    return total
+
+
 def chebyshev_psi(x):
     total = 0.0
     for p in primes_upto(x):

@@ -259,11 +259,14 @@ def test_prime_powers_built_once_per_walk(monkeypatch):
     assert calls == [2 * 10**6 + 1]
     monkeypatch.setattr(ac, "DEFAULT_SEGMENT", 1 << 10)
     for entry in (lambda: ac.build_sieve(1, 10**4), lambda: ac.liouville_range(1, 10**4),
-                  lambda: ac.mobius_range(1, 10**4), lambda: ac.least_factor_range(1, 10**4, 7),
-                  lambda: ac.summatory_lambda(10**4 - 1)):
+                  lambda: ac.mobius_range(1, 10**4), lambda: ac.least_factor_range(1, 10**4, 7)):
         calls.clear()
         entry()
         assert calls == [10**4]
+    # summatory_lambda sieves mu once, on [1, x^(2/3)]
+    calls.clear()
+    ac.summatory_lambda(10**6)
+    assert calls == [10**4 + 1]
 
 
 def test_range_functions_match_oracle():
@@ -286,12 +289,24 @@ def test_von_mangoldt_minus_one_is_log_p_on_prime_powers():
 
 
 def test_summatory_lambda_frozen_and_oracle():
-    # frozen small values, then the oracle on a sparse ladder
+    # frozen small values, then the oracles on a sparse ladder
     assert ac.summatory_lambda(10) == 0
     assert ac.summatory_lambda(20) == -4
     assert ac.summatory_lambda(1) == 1
     for x in (97, 1000, 4999):
         assert ac.summatory_lambda(x) == oracles.summatory_liouville(x)
+    # Tanaka's first counterexample to Polya's conjecture
+    assert ac.summatory_lambda(906150257) == 1
+
+
+def test_summatory_lambda_matches_segmented_oracle():
+    # every x to 3000 crosses the u = x^(2/3) and k = x // (u + 1) edges of
+    # the Mertens table; then squares, squares minus one and spans past one
+    # 2^18 segment of the oracle
+    lam = ac.liouville_range(1, 3001)
+    assert [ac.summatory_lambda(x) for x in range(1, 3001)] == np.cumsum(lam).tolist()
+    for x in (10**4, 2**16 - 1, 2**16, 1000**2 - 1, 1000**2, 10**5 + 3, 2 * 10**6):
+        assert ac.summatory_lambda(x) == oracles.segmented_summatory_lambda(x), x
 
 
 def test_summatory_lambda_segment_invariance():
