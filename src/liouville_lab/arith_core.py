@@ -103,26 +103,50 @@ def _check_span(lo, hi, budget=SPAN_BUDGET):
 
 WHEEL = 2520  # 2^3 3^2 5 7
 WHEEL_PRIMES = (2, 3, 5, 7)
+LEAST_WHEEL = 210  # 2 3 5 7: the least wheel prime dividing n is periodic mod 210
+LOG_SCALE = 16  # the accumulator's high half sums round(LOG_SCALE log2 p) per hit
 
 
-def _wheel_patterns():
-    """(omega, smooth, sqfree) on the residues 0..WHEEL-1 from the wheel
-    powers 2, 4, 8, 3, 9, 5 and 7: their part of omega and of the smooth
-    product, and False where 4 or 9 divides."""
-    omega = np.zeros(WHEEL, dtype=np.int16)
+def _hits(ps, pks):
+    """int32 accumulator increment of each prime power pks of ps:
+    (round(LOG_SCALE log2 p) << 16) | ([p^k = p^2] << 8) | 1."""
+    logs = np.rint(LOG_SCALE * np.log2(ps.astype(np.float64))).astype(np.int32)
+    return (logs << 16) | ((pks == ps * ps).astype(np.int32) << 8) | 1
+
+
+def _wheel_pattern():
+    """The accumulator on the residues 0..WHEEL-1 from the wheel powers 2, 4,
+    8, 3, 9, 5 and 7."""
+    ps, pks = np.array([2, 2, 2, 3, 3, 5, 7]), np.array([2, 4, 8, 3, 9, 5, 7])
+    acc = np.zeros(WHEEL, dtype=np.int32)
+    for pk, add in zip(pks.tolist(), _hits(ps, pks).tolist()):
+        acc[::pk] += add
+    return acc
+
+
+_WHEEL_PATTERN = _wheel_pattern()
+
+
+def _least_wheel(pmin):
+    """The least wheel prime >= pmin dividing n, on the residues mod
+    LEAST_WHEEL, and INT64_MAX where there is none."""
+    least = np.full(LEAST_WHEEL, INT64_MAX)
+    for p in WHEEL_PRIMES[::-1]:
+        if p >= pmin:
+            least[::p] = p
+    return least
+
+
+def _wheel_smooth(pmin):
+    """The part of n made of the wheel powers 2, 4, 8, 3, 9, 5 and 7 of the
+    primes below pmin, on the residues mod WHEEL."""
     smooth = np.ones(WHEEL, dtype=np.int64)
-    sqfree = np.ones(WHEEL, dtype=bool)
     for p in WHEEL_PRIMES:
         pk = p
-        while WHEEL % pk == 0:
-            omega[::pk] += 1
+        while p < pmin and WHEEL % pk == 0:
             smooth[::pk] *= p
             pk *= p
-    sqfree[::4] = sqfree[::9] = False
-    return omega, smooth, sqfree
-
-
-_WHEEL_PATTERNS = _wheel_patterns()
+    return smooth
 
 
 def _tile(pattern, r0, size):
@@ -139,59 +163,102 @@ def _tile(pattern, r0, size):
     return out
 
 
-def _sieve_segment(lo, hi, powers, pmin=2):
-    """(omega, sqfree, first) on one segment [lo, hi).
+def _log_steps(lo, hi):
+    """[(a, m)] with m = floor(LOG_SCALE log2 n) on n in [lo + a, next a):
+    the steps of the threshold, exact in integers since m is the bit length
+    of n^16 less one and each step starts at the ceiling of 2^(m/16)."""
+    m_lo = (lo**LOG_SCALE).bit_length() - 1
+    m_hi = ((hi - 1) ** LOG_SCALE).bit_length() - 1
+    steps = [(0, m_lo)]
+    for m in range(m_lo + 1, m_hi + 1):
+        root = math.isqrt(math.isqrt(math.isqrt(math.isqrt(1 << m))))  # floor(2^(m/16))
+        steps.append((root + (root**LOG_SCALE != 1 << m) - lo, m))
+    return steps
+
+
+def _sieve_segment(lo, hi, powers, pmin=math.inf):
+    """(acc, first) on one segment [lo, hi).
 
     powers is _prime_powers(base, hi') for base primes covering sqrt(hi-1)
-    and any hi' >= hi: one list serves every segment of a span. omega
-    counts prime factors with multiplicity, sqfree flags square-free n, and
-    first is the smallest prime factor >= pmin (0 when there is none; all 0
-    when pmin >= hi, for the paths that need only omega and sqfree). No
-    division runs per prime power. The powers p^k < hi of the primes with
-    p^2 < hi fall in three parts:
-    - wheel: the powers dividing WHEEL are periodic mod WHEEL, so their part
-      of omega and of the smooth product, and the flags of 4 and 9, are
-      tiled from one precomputed period (Pritchard's pre-sieve), and they
-      are masked out of powers;
-    - dense: every other power up to a cut of len/256 gets one strided pass;
+    and any hi' >= hi: one list serves every segment of a span. acc is one
+    int32 per n: every hit of a prime power p^k dividing n, over the primes
+    p with p^2 < hi and 2, 3, 5 and 7, adds
+        (round(16 log2 p) << 16) | ([k = 2] << 8) | 1,
+    and the cofactor test below adds 1 more where a prime is left over. So
+    the low byte is Omega(n), and lambda(n) = 1 - 2 (acc & 1); the next byte
+    counts the primes whose square divides n, so n is square-free exactly
+    when acc & 0xFF00 is 0. first is the smallest prime factor >= pmin, 0
+    when there is none; it is None when pmin >= hi, for the paths that read
+    only acc. No division runs per prime power. The powers fall in three
+    parts:
+    - wheel: the powers dividing WHEEL are periodic mod WHEEL, so their
+      part of acc is tiled from one precomputed period (Pritchard's
+      pre-sieve), and they are masked out of powers;
+    - dense: every other power up to a cut of len/256 gets one strided add;
     - scatter: the powers above the cut hit few n each, so _scatter builds
-      all their hit indices at once and adds, multiplies and flags them in
-      one call each.
-    first is the minimum over the scatter hits, overwritten by the dense and
-    then the wheel primes >= pmin in descending order, so the smallest wins.
-    What the base-prime powers leave of n is 1 or a single prime above
-    sqrt(hi-1): one division gives it where first is still 0.
+      all their hit indices at once and adds them in one call.
+
+    The cofactor test. What the hits leave of n = s c is c = 1 or a single
+    prime c > sqrt(hi-1). The high half A of acc sums h = Omega(s) hits,
+    each within 1/2 of 16 log2 p, so |A - 16 log2 s| <= h/2, with
+    h <= B = floor(log2(hi-1)). With m = floor(16 log2 n) and the margin
+    M = B // 2 + 1 > h/2, the prime c is there exactly when A < m - M:
+    - c = 1: A >= 16 log2 n - h/2 > m - M;
+    - c prime: A <= m + 1 - 16 log2 c + h/2 <= m - M - 1, since
+      16 log2 c > 8B >= B + 2 >= M + 1 + h/2 for every hi >= 3 (B >= 1;
+      hi = 2 holds only n = 1).
+    (A Pomerance-style scaled-log sieve, made exact by the gap between 1
+    and sqrt(hi-1).) m is a step function of n, so the test is one
+    comparison of acc with (m - M) << 16 per step of _log_steps.
+
+    first, for pmin < hi, starts at n (pmin <= 2) or INT64_MAX and takes the
+    minimum with the least wheel prime >= pmin, tiled mod 210, and with
+    every other base prime >= pmin, strided or scattered as above. For
+    pmin <= 2 whatever is still n is 1 (set to 0) or a prime. For pmin > 2
+    a smooth array multiplies the base-prime powers below pmin, tiled for
+    the wheel and strided or scattered for the rest, and wherever first is
+    still INT64_MAX, n // smooth is 1 or the prime cofactor, which first
+    takes when it is >= pmin (0 otherwise).
     """
     size = hi - lo
-    r0 = lo % WHEEL
-    omega, smooth, sqfree = (_tile(pattern, r0, size) for pattern in _WHEEL_PATTERNS)
-    first = np.zeros(size, dtype=np.int64)
+    acc = _tile(_WHEEL_PATTERN, lo % WHEEL, size)
     ps, pks = powers
     reached = (pks < hi) & (ps * ps < hi) & (WHEEL % pks != 0)
     ps, pks = ps[reached], pks[reached]
-    # one strided call costs about as much as a few hundred scattered hits
-    dense = pks <= size >> 8
-    _scatter(lo, size, ps[~dense], pks[~dense], pmin, omega, smooth, sqfree, first)
-    ps, pks = ps[dense].tolist(), pks[dense].tolist()
-    starts = [-lo % pk for pk in pks]
-    for p, pk, s in zip(ps, pks, starts):
-        omega[s::pk] += 1
-        smooth[s::pk] *= p
-        if pk == p * p:
-            sqfree[s::pk] = False
-    big = smooth != np.arange(lo, hi, dtype=np.int64)
-    omega += big
+    first = smooth = None
     if pmin < hi:
-        leads = [(p, s) for p, pk, s in zip(ps, pks, starts) if pk == p >= pmin]
-        leads += [(p, -lo % p) for p in WHEEL_PRIMES if p >= pmin]
-        for p, s in sorted(leads, reverse=True):
-            first[s::p] = p
-        big &= first == 0
-        i = np.flatnonzero(big)
+        if pmin <= 2:
+            first = np.arange(lo, hi, dtype=np.int64)
+        else:
+            first = np.full(size, INT64_MAX)
+            smooth = _tile(_wheel_smooth(pmin), lo % WHEEL, size)
+        np.minimum(first, _tile(_least_wheel(pmin), lo % LEAST_WHEEL, size), out=first)
+    # one strided call costs about as much as a few hundred scattered hits
+    adds = _hits(ps, pks)
+    dense = pks <= size >> 8
+    _scatter(lo, size, ps[~dense], pks[~dense], adds[~dense], pmin, acc, first, smooth)
+    for p, pk, add in zip(ps[dense].tolist(), pks[dense].tolist(), adds[dense].tolist()):
+        s = -lo % pk
+        hits = acc[s::pk]
+        np.add(hits, add, out=hits)  # in place: += would also copy the view back
+        if first is not None and pk == p >= pmin:
+            hits = first[s::p]
+            np.minimum(hits, p, out=hits)
+        elif smooth is not None and p < pmin:
+            hits = smooth[s::pk]
+            np.multiply(hits, p, out=hits)
+    margin = ((hi - 1).bit_length() - 1) // 2 + 1
+    steps = _log_steps(lo, hi)
+    for (a, m), (b, _) in zip(steps, steps[1:] + [(size, 0)]):
+        part = acc[a:b]
+        np.add(part, part < (m - margin) << 16, out=part)
+    if smooth is not None:
+        i = np.flatnonzero(first == INT64_MAX)
         cof = (i + lo) // smooth[i]
-        keep = cof >= pmin
-        first[i[keep]] = cof[keep]
-    return omega, sqfree, first
+        first[i] = np.where(cof >= pmin, cof, 0)
+    elif first is not None and lo == 1:
+        first[0] = 0
+    return acc, first
 
 
 def _prime_powers(base_primes, hi):
@@ -207,43 +274,39 @@ def _prime_powers(base_primes, hi):
     return np.concatenate(p_all), np.concatenate(pk_all)
 
 
-def _scatter(lo, size, ps, pks, pmin, omega, smooth, sqfree, first):
-    """Add the hits of the prime powers pks of ps on [lo, lo + size) into
-    omega, smooth and sqfree in one call each, and put the least p >= pmin
-    among them into first, which is still all 0. ps and pks are ordered as
-    _prime_powers orders them.
+def _scatter(lo, size, ps, pks, adds, pmin, acc, first, smooth):
+    """Add the hits of the prime powers pks of ps on [lo, lo + size) into acc
+    in one call, adds being their increments; when first is not None, take
+    its minimum with every p >= pmin at the hits of k = 1, and when smooth
+    is not None, multiply it by every p < pmin at its hits. ps and pks are
+    ordered as _prime_powers orders them.
 
-    Every hit index comes from one cumsum: each power repeats its step, and
-    the first step of each run jumps from the last hit of the run before to
-    the run's own start."""
+    Every hit index comes from one arange: the hits of a power p^k with
+    start s and edges[j] hits before it are s + p^k (i - edges[j])."""
     starts = -lo % pks
     counts = (size - 1 - starts) // pks + 1
     hit = counts > 0
-    ps, pks, starts, counts = ps[hit], pks[hit], starts[hit], counts[hit]
+    ps, pks, adds, starts, counts = ps[hit], pks[hit], adds[hit], starts[hit], counts[hit]
     if not ps.size:
         return
     edges = np.zeros(len(ps) + 1, dtype=np.int64)
     np.cumsum(counts, out=edges[1:])
-    steps = np.repeat(pks, counts)
-    lasts = starts + (counts - 1) * pks
-    steps[edges[:-1]] = starts - np.concatenate(([0], lasts[:-1]))
-    idx = np.cumsum(steps)
-    del steps  # so that at most two hit-long arrays are alive at once
-    pvals = np.repeat(ps, counts)
-    # a typed one: a Python int 1 sends ufunc.at down a loop about 25x slower
-    np.add.at(omega, idx, np.ones(1, dtype=omega.dtype))
-    np.multiply.at(smooth, idx, pvals)
-    k1 = int(np.count_nonzero(pks == ps))
-    sqfree[idx[edges[k1]:]] = False
-    if pmin < lo + size:
+    idx = np.arange(edges[-1])
+    idx *= np.repeat(pks, counts)
+    idx += np.repeat(starts - pks * edges[:-1], counts)
+    np.add.at(acc, idx, np.repeat(adds, counts))
+    if first is not None:
+        k1 = int(np.count_nonzero(pks == ps))
         lead = slice(edges[np.searchsorted(ps[:k1], pmin)], edges[k1])
-        first[idx[lead]] = INT64_MAX
-        np.minimum.at(first, idx[lead], pvals[lead])
+        np.minimum.at(first, idx[lead], np.repeat(ps[:k1], counts[:k1])[lead])
+    if smooth is not None:
+        low = ps < pmin
+        np.multiply.at(smooth, idx[np.repeat(low, counts)], np.repeat(ps[low], counts[low]))
 
 
 def _walk(lo, hi, pmin=math.inf, segment_len=None, budget=SPAN_BUDGET):
-    """(seg, omega, sqfree, first) for each segment of [lo, hi) in turn: seg
-    its slice of [lo, hi), the rest _sieve_segment's outputs for pmin.
+    """(seg, acc, first) for each segment of [lo, hi) in turn: seg its slice
+    of [lo, hi), the rest _sieve_segment's outputs for pmin.
 
     The span check, base primes and _prime_powers run once, when _walk is
     called, not on the first next(), so callers allocate after the check.
@@ -257,20 +320,34 @@ def _walk(lo, hi, pmin=math.inf, segment_len=None, budget=SPAN_BUDGET):
     return ((slice(a - lo, b - lo),) + _sieve_segment(a, b, powers, pmin) for a, b in bounds)
 
 
+def _lam(acc, out):
+    """lambda(n) = 1 - 2 (acc & 1) into the int8 array out."""
+    parity = acc.astype(np.int8)  # the low byte, Omega mod 256
+    np.bitwise_and(parity, 1, out=parity)
+    np.multiply(parity, -2, out=out)
+    np.add(out, 1, out=out)
+
+
+def _squarefree(acc):
+    """True where no prime square divides n."""
+    return np.bitwise_and(acc, 0xFF00) == 0
+
+
 def build_sieve(lo, hi, segment_len=None):
     """FactorTable over [lo, hi), processed in segments of segment_len
     (DEFAULT_SEGMENT when None). Raises BudgetError when the span exceeds
     the memory budget and OverflowError when hi does not fit the 64-bit
     invariants."""
     lo, hi = int(lo), int(hi)
-    segments = _walk(lo, hi, 2, segment_len)
+    segments = _walk(lo, hi, 1, segment_len)  # 1 < hi, so first is always there
     spf = np.empty(hi - lo, dtype=np.int64)
     omega = np.empty(hi - lo, dtype=np.int16)
     lam = np.empty(hi - lo, dtype=np.int8)
     mu = np.empty(hi - lo, dtype=np.int8)
-    for seg, omega[seg], sq, spf[seg] in segments:
-        lam[seg] = 1 - 2 * (omega[seg] & 1)
-        mu[seg] = np.where(sq, lam[seg], 0)
+    for seg, acc, spf[seg] in segments:
+        np.bitwise_and(acc, 0xFF, out=omega[seg], casting="unsafe")
+        _lam(acc, lam[seg])
+        np.multiply(lam[seg], _squarefree(acc), out=mu[seg])
     return FactorTable(lo, hi, spf, omega, lam, mu)
 
 
@@ -279,8 +356,8 @@ def liouville_range(lo, hi):
     lo, hi = int(lo), int(hi)
     segments = _walk(lo, hi)
     out = np.empty(hi - lo, dtype=np.int8)
-    for seg, omega, _, _ in segments:
-        out[seg] = 1 - 2 * (omega & 1)
+    for seg, acc, _ in segments:
+        _lam(acc, out[seg])
     return out
 
 
@@ -291,8 +368,8 @@ def least_factor_range(lo, hi, pmin):
     segments = _walk(lo, hi, pmin)
     lam = np.empty(hi - lo, dtype=np.int8)
     first = np.empty(hi - lo, dtype=np.int64)
-    for seg, omega, _, first[seg] in segments:
-        lam[seg] = 1 - 2 * (omega & 1)
+    for seg, acc, first[seg] in segments:
+        _lam(acc, lam[seg])
     return lam, first
 
 
@@ -301,8 +378,9 @@ def mobius_range(lo, hi):
     lo, hi = int(lo), int(hi)
     segments = _walk(lo, hi)
     out = np.empty(hi - lo, dtype=np.int8)
-    for seg, omega, sq, _ in segments:
-        out[seg] = np.where(sq, 1 - 2 * (omega & 1), 0)
+    for seg, acc, _ in segments:
+        _lam(acc, out[seg])
+        np.multiply(out[seg], _squarefree(acc), out=out[seg])
     return out
 
 

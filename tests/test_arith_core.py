@@ -140,13 +140,23 @@ def test_least_factor_range_segment_independence(segment, monkeypatch):
 
 
 def _assert_matches_strided(got, lo, hi, pmin):
-    # omega, sqfree and first, values and dtypes, against the one-strided-
-    # pass-per-prime-power kernel given the segment's own base primes
+    # omega, sqfree and lambda from the accumulator, and first where
+    # pmin < hi, values and dtypes, against the one-strided-pass-per-prime-
+    # power kernel given the segment's own base primes
+    acc, first = got
     base = ac.primes_upto(math.isqrt(hi - 1))
-    want = oracles.strided_sieve_segment(lo, hi, base, pmin)
-    for name, g, w in zip(("omega", "sqfree", "first"), got, want):
-        assert g.dtype == w.dtype, (lo, hi, pmin, name)
-        assert np.array_equal(g, w), (lo, hi, pmin, name)
+    omega, sqfree, want_first = oracles.strided_sieve_segment(lo, hi, base, pmin)
+    assert acc.dtype == np.int32
+    assert np.array_equal(acc & 0xFF, omega), (lo, hi, pmin, "omega")
+    assert np.array_equal(ac._squarefree(acc), sqfree), (lo, hi, pmin, "sqfree")
+    lam = np.empty(hi - lo, dtype=np.int8)
+    ac._lam(acc, lam)
+    assert np.array_equal(lam, 1 - 2 * (omega & 1)), (lo, hi, pmin, "lam")
+    if pmin < hi:
+        assert first.dtype == want_first.dtype, (lo, hi, pmin)
+        assert np.array_equal(first, want_first), (lo, hi, pmin, "first")
+    else:
+        assert first is None, (lo, hi, pmin)
 
 
 def _assert_kernel_matches_strided(lo, hi, pmin):

@@ -58,8 +58,9 @@ def test_weight_array_agrees_with_scalar_path(monkeypatch):
     # independent check of the sieved array
     def started(*args, **kwargs):
         raise RuntimeError("sieve started")
-    for name in ("_walk", "_sieve_segment", "_prime_powers", "_scatter",
-                 "_tile", "_wheel_patterns", "primes_upto"):
+    for name in ("_walk", "_sieve_segment", "_prime_powers", "_scatter", "_tile",
+                 "_hits", "_log_steps", "_least_wheel", "_wheel_smooth",
+                 "_lam", "_squarefree", "primes_upto"):
         monkeypatch.setattr(mr.arith_core, name, started)
     ns = np.arange(w.X + 1, w.domain_hi + 1)
     for i in range(0, len(ns), 17):
