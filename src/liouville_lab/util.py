@@ -15,6 +15,8 @@ _FSUM_EXP_BIAS = 1073
 _FSUM_BINS = 2200
 # Each 53-bit integer mantissa M is split as H * 2^26 + L, 0 <= L < 2^26.
 _FSUM_SPLIT = 26
+# Error-free extraction passes per block before it falls back to the bins.
+_EXTRACT_PASSES = 3
 
 
 class BudgetError(RuntimeError):
@@ -29,9 +31,21 @@ class ExactSum:
     """Streaming exact sum: add() 1-d numpy arrays one after another, and
     value() is the exactly rounded sum of everything added so far.
 
-    Each array is converted to float64 block by block and added into a
-    small superaccumulator (R. Neal, arXiv:1505.05571) that lives from one
-    add() to the next. Each double is a 53-bit integer mantissa M times
+    Each array is converted to float64 block by block. A block is summed by
+    error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 2008): for a block of n values
+    below 2^e in magnitude and sigma = 2^(e + b), 2^b >= 2n, the doubles
+    q = (sigma + x) - sigma are exact, multiples of ulp(sigma) / 2 below
+    sigma / 2n, so np.sum(q) is exact in any order, and x - q is exact and
+    below 2^(e + b - 53). Each pass so keeps the top 53 - b bits of every
+    element and leaves the rest for the next. After at most
+    _EXTRACT_PASSES passes a block whose exponent span is too wide for them
+    (or whose top is within 2^b of overflow) falls back: what is left of it
+    is added by the bincount path below.
+
+    The bincount path is a small superaccumulator (R. Neal,
+    arXiv:1505.05571) that lives from one add() to the next; it also takes
+    the exact pass totals. Each double is a 53-bit integer mantissa M times
     2^(e - 53) with e from np.frexp. M is split as H * 2^26 + L with
     0 <= L < 2^26, and H and L are added per exponent with np.bincount.
     Those float sums are exact: a block adds at most 2^14 integers of
@@ -60,18 +74,39 @@ class ExactSum:
 
     def add(self, values):
         """Add every element of the 1-d numpy array values."""
+        totals = []
         for start in range(0, len(values), _FSUM_BLOCK):
             block = values[start:start + _FSUM_BLOCK].astype(np.float64, copy=False)
-            mant, exp = np.frexp(block)
-            mant *= 2.0 ** (53 - _FSUM_SPLIT)  # mant = M / 2^26
-            whole = np.floor(mant)
-            exp += _FSUM_EXP_BIAS
-            block_hi = np.bincount(exp, weights=whole)
-            if not np.isfinite(block_hi).all():  # a nan or inf is in this block
+            # |x| as bits: ordered as the magnitudes, and 0x7FF0... up for nan, inf
+            mag = np.abs(block).view(np.uint64)
+            top = int(mag.max())
+            if top >= 0x7FF << 52:  # a nan or inf is in this block
                 self._nan |= bool(np.isnan(block).any())
                 self._pos_inf |= bool((block == np.inf).any())
                 self._neg_inf |= bool((block == -np.inf).any())
                 continue
+            if not top:
+                continue
+            mag -= 1  # so that the least is the least nonzero magnitude, less 1
+            e = (top >> 52) - 1022  # every |x| < 2^e
+            grain = max((int(mag.min()) + 1) >> 52, 1) - 1075  # every x is a multiple of 2^grain
+            b = (2 * len(block) - 1).bit_length()  # 2^b >= 2n
+            passes = -(-(e + 1 - grain) // (53 - b))
+            if passes > _EXTRACT_PASSES or e + b > 1023:
+                self._add_bins(block)
+            else:
+                _extract(block, e, b, passes, totals)
+        self._add_bins(np.array(totals))
+
+    def _add_bins(self, values):
+        """Add the finite float64 array values by the bincount path, one
+        block at a time."""
+        for start in range(0, len(values), _FSUM_BLOCK):
+            mant, exp = np.frexp(values[start:start + _FSUM_BLOCK])
+            mant *= 2.0 ** (53 - _FSUM_SPLIT)  # mant = M / 2^26
+            whole = np.floor(mant)
+            exp += _FSUM_EXP_BIAS
+            block_hi = np.bincount(exp, weights=whole)
             mant -= whole
             block_lo = np.bincount(exp, weights=mant)
             block_lo *= 2.0 ** _FSUM_SPLIT
@@ -87,6 +122,24 @@ class ExactSum:
         if self._pos_inf or self._neg_inf:
             return math.inf if self._pos_inf else -math.inf
         return _join_bins(self._hi, self._lo)
+
+
+def _extract(block, e, b, passes, totals):
+    """Append to totals the exact sum of each extraction pass over the
+    finite float64 block, whose elements lie below 2^e; sigma = 2^(e + b)
+    with 2^b >= 2 len(block). passes is enough to leave nothing behind."""
+    rest = block
+    for k in range(passes):
+        sigma = math.ldexp(1.0, e + b)
+        q = rest + sigma
+        q -= sigma
+        totals.append(float(q.sum()))
+        if k == passes - 1:
+            return
+        rest = np.subtract(rest, q, out=q)
+        if not rest.any():
+            return
+        e += b - 53  # rest <= ulp(sigma) / 2 = 2^(e + b - 53)
 
 
 def fsum(values):
