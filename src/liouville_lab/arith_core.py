@@ -105,6 +105,7 @@ WHEEL = 2520  # 2^3 3^2 5 7
 WHEEL_PRIMES = (2, 3, 5, 7)
 LEAST_WHEEL = 210  # 2 3 5 7: the least wheel prime dividing n is periodic mod 210
 LOG_SCALE = 16  # the accumulator's high half sums round(LOG_SCALE log2 p) per hit
+LOG_MARGIN = 40  # a prime cofactor is left where that sum is below floor(16 log2 n) - 40
 
 
 def _hits(ps, pks):
@@ -199,17 +200,18 @@ def _sieve_segment(lo, hi, powers, pmin=math.inf):
       all their hit indices at once and adds them in one call.
 
     The cofactor test. What the hits leave of n = s c is c = 1 or a single
-    prime c > sqrt(hi-1). The high half A of acc sums h = Omega(s) hits,
-    each within 1/2 of 16 log2 p, so |A - 16 log2 s| <= h/2, with
-    h <= B = floor(log2(hi-1)). With m = floor(16 log2 n) and the margin
-    M = B // 2 + 1 > h/2, the prime c is there exactly when A < m - M:
-    - c = 1: A >= 16 log2 n - h/2 > m - M;
-    - c prime: A <= m + 1 - 16 log2 c + h/2 <= m - M - 1, since
-      16 log2 c > 8B >= B + 2 >= M + 1 + h/2 for every hi >= 3 (B >= 1;
-      hi = 2 holds only n = 1).
-    (A Pomerance-style scaled-log sieve, made exact by the gap between 1
-    and sqrt(hi-1).) m is a step function of n, so the test is one
-    comparison of acc with (m - M) << 16 per step of _log_steps.
+    prime c > max(7, sqrt(hi-1)), so s < c. The high half A of acc sums
+    h = Omega(s) hits, each within 1/2 of 16 log2 p, so
+    |A - 16 log2 s| <= h/2 with h <= log2 s. With m = floor(16 log2 n) and
+    the margin LOG_MARGIN = 40, the prime c is there exactly when
+    A < m - 40:
+    - c = 1: h <= 63 since n < 2^63, so A >= 16 log2 n - 31.5 > m - 40;
+    - c prime: h < log2 c, so A < 16 log2 n - 15.5 log2 c
+      <= m + 1 - 15.5 log2 11 < m - 52.
+    Any margin in (31.5, 52.6) would do. (A Pomerance-style scaled-log
+    sieve, made exact by the gap between s and c.) m is a step function of
+    n, so the test is one comparison of acc with (m - 40) << 16 per step
+    of _log_steps.
 
     first, for pmin < hi, starts at n (pmin <= 2) or INT64_MAX and takes the
     minimum with the least wheel prime >= pmin, tiled mod 210, and with
@@ -247,11 +249,10 @@ def _sieve_segment(lo, hi, powers, pmin=math.inf):
         elif smooth is not None and p < pmin:
             hits = smooth[s::pk]
             np.multiply(hits, p, out=hits)
-    margin = ((hi - 1).bit_length() - 1) // 2 + 1
     steps = _log_steps(lo, hi)
     for (a, m), (b, _) in zip(steps, steps[1:] + [(size, 0)]):
         part = acc[a:b]
-        np.add(part, part < (m - margin) << 16, out=part)
+        np.add(part, part < (m - LOG_MARGIN) << 16, out=part)
     if smooth is not None:
         i = np.flatnonzero(first == INT64_MAX)
         cof = (i + lo) // smooth[i]

@@ -220,7 +220,38 @@ def test_kernel_matches_strided_oracle_property(lo, length, pmin):
     _assert_kernel_matches_strided(lo, hi, hi if pmin is None else pmin)
 
 
-@pytest.mark.parametrize("lo, hi", [(1, 10**10), (10**6 + 1, 10**12)])
+def test_kernel_matches_strided_oracle_at_margin_edges():
+    # the cofactor test compares the scaled-log sum with floor(16 log2 n)
+    # less 40: at small hi the cofactor is as small as 11 (hi near 626 is
+    # where a bound of 64 hits would first make 40 safe), then n = q^2 for
+    # the largest base prime q, the steps of floor(16 log2 n) at powers of
+    # two, and hi near 1e12, where n has up to 39 prime factors
+    steps = ac._log_steps(2**20 - 5000, 2**20 + 5000)
+    ms = np.repeat([m for _, m in steps], np.diff([a for a, _ in steps] + [10**4]))
+    assert ms.tolist() == [(n**16).bit_length() - 1 for n in range(2**20 - 5000, 2**20 + 5000)]
+    for hi in list(range(2, 130)) + list(range(600, 700)):
+        for pmin in (2, 30, hi):
+            _assert_kernel_matches_strided(1, hi, pmin)
+            _assert_kernel_matches_strided(max(1, hi - 50), hi, pmin)
+    for bound in (10**4, 10**6, 10**9 + 7):
+        q = int(ac.primes_upto(math.isqrt(bound - 1))[-1])
+        for lo, hi in ((q * q - 40, q * q + 1), (q * q, q * q + 40), (q * q - 3, (q + 1) ** 2)):
+            for pmin in (2, 30, hi):
+                _assert_kernel_matches_strided(lo, hi, pmin)
+    for k in range(4, 33):
+        for lo, hi in ((2**k - 40, 2**k), (2**k - 20, 2**k + 20), (2**k, 2**k + 40)):
+            for pmin in (2, hi):
+                _assert_kernel_matches_strided(max(lo, 1), hi, pmin)
+    # base primes to 1e6 (0.5 s per oracle call): the largest one's square,
+    # 2^40 and 1e12
+    q = int(ac.primes_upto(10**6)[-1])
+    for lo, hi in ((q * q - 20, q * q + 20), (2**40 - 20, 2**40 + 20), (10**12 - 2048, 10**12 + 2048)):
+        _assert_kernel_matches_strided(lo, hi, 2)
+    _assert_kernel_matches_strided(10**12 - 2048, 10**12 + 2048, 1000)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 10**10), (1001, 10**11), (10001, 10**12),
+                                    (10**6 + 1, 10**12)])
 def test_walk_segments_match_strided_oracle(lo, hi):
     # the walk's powers cover sqrt(hi - 1), far past sqrt(b - 1) of its
     # first segments [a, b), which must come out as their own base primes
@@ -229,6 +260,23 @@ def test_walk_segments_match_strided_oracle(lo, hi):
         walk = ac._walk(lo, hi, pmin, 1 << 12, budget=math.inf)
         for seg, *got in itertools.islice(walk, 3):
             _assert_matches_strided(got, lo + seg.start, lo + seg.stop, pmin)
+
+
+@pytest.mark.parametrize("sieve, bound_mib", [
+    (lambda: ac.liouville_range(10**7, 13 * 10**6), 8),
+    (lambda: ac.mobius_range(3 * 10**6, 6 * 10**6), 9),
+])
+def test_parity_paths_hold_no_int64_per_integer(sieve, bound_mib):
+    # the 3 MB int8 output and one int32 accumulator per segment; an int64
+    # per integer per segment (a first array nothing reads) took 12.4 MiB
+    sieve()
+    tracemalloc.start()
+    try:
+        sieve()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
 
 
 def test_walk_checks_span_when_called():

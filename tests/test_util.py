@@ -176,6 +176,69 @@ def test_nonfinite_in_any_piece_is_math_fsum_of_the_whole(specials):
         assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
+def _recording_extract(monkeypatch):
+    # the blocks handed to error-free extraction, by their first element
+    seen = []
+    extract = util._extract
+
+    def recorded(block, *args):
+        seen.append(float(block[0]))
+        return extract(block, *args)
+    monkeypatch.setattr(util, "_extract", recorded)
+    return seen
+
+
+def test_blocks_too_wide_for_extraction_fall_back(monkeypatch):
+    # a block spanning 2^-60 to 2^60 needs more than the passes allowed and
+    # goes to the bins whole; the narrow block after it is extracted
+    seen = _recording_extract(monkeypatch)
+    wide = np.ldexp(np.linspace(1.0, 2.0, B), np.tile([-60, 60, 0, 13], B // 4))
+    narrow = np.linspace(1.0, 3.0, B)
+    values = np.concatenate([wide, narrow])
+    assert fsum(values) == oracles.exact_sum(values)
+    assert seen == [narrow[0]]
+    # a top within 2^b of overflow falls back too
+    seen.clear()
+    huge = np.zeros(B)
+    huge[:4] = [2.0 ** 1008, -3.0, 2.0 ** 1007, -(2.0 ** 1008)]
+    assert fsum(huge) == oracles.exact_sum(huge)
+    assert seen == []
+
+
+def test_all_zero_blocks_add_nothing(monkeypatch):
+    seen = _recording_extract(monkeypatch)
+    values = np.zeros(3 * B + 5)
+    values[B + 7] = -0.0
+    values[-1] = 0.25
+    assert same_double(fsum(values[:3 * B]), 0.0)
+    assert fsum(values) == 0.25
+    assert seen == [0.0]  # only the last, partial block holds a nonzero
+
+
+def test_alternating_reciprocals_across_block_edges():
+    # +-1/n over [1e4, 1e4 + 5B): two passes per block, cut into pieces at
+    # and next to block edges
+    n = np.arange(10**4, 10**4 + 5 * B, dtype=np.float64)
+    values = 1.0 / n
+    values[1::2] *= -1
+    assert fsum(values) == oracles.exact_sum(values)
+    for cuts in ([B], [B - 1, B + 1], [3, 2 * B + 1, 4 * B - 2]):
+        acc = util.ExactSum()
+        for a, b in zip([0] + cuts, cuts + [len(values)]):
+            acc.add(values[a:b])
+        assert acc.value() == oracles.exact_sum(values), cuts
+
+
+@pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+def test_nonfinite_inside_an_extracted_block(special):
+    # the rest of the block and the blocks around it are narrow
+    values = 1.0 / np.arange(1, 3 * B + 1, dtype=np.float64)
+    values[B + B // 2] = special
+    got = fsum(values)
+    expected = math.fsum(values.tolist())
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
 def test_empty_accumulator_is_positive_zero():
     acc = util.ExactSum()
     assert same_double(acc.value(), 0.0)
