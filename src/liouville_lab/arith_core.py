@@ -150,10 +150,11 @@ def _wheel_smooth(pmin):
     return smooth
 
 
-def _tile(pattern, r0, size):
-    """pattern[(r0 + i) % len(pattern)] for i in 0..size-1, in a fresh array
-    of exactly size entries."""
-    out = np.empty(size, dtype=pattern.dtype)
+def _tile(pattern, r0, size, out=None):
+    """pattern[(r0 + i) % len(pattern)] for i in 0..size-1, in out (a fresh
+    array when None) of exactly size entries."""
+    if out is None:
+        out = np.empty(size, dtype=pattern.dtype)
     period = np.roll(pattern, -r0)[:size]
     k = len(period)
     out[:k] = period
@@ -162,6 +163,21 @@ def _tile(pattern, r0, size):
         out[k : k + n] = out[:n]
         k += n
     return out
+
+
+class _Buffers:
+    """The arrays every segment of one walk, at most size integers long,
+    writes into, so that no segment allocates them afresh: acc, and for
+    pmin finite, first, the least wheel prime >= pmin tiled mod 210, and
+    for pmin <= 2 the offsets 0..size-1 that first starts from."""
+
+    def __init__(self, size, pmin):
+        self.acc = np.empty(size, dtype=np.int32)
+        if pmin < math.inf:
+            self.first = np.empty(size, dtype=np.int64)
+            self.least = _tile(_least_wheel(pmin), 0, size + LEAST_WHEEL)
+        if pmin <= 2:
+            self.iota = np.arange(size, dtype=np.int64)
 
 
 def _log_steps(lo, hi):
@@ -177,7 +193,7 @@ def _log_steps(lo, hi):
     return steps
 
 
-def _sieve_segment(lo, hi, powers, pmin=math.inf):
+def _sieve_segment(lo, hi, powers, pmin=math.inf, buffers=None, first=None):
     """(acc, first) on one segment [lo, hi).
 
     powers is _prime_powers(base, hi') for base primes covering sqrt(hi-1)
@@ -190,8 +206,10 @@ def _sieve_segment(lo, hi, powers, pmin=math.inf):
     counts the primes whose square divides n, so n is square-free exactly
     when acc & 0xFF00 is 0. first is the smallest prime factor >= pmin, 0
     when there is none; it is None when pmin >= hi, for the paths that read
-    only acc. No division runs per prime power. The powers fall in three
-    parts:
+    only acc, unless the caller gives first, an int64 array of hi - lo
+    entries to fill. acc, and first when not given, live in buffers, a
+    _Buffers for pmin and at least hi - lo integers (fresh ones when None).
+    No division runs per prime power. The powers fall in three parts:
     - wheel: the powers dividing WHEEL are periodic mod WHEEL, so their
       part of acc is tiled from one precomputed period (Pritchard's
       pre-sieve), and they are masked out of powers;
@@ -223,18 +241,27 @@ def _sieve_segment(lo, hi, powers, pmin=math.inf):
     takes when it is >= pmin (0 otherwise).
     """
     size = hi - lo
-    acc = _tile(_WHEEL_PATTERN, lo % WHEEL, size)
+    if buffers is None:
+        buffers = _Buffers(size, pmin)
+    acc = _tile(_WHEEL_PATTERN, lo % WHEEL, size, buffers.acc[:size])
     ps, pks = powers
     reached = (pks < hi) & (ps * ps < hi) & (WHEEL % pks != 0)
     ps, pks = ps[reached], pks[reached]
-    first = smooth = None
-    if pmin < hi:
+    smooth = None
+    if pmin >= hi:
+        if first is not None:
+            first.fill(0)  # every n < hi <= pmin
+        first = None
+    else:
+        if first is None:
+            first = buffers.first[:size]
         if pmin <= 2:
-            first = np.arange(lo, hi, dtype=np.int64)
+            np.add(buffers.iota[:size], lo, out=first)
         else:
-            first = np.full(size, INT64_MAX)
+            first.fill(INT64_MAX)
             smooth = _tile(_wheel_smooth(pmin), lo % WHEEL, size)
-        np.minimum(first, _tile(_least_wheel(pmin), lo % LEAST_WHEEL, size), out=first)
+        r0 = lo % LEAST_WHEEL
+        np.minimum(first, buffers.least[r0 : r0 + size], out=first)
     # one strided call costs about as much as a few hundred scattered hits
     adds = _hits(ps, pks)
     dense = pks <= size >> 8
@@ -305,20 +332,24 @@ def _scatter(lo, size, ps, pks, adds, pmin, acc, first, smooth):
         np.multiply.at(smooth, idx[np.repeat(low, counts)], np.repeat(ps[low], counts[low]))
 
 
-def _walk(lo, hi, pmin=math.inf, segment_len=None, budget=SPAN_BUDGET):
+def _walk(lo, hi, pmin=math.inf, segment_len=None, budget=SPAN_BUDGET, first=None):
     """(seg, acc, first) for each segment of [lo, hi) in turn: seg its slice
     of [lo, hi), the rest _sieve_segment's outputs for pmin.
 
-    The span check, base primes and _prime_powers run once, when _walk is
-    called, not on the first next(), so callers allocate after the check.
-    Segments hold segment_len integers, DEFAULT_SEGMENT when None. Loop
-    variables hold their arrays while the next segment is sieved, so
-    callers unpack the arrays they copy straight into their outputs."""
+    The span check, base primes, _prime_powers and the _Buffers run once,
+    when _walk is called, not on the first next(), so callers allocate
+    after the check. Segments hold segment_len integers, DEFAULT_SEGMENT
+    when None. acc is one buffer that every segment overwrites, so callers
+    read it before the next; first, when given, is the int64 output over
+    [lo, hi) whose slices the segments fill, else one buffer like acc."""
     _check_span(lo, hi, budget)
-    step = DEFAULT_SEGMENT if segment_len is None else segment_len
+    step = min(DEFAULT_SEGMENT if segment_len is None else segment_len, hi - lo)
     powers = _prime_powers(primes_upto(math.isqrt(hi - 1)), hi)
+    buffers = _Buffers(step, pmin)
     bounds = ((a, min(a + step, hi)) for a in range(lo, hi, step))
-    return ((slice(a - lo, b - lo),) + _sieve_segment(a, b, powers, pmin) for a, b in bounds)
+    return ((slice(a - lo, b - lo),)
+            + _sieve_segment(a, b, powers, pmin, buffers, None if first is None else first[a - lo : b - lo])
+            for a, b in bounds)
 
 
 def _lam(acc, out):
@@ -340,12 +371,13 @@ def build_sieve(lo, hi, segment_len=None):
     the memory budget and OverflowError when hi does not fit the 64-bit
     invariants."""
     lo, hi = int(lo), int(hi)
-    segments = _walk(lo, hi, 1, segment_len)  # 1 < hi, so first is always there
+    _check_span(lo, hi)  # before spf, which the walk fills
     spf = np.empty(hi - lo, dtype=np.int64)
+    segments = _walk(lo, hi, 1, segment_len, first=spf)
     omega = np.empty(hi - lo, dtype=np.int16)
     lam = np.empty(hi - lo, dtype=np.int8)
     mu = np.empty(hi - lo, dtype=np.int8)
-    for seg, acc, spf[seg] in segments:
+    for seg, acc, _ in segments:
         np.bitwise_and(acc, 0xFF, out=omega[seg], casting="unsafe")
         _lam(acc, lam[seg])
         np.multiply(lam[seg], _squarefree(acc), out=mu[seg])
@@ -366,10 +398,11 @@ def least_factor_range(lo, hi, pmin):
     """(lam, first) on [lo, hi), segmented: lam(n) as int8 and the least
     prime factor of n that is >= pmin, 0 when there is none."""
     lo, hi = int(lo), int(hi)
-    segments = _walk(lo, hi, pmin)
-    lam = np.empty(hi - lo, dtype=np.int8)
+    _check_span(lo, hi)  # before first, which the walk fills
     first = np.empty(hi - lo, dtype=np.int64)
-    for seg, acc, first[seg] in segments:
+    segments = _walk(lo, hi, pmin, first=first)
+    lam = np.empty(hi - lo, dtype=np.int8)
+    for seg, acc, _ in segments:
         _lam(acc, lam[seg])
     return lam, first
 

@@ -129,7 +129,10 @@ def test_least_factor_range_agrees_with_trial_division():
 
 @pytest.mark.parametrize("segment", [64, 1000])
 def test_least_factor_range_segment_independence(segment, monkeypatch):
-    cases = ((1, 5000, 7), (2, 400, 30), (10**6 + 3, 10**6 + 3000, 1100))
+    # pmin = 1100 and 3000 lie past the first segments' ends, whose n then
+    # have no prime factor >= pmin
+    cases = ((1, 5000, 7), (2, 400, 30), (10**6 + 3, 10**6 + 3000, 1100), (1, 5000, 1100),
+             (1, 3000, 3000))
     whole = [ac.least_factor_range(lo, hi, pmin) for lo, hi, pmin in cases]
     monkeypatch.setattr(ac, "DEFAULT_SEGMENT", segment)
     for (lo, hi, pmin), (lam, first) in zip(cases, whole):
