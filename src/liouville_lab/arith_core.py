@@ -459,16 +459,16 @@ def summatory_lambda(x):
     and M(x // k) for the k <= x // (u + 1) left come in increasing order
     of x // k from M(v) = 1 - sum_{j >= 2} M(v // j), with the j above
     sqrt(v) grouped by quotient: the simple O(x^(2/3)) form of
-    Deleglise-Rivat. Raises OverflowError when x + 1 does not fit the
-    64-bit sieve invariants and BudgetError when u exceeds SPAN_BUDGET."""
+    Deleglise-Rivat. It holds about 5 bytes per v <= u. Raises
+    OverflowError when x + 1 does not fit the 64-bit sieve invariants and
+    BudgetError when u exceeds SPAN_BUDGET (x above about 5.5e11)."""
     x = int(x)
     if x < 1:
         return 0
     _check_span(1, x + 1, budget=math.inf)
     u = min(max(math.isqrt(x), round(x ** (2 / 3))), x)
-    mu = mobius_range(1, u + 1)
-    small = np.zeros(u + 1, dtype=np.int64)  # small[v] = M(v)
-    np.cumsum(mu, out=small[1:])
+    small = np.zeros(u + 1, dtype=np.int32)  # small[v] = M(v), |M(v)| <= v < 2^31
+    np.cumsum(mobius_range(1, u + 1), dtype=np.int32, out=small[1:])
     k_max = x // (u + 1)
     large = np.zeros(k_max + 1, dtype=np.int64)  # large[k] = M(x // k)
     for k in range(k_max, 0, -1):
