@@ -167,14 +167,16 @@ def _tile(pattern, r0, size, out=None):
 
 class _Buffers:
     """The arrays every segment of one walk, at most size integers long,
-    writes into, so that no segment allocates them afresh: acc, and for
-    pmin finite, first, the least wheel prime >= pmin tiled mod 210, and
-    for pmin <= 2 the offsets 0..size-1 that first starts from."""
+    writes into, so that no segment allocates them afresh: acc; for pmin
+    finite, first; for pmin <= 7, the least wheel prime >= pmin tiled mod
+    210; and for pmin <= 2, the offsets 0..size-1 that first starts from."""
 
     def __init__(self, size, pmin):
         self.acc = np.empty(size, dtype=np.int32)
+        self.first = self.least = self.iota = None
         if pmin < math.inf:
             self.first = np.empty(size, dtype=np.int64)
+        if pmin <= WHEEL_PRIMES[-1]:
             self.least = _tile(_least_wheel(pmin), 0, size + LEAST_WHEEL)
         if pmin <= 2:
             self.iota = np.arange(size, dtype=np.int64)
@@ -260,8 +262,9 @@ def _sieve_segment(lo, hi, powers, pmin=math.inf, buffers=None, first=None):
         else:
             first.fill(INT64_MAX)
             smooth = _tile(_wheel_smooth(pmin), lo % WHEEL, size)
-        r0 = lo % LEAST_WHEEL
-        np.minimum(first, buffers.least[r0 : r0 + size], out=first)
+        if buffers.least is not None:
+            r0 = lo % LEAST_WHEEL
+            np.minimum(first, buffers.least[r0 : r0 + size], out=first)
     # one strided call costs about as much as a few hundred scattered hits
     adds = _hits(ps, pks)
     dense = pks <= size >> 8

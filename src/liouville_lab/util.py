@@ -15,7 +15,7 @@ _FSUM_EXP_BIAS = 1073
 _FSUM_BINS = 2200
 # Each 53-bit integer mantissa M is split as H * 2^26 + L, 0 <= L < 2^26.
 _FSUM_SPLIT = 26
-# Error-free extraction passes per block before it falls back to the bins.
+# A block needing more error-free extraction passes goes to the bins.
 _EXTRACT_PASSES = 3
 
 
@@ -35,13 +35,15 @@ class ExactSum:
     error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 2008): for a block of n values
     below 2^e in magnitude and sigma = 2^(e + b), 2^b >= 2n, the doubles
-    q = (sigma + x) - sigma are exact, multiples of ulp(sigma) / 2 below
-    sigma / 2n, so np.sum(q) is exact in any order, and x - q is exact and
-    below 2^(e + b - 53). Each pass so keeps the top 53 - b bits of every
-    element and leaves the rest for the next. After at most
-    _EXTRACT_PASSES passes a block whose exponent span is too wide for them
-    (or whose top is within 2^b of overflow) falls back: what is left of it
-    is added by the bincount path below.
+    q = (sigma + x) - sigma are exact multiples of 2^(e + b - 53) below
+    sigma / n in magnitude, so np.sum(q) is exact in any order, and the rest
+    x - q is exact and at most 2^(e + b - 53). Each pass so keeps the top
+    53 - b bits of every element and leaves the rest to the next. Every
+    element is a multiple of 2^g, the ulp of the least nonzero magnitude,
+    so ceil((e + 1 - g) / (53 - b)) passes leave nothing. The fallback
+    rule: a block that needs more than _EXTRACT_PASSES passes (an exponent
+    span too wide), or whose sigma would overflow (e + b > 1023), goes
+    whole to the bincount path below.
 
     The bincount path is a small superaccumulator (R. Neal,
     arXiv:1505.05571) that lives from one add() to the next; it also takes
