@@ -129,19 +129,17 @@ class ExactSum:
 def _extract(block, e, b, passes, totals):
     """Append to totals the exact sum of each extraction pass over the
     finite float64 block, whose elements lie below 2^e; sigma = 2^(e + b)
-    with 2^b >= 2 len(block). passes is enough to leave nothing behind."""
+    with 2^b >= 2 len(block). passes is enough to leave nothing behind, so
+    the last pass takes no rest."""
     rest = block
     for k in range(passes):
         sigma = math.ldexp(1.0, e + b)
         q = rest + sigma
         q -= sigma
         totals.append(float(q.sum()))
-        if k == passes - 1:
-            return
-        rest = np.subtract(rest, q, out=q)
-        if not rest.any():
-            return
-        e += b - 53  # rest <= ulp(sigma) / 2 = 2^(e + b - 53)
+        if k < passes - 1:
+            rest = np.subtract(rest, q, out=q)
+            e += b - 53  # rest <= ulp(sigma) / 2 = 2^(e + b - 53)
 
 
 def fsum(values):
