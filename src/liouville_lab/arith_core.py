@@ -168,13 +168,14 @@ def _tile(pattern, r0, size, out=None):
 class _Buffers:
     """The arrays every segment of one walk, at most size integers long,
     writes into, so that no segment allocates them afresh: acc; for pmin
-    finite, first; for pmin <= 7, the least wheel prime >= pmin tiled mod
-    210; and for pmin <= 2, the offsets 0..size-1 that first starts from."""
+    finite, first, unless the caller has its own (own_first False); for
+    pmin <= 7, the least wheel prime >= pmin tiled mod 210; and for
+    pmin <= 2, the offsets 0..size-1 that first starts from."""
 
-    def __init__(self, size, pmin):
+    def __init__(self, size, pmin, own_first=True):
         self.acc = np.empty(size, dtype=np.int32)
         self.first = self.least = self.iota = None
-        if pmin < math.inf:
+        if pmin < math.inf and own_first:
             self.first = np.empty(size, dtype=np.int64)
         if pmin <= WHEEL_PRIMES[-1]:
             self.least = _tile(_least_wheel(pmin), 0, size + LEAST_WHEEL)
@@ -348,7 +349,7 @@ def _walk(lo, hi, pmin=math.inf, segment_len=None, budget=SPAN_BUDGET, first=Non
     _check_span(lo, hi, budget)
     step = min(DEFAULT_SEGMENT if segment_len is None else segment_len, hi - lo)
     powers = _prime_powers(primes_upto(math.isqrt(hi - 1)), hi)
-    buffers = _Buffers(step, pmin)
+    buffers = _Buffers(step, pmin, first is None)
     bounds = ((a, min(a + step, hi)) for a in range(lo, hi, step))
     return ((slice(a - lo, b - lo),)
             + _sieve_segment(a, b, powers, pmin, buffers, None if first is None else first[a - lo : b - lo])
