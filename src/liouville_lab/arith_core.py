@@ -8,6 +8,7 @@ is the one home of factoring: trial division of a single integer, the primes
 in a band (a, b] and the least prime factor above a floor.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -183,17 +184,21 @@ class _Buffers:
             self.iota = np.arange(size, dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=None)
+def _log_step(m):
+    """The least n with floor(LOG_SCALE log2 n) >= m: the ceiling of
+    2^(m/16), exact in integers."""
+    root = math.isqrt(math.isqrt(math.isqrt(math.isqrt(1 << m))))  # floor(2^(m/16))
+    return root + (root**LOG_SCALE != 1 << m)
+
+
 def _log_steps(lo, hi):
     """[(a, m)] with m = floor(LOG_SCALE log2 n) on n in [lo + a, next a):
     the steps of the threshold, exact in integers since m is the bit length
-    of n^16 less one and each step starts at the ceiling of 2^(m/16)."""
+    of n^16 less one."""
     m_lo = (lo**LOG_SCALE).bit_length() - 1
     m_hi = ((hi - 1) ** LOG_SCALE).bit_length() - 1
-    steps = [(0, m_lo)]
-    for m in range(m_lo + 1, m_hi + 1):
-        root = math.isqrt(math.isqrt(math.isqrt(math.isqrt(1 << m))))  # floor(2^(m/16))
-        steps.append((root + (root**LOG_SCALE != 1 << m) - lo, m))
-    return steps
+    return [(0, m_lo)] + [(_log_step(m) - lo, m) for m in range(m_lo + 1, m_hi + 1)]
 
 
 def _sieve_segment(lo, hi, powers, pmin=math.inf, buffers=None, first=None):
@@ -232,7 +237,7 @@ def _sieve_segment(lo, hi, powers, pmin=math.inf, buffers=None, first=None):
     Any margin in (31.5, 52.6) would do. (A Pomerance-style scaled-log
     sieve, made exact by the gap between s and c.) m is a step function of
     n, so the test is one comparison of acc with (m - 40) << 16 per step
-    of _log_steps.
+    of _log_steps, or with one array of them where the steps are many.
 
     first, for pmin < hi, starts at n (pmin <= 2) or INT64_MAX and takes the
     minimum with the least wheel prime >= pmin, tiled mod 210, and with
@@ -280,10 +285,16 @@ def _sieve_segment(lo, hi, powers, pmin=math.inf, buffers=None, first=None):
         elif smooth is not None and p < pmin:
             hits = smooth[s::pk]
             np.multiply(hits, p, out=hits)
-    steps = _log_steps(lo, hi)
-    for (a, m), (b, _) in zip(steps, steps[1:] + [(size, 0)]):
-        part = acc[a:b]
-        np.add(part, part < (m - LOG_MARGIN) << 16, out=part)
+    starts, ms = zip(*_log_steps(lo, hi))
+    limits = [(m - LOG_MARGIN) << 16 for m in ms]
+    # a step costs about as much as comparing 4096 integers with an array
+    if len(limits) * 4096 <= size:
+        for a, b, limit in zip(starts, starts[1:] + (size,), limits):
+            part = acc[a:b]
+            np.add(part, part < limit, out=part)
+    else:
+        limits = np.repeat(np.array(limits, dtype=np.int32), np.diff(starts + (size,)))
+        np.add(acc, acc < limits, out=acc)
     if smooth is not None:
         i = np.flatnonzero(first == INT64_MAX)
         cof = (i + lo) // smooth[i]
