@@ -59,7 +59,7 @@ def test_weight_array_agrees_with_scalar_path(monkeypatch):
     def started(*args, **kwargs):
         raise RuntimeError("sieve started")
     for name in ("_walk", "_sieve_segment", "_prime_powers", "_scatter", "_tile",
-                 "_hits", "_log_steps", "_least_wheel", "_wheel_smooth", "_Buffers",
+                 "_hits", "_log_step", "_log_steps", "_least_wheel", "_wheel_smooth", "_Buffers",
                  "_lam", "_squarefree", "primes_upto"):
         monkeypatch.setattr(mr.arith_core, name, started)
     ns = np.arange(w.X + 1, w.domain_hi + 1)
