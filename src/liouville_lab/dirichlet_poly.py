@@ -1,4 +1,5 @@
-"""Finite Dirichlet polynomials: evaluation, mean values over t-ranges,
+"""Finite Dirichlet polynomials: evaluation, the t-grid rules of every
+frequency-side quadrature and grid cover, mean values over t-ranges,
 integrals over sparse t-sets, powers of prime-supported polynomials, and
 grid measures of large-value sets.
 """
@@ -122,11 +123,50 @@ def _phase_sum(logn, vals, ts):
     return out.reshape(-1)[:K]
 
 
+def _step_limit(N):
+    """The t-step pi/(4 log max(N, 3)) for a polynomial over n <= N."""
+    return math.pi / (4.0 * math.log(max(N, 3)))
+
+
+def _nodes(a, b, step):
+    """Node count 2 ceil((b - a)/step) + 1 of the fine grid on [a, b]: its
+    step is at most step/2, and alternate nodes form the coarse grid."""
+    return 2 * int(math.ceil((b - a) / step)) + 1
+
+
+def _grid(a, b, step):
+    return np.linspace(a, b, _nodes(a, b, step))
+
+
 def _trap(vals, dt):
     """Trapezoid sum of equally spaced samples, real or complex."""
     w = np.ones(len(vals))
     w[0] = w[-1] = 0.5
     return np.dot(w, vals).item() * dt
+
+
+def _trap_pair(vals, dt):
+    """(fine, coarse): trapezoid sums of all samples at dt, alternate at 2 dt."""
+    return _trap(vals, dt), _trap(vals[::2], 2 * dt)
+
+
+def _square_integral(logn, vals, intervals, step):
+    """(fine, halving_delta) for the integral of |sum vals_n e^{i t logn_n}|^2
+    over a union of t-intervals, each on _grid(a, b, step). The fine and
+    coarse sums add up across intervals, and halving_delta is
+    |fine - coarse| / |fine| (|fine| at least 1e-300)."""
+    fine = coarse = 0.0
+    for a, b in intervals:
+        ts = _grid(a, b, step)
+        f, c = _trap_pair(np.abs(_phase_sum(logn, vals, ts)) ** 2, ts[1] - ts[0])
+        fine += f
+        coarse += c
+    return fine, abs(fine - coarse) / max(abs(fine), 1e-300)
+
+
+def _cell_hits(exceed):
+    """Cells of a cover: a cell joins when an endpoint or its midpoint exceeds."""
+    return exceed[0:-2:2] | exceed[1::2] | exceed[2::2]
 
 
 @dataclass
@@ -148,14 +188,8 @@ def mean_value_integral(coeffs, T):
     T = float(T)
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    step = math.pi / (4.0 * math.log(max(coeffs.support_hi, 3)))
-    ts = np.linspace(0.0, T, 2 * int(math.ceil(T / step)) + 1)
-    sq = np.abs(_phase_sum(np.log(coeffs.n_array), coeffs.values, ts)) ** 2
-    dt = ts[1] - ts[0]
-    fine = _trap(sq, dt)
-    coarse = _trap(sq[::2], 2 * dt)
-    scale = max(abs(fine), 1e-300)
-    halving = abs(fine - coarse) / scale
+    fine, halving = _square_integral(np.log(coeffs.n_array), coeffs.values, [(0.0, T)],
+                                     _step_limit(coeffs.support_hi))
     ssq = coeffs.sum_sq
     N = coeffs.support_hi
     ratio = (fine - T * ssq) / (N * ssq) if ssq > 0 else 0.0
@@ -177,23 +211,12 @@ def halasz_subset_integral(coeffs, subset):
     10 (N + measure * sqrt(T) log T) * sum|a|^2 with T = subset.limit, and
     the relative fine-minus-coarse difference as halving_delta.
     """
-    step = math.pi / (4.0 * math.log(max(coeffs.support_hi, 3)))
-    logn = np.log(coeffs.n_array)
-    total_fine = 0.0
-    total_coarse = 0.0
-    for a, b in subset.intervals:
-        n = 2 * max(int(math.ceil((b - a) / step)), 1) + 1
-        ts = np.linspace(a, b, n)
-        sq = np.abs(_phase_sum(logn, coeffs.values, ts)) ** 2
-        dt = ts[1] - ts[0]
-        total_fine += _trap(sq, dt)
-        total_coarse += _trap(sq[::2], 2 * dt)
-    scale = max(abs(total_fine), 1e-300)
-    halving = abs(total_fine - total_coarse) / scale
+    value, halving = _square_integral(np.log(coeffs.n_array), coeffs.values, subset.intervals,
+                                      _step_limit(coeffs.support_hi))
     T = subset.limit
     ssq = coeffs.sum_sq
     bound = 10.0 * (coeffs.support_hi + subset.measure * math.sqrt(T) * math.log(max(T, 2.0))) * ssq
-    return HalaszResult(total_fine, bound, subset.measure, halving)
+    return HalaszResult(value, bound, subset.measure, halving)
 
 
 def raise_power(coeffs, ell):
@@ -247,12 +270,7 @@ def large_value_measure(coeffs, T, gamma):
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
     threshold = Q ** (-gamma)
-    step = math.pi / (4.0 * math.log(max(coeffs.support_hi, 3)))
-    cells = max(int(math.ceil(T / step)), 1)
-    ts = np.linspace(0.0, T, 2 * cells + 1)  # endpoints and midpoints
+    ts = _grid(0.0, T, _step_limit(coeffs.support_hi))  # endpoints and midpoints
     mod = np.abs(_phase_sum(np.log(coeffs.n_array), coeffs.values, ts))
-    exceed = mod > threshold
-    cell_hit = exceed[0:-2:2] | exceed[1::2] | exceed[2::2]
-    dt = T / cells
-    measure = float(np.count_nonzero(cell_hit)) * dt
-    return LargeValueReport(measure, threshold, 50.0 * T ** (4.0 / 9.0), int(np.count_nonzero(cell_hit)))
+    hits = int(np.count_nonzero(_cell_hits(mod > threshold)))
+    return LargeValueReport(hits * (T / (len(ts) // 2)), threshold, 50.0 * T ** (4.0 / 9.0), hits)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith_core
+from .dirichlet_poly import _cell_hits
 from .util import BudgetError, PreconditionError, fsum, fsum_complex
 
 TWO_PI = 2.0 * math.pi
@@ -181,9 +182,7 @@ def major_arc_measure(h, epsilon, grid_points):
     vec = np.bincount(plist % M, minlength=M).astype(np.float64)
     mod = np.abs(np.fft.fft(vec))
     exceed = mod > threshold
-    nxt = np.roll(exceed, -1)
-    nxt2 = np.roll(exceed, -2)
-    cell_hit = exceed[0::2] | nxt[0::2] | nxt2[0::2]
+    cell_hit = _cell_hits(np.append(exceed, exceed[0]))  # the grid is periodic
     return float(np.count_nonzero(cell_hit)) / G
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith_core
-from .dirichlet_poly import _phase_sum, _trap
+from .dirichlet_poly import _nodes, _square_integral
 from .expsum_circle import characters_mod
 from .util import BudgetError, ExactSum, PreconditionError, check_mul64, fsum, fsum_complex
 
@@ -203,7 +203,7 @@ def parseval_link(X, h, delta):
         raise ValueError("delta must be positive")
     scale = h * delta * delta
     T = X / scale if scale > 0 else math.inf
-    nodes = 2 * math.ceil(T / 0.5) + 1 if T <= arith_core.SPAN_BUDGET else math.inf
+    nodes = _nodes(0.0, T, 0.5) if T <= arith_core.SPAN_BUDGET else math.inf
     if nodes > arith_core.SPAN_BUDGET:
         raise BudgetError("%g t-nodes exceed budget %d" % (nodes, arith_core.SPAN_BUDGET))
     if nodes < 3:
@@ -212,14 +212,10 @@ def parseval_link(X, h, delta):
     lhs = variance("liouville", WindowSpec("multiplicative", X, h))
     lam = arith_core.liouville_range(X + 1, 2 * X + 1).astype(np.float64)
     n = np.arange(X + 1, 2 * X + 1, dtype=np.float64)
-    ts = np.linspace(0.0, T, nodes)
-    sq = np.abs(_phase_sum(-np.log(n), lam / n, ts)) ** 2
-    dt = ts[1] - ts[0]
-    fine = 2.0 * _trap(sq, dt)  # symmetric in t
-    coarse = 2.0 * _trap(sq[::2], 2 * dt)
-    halving = abs(fine - coarse) / max(fine, 1e-300)
-    rhs = fine + delta
-    return ParsevalReport(lhs, fine, rhs, 50.0 * rhs, T, halving)
+    half, halving = _square_integral(-np.log(n), lam / n, [(0.0, T)], 0.5)
+    integral = 2.0 * half  # symmetric in t; doubling leaves halving's bits as they are
+    rhs = integral + delta
+    return ParsevalReport(lhs, integral, rhs, 50.0 * rhs, T, halving)
 
 
 def additive_from_multiplicative_check(X, h):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith_core
-from .dirichlet_poly import _phase_sum, _trap
+from .dirichlet_poly import _grid, _phase_sum, _step_limit, _trap_pair
 from .util import fsum, fsum_complex
 
 
@@ -25,24 +25,27 @@ class SmoothCutoff:
 
 
 def psi_delta(x, cutoff):
-    """Piecewise-linear cutoff value at x > 0."""
-    if x <= 0:
+    """Piecewise-linear cutoff at x > 0, a float or an array of them.
+
+    1 on (0, 1-delta] and 0 from 1 on are tested before the slope
+    (1-x)/delta, which rounds to 0.9999999999999998 at x = 0.9, delta = 0.1.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(x <= 0):
         raise ValueError("cutoff defined for x > 0")
     d = cutoff.delta
-    if x <= 1.0 - d:
-        return 1.0
-    if x >= 1.0:
-        return 0.0
-    return (1.0 - x) / d
+    out = np.where(x <= 1.0 - d, 1.0, np.where(x >= 1.0, 0.0, (1.0 - x) / d))
+    return out if out.ndim else float(out)
 
 
 def mellin_psi(s, cutoff):
-    """Closed-form Mellin transform of the ramp cutoff at s != 0, -1.
+    """Closed-form Mellin transform of the ramp cutoff at s != 0, -1, a
+    number or an array of them.
 
     Equals (1/(s(s+1))) * (1 - (1-delta)^(s+1)) / delta.
     """
-    s = complex(s)
-    if s == 0 or s == -1:
+    s = np.asarray(s, dtype=np.complex128) if isinstance(s, np.ndarray) else complex(s)
+    if np.any((s == 0) | (s == -1)):
         raise ValueError("transform has poles at s = 0, -1")
     d = cutoff.delta
     return (1.0 - (1.0 - d) ** (s + 1)) / (s * (s + 1) * d)
@@ -143,9 +146,7 @@ def _smoothed_sum(kind, x, cutoff):
         vals = arith_core.liouville_range(1, hi).astype(np.float64)
     else:
         raise ValueError("kind must be 'unit' or 'liouville'")
-    ratios = n / x
-    weights = np.clip((1.0 - ratios) / cutoff.delta, 0.0, 1.0)
-    return fsum(vals * weights), fsum(vals[n <= x])
+    return fsum(vals * psi_delta(n / x, cutoff)), fsum(vals[n <= x])
 
 
 def _z_on_grid(kind, sigma, ts):
@@ -159,12 +160,6 @@ def _z_on_grid(kind, sigma, ts):
     terms2 = max(1000, int(math.ceil(4 * tmax)))
     z2 = zeta_strip_grid(2 * sigma, 2 * ts, terms2)
     return z2 / z1
-
-
-def _mellin_grid(sigma, ts, cutoff):
-    s = sigma + 1j * np.asarray(ts, dtype=np.float64)
-    d = cutoff.delta
-    return (1.0 - (1.0 - d) ** (s + 1)) / (s * (s + 1) * d)
 
 
 def perron_truncated(kind, x, cutoff, T):
@@ -182,20 +177,15 @@ def perron_truncated(kind, x, cutoff, T):
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
     sigma = 1.0 + 1.0 / math.log(x)
-    step = min(0.05, math.pi / (4.0 * math.log(x)))
-    # fine grid at half step; coarse pass reuses every other node; the
-    # integrand at -t is the conjugate of the value at t, so only t >= 0
-    # is evaluated
-    ts_half = np.linspace(0.0, T, 2 * int(math.ceil(T / step)) + 1)
+    # the integrand at -t is the conjugate of the value at t, so only t >= 0
+    # is evaluated; the mirrored grid's first step is the last of ts_half
+    ts_half = _grid(0.0, T, min(0.05, _step_limit(x)))
     zvals = _z_on_grid(kind, sigma, ts_half)
-    mvals = _mellin_grid(sigma, ts_half, cutoff)
+    mvals = mellin_psi(sigma + 1j * ts_half, cutoff)
     xs = np.exp((sigma + 1j * ts_half) * math.log(x))
     pos = xs * mvals * zvals
     integrand = np.concatenate((np.conj(pos[:0:-1]), pos))
-    ts = np.concatenate((-ts_half[:0:-1], ts_half))
-    dt_fine = ts[1] - ts[0]
-    fine = _trap(integrand, dt_fine) / (2.0 * math.pi)
-    coarse = _trap(integrand[::2], 2.0 * dt_fine) / (2.0 * math.pi)
+    fine, coarse = (v / (2.0 * math.pi) for v in _trap_pair(integrand, ts_half[-1] - ts_half[-2]))
     scale = max(abs(fine), 1e-12)
     halving_delta = abs(fine - coarse) / scale
     smoothed, sharp = _smoothed_sum(kind, x, cutoff)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from liouville_lab import arith_core, cli, dirichlet_poly, expsum_circle, interval_stats, zeta_mellin
+from liouville_lab import arith_core, cli, dirichlet_poly, expsum_circle, zeta_mellin
 
 
 def run(argv, capsys):
@@ -234,7 +234,7 @@ def _forbid_work(monkeypatch, prime_bound=0):
     monkeypatch.setattr(arith_core, "_walk", started)
     monkeypatch.setattr(arith_core, "primality_range", small_primality_range)
     monkeypatch.setattr(expsum_circle.CharacterTable, "row", started)
-    for module in (dirichlet_poly, interval_stats, zeta_mellin):
+    for module in (dirichlet_poly, zeta_mellin):
         monkeypatch.setattr(module, "_phase_sum", started)
 
 

@@ -5,9 +5,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from liouville_lab import dirichlet_poly as dp, zeta_mellin as zm
+from liouville_lab.util import fsum
 
 import oracles
 
@@ -141,11 +142,28 @@ def test_trap_matches_each_former_copy():
     wc[0] = wc[-1] = 0.5
     # mean-value and halasz
     assert dp._trap(real, dt) == float(np.dot(w, real)) * dt
-    # perron contour
+    assert dp._trap_pair(real, dt) == (float(np.dot(w, real)) * dt,
+                                       float(np.dot(wc, real[::2])) * (2 * dt))
+    # perron contour, divided by 2 pi after the pair
     assert dp._trap(cplx, dt) == oracles.trapezoid_complex(cplx, dt)
+    assert dp._trap_pair(cplx, dt) == (oracles.trapezoid_complex(cplx, dt),
+                                       oracles.trapezoid_complex(cplx[::2], 2.0 * dt))
     # parseval, doubled for the symmetric half line
-    assert 2.0 * dp._trap(real, dt) == 2.0 * float(np.dot(w, real)) * dt
-    assert 2.0 * dp._trap(real[::2], 2 * dt) == 2.0 * float(np.dot(wc, real[::2])) * 2 * dt
+    fine, coarse = dp._trap_pair(real, dt)
+    assert 2.0 * fine == 2.0 * float(np.dot(w, real)) * dt
+    assert 2.0 * coarse == 2.0 * float(np.dot(wc, real[::2])) * 2 * dt
+
+
+def test_grid_rules():
+    # 2 ceil((b - a)/step) + 1 nodes, none added at T = 0; the large-value
+    # cells are the node pairs, the step limit is pi/(4 log max(N, 3))
+    assert dp._nodes(0.0, 1.0, 0.5) == 5 and dp._nodes(0.0, 1.01, 0.5) == 7
+    assert dp._nodes(0.0, 0.0, 0.5) == 1
+    assert dp._grid(2.0, 3.0, 0.5).tolist() == [2.0, 2.25, 2.5, 2.75, 3.0]
+    assert dp._step_limit(1) == dp._step_limit(3) == math.pi / (4.0 * math.log(3))
+    assert dp._step_limit(500) == math.pi / (4.0 * math.log(500))
+    exceed = np.array([0, 0, 1, 0, 0, 0, 0, 1, 0], dtype=bool)
+    assert dp._cell_hits(exceed).tolist() == [True, True, False, True]
 
 
 def test_tsubset_validation_and_measure():
@@ -169,6 +187,82 @@ def test_mean_value_against_closed_form():
             ref = oracles.mean_value_closed_form(a, T)
             assert mv.value == pytest.approx(ref, rel=5e-4)
             assert mv.halving_delta < 1e-3
+
+
+def test_gram_oracle_matches_double_loop():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=40) + 1j * rng.normal(size=40)
+    ns = np.arange(1, 41)
+    for T in (25.0, 160.0):
+        ref = oracles.mean_value_closed_form(a, T)
+        assert oracles.gram_integral(ns, a, [(0.0, T)], fsum) == pytest.approx(ref, rel=1e-12)
+    # the interval form adds over a split of [0, T]
+    parts = oracles.gram_integral(ns, a, [(0.0, 60.0), (60.0, 160.0)], fsum)
+    assert parts == pytest.approx(oracles.mean_value_closed_form(a, 160.0), rel=1e-12)
+
+
+def _assert_certified(value, halving_delta, exact, node_ulps=0.0):
+    # the fine-coarse difference bounds the fine sum's true error, up to
+    # rounding (for a smooth integrand the error is about a third of it)
+    assert abs(value - exact) <= halving_delta * abs(exact) + (64 + node_ulps) * EPS * abs(exact)
+
+
+def _node_step_ulps(intervals, N):
+    # the node step ts[1] - ts[0] rounds at the scale of t, not of the step:
+    # a relative error up to about eps b / dt on [a, b] (none from a = 0),
+    # which step halving cannot see; at N = 1 the integrand is constant,
+    # halving_delta is about eps and this is the whole error
+    step = dp._step_limit(N)
+    return max(b * (dp._nodes(a, b, step) - 1) / (b - a) if a > 0 else 0.0 for a, b in intervals)
+
+
+def _gaussian(N, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=N) + 1j * rng.normal(size=N)
+
+
+@given(st.integers(min_value=1, max_value=500), st.floats(min_value=0.01, max_value=5000.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_mean_value_halving_delta_bounds_true_error(N, T, seed):
+    a = _gaussian(N, seed)
+    mv = dp.mean_value_integral(dp.CoeffSeq(0, N, a), T)
+    _assert_certified(mv.value, mv.halving_delta,
+                      oracles.gram_integral(np.arange(1, N + 1), a, [(0.0, T)], fsum))
+
+
+@given(st.integers(min_value=1, max_value=500), st.floats(min_value=10.0, max_value=5000.0),
+       st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_halasz_halving_delta_bounds_true_error(N, limit, k, seed):
+    edges = np.sort(np.random.default_rng(seed).uniform(0.0, limit, 2 * k))
+    assume(np.all(np.diff(edges) > 0))
+    intervals = list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+    a = _gaussian(N, seed)
+    hs = dp.halasz_subset_integral(dp.CoeffSeq(0, N, a), dp.TSubset(intervals, limit))
+    _assert_certified(hs.value, hs.halving_delta,
+                      oracles.gram_integral(np.arange(1, N + 1), a, intervals, fsum),
+                      _node_step_ulps(intervals, N))
+
+
+@pytest.mark.parametrize("N, intervals, seed", [
+    (500, [(0.0, 5000.0)], 0),
+    (300, [(0.0, 500.0)], 1),
+    (40, [(0.0, 160.0)], 2),
+    (500, [(0.0, 5.0), (40.0, 44.0), (120.0, 121.0), (3000.0, 3100.0)], 4),
+])
+def test_halving_delta_is_three_times_true_error_frozen(N, intervals, seed):
+    # Richardson: the coarse sum's error is four times the fine one's, so
+    # their difference is three times it
+    a = _gaussian(N, seed)
+    c = dp.CoeffSeq(0, N, a)
+    if len(intervals) == 1:
+        res = dp.mean_value_integral(c, intervals[0][1])
+    else:
+        res = dp.halasz_subset_integral(c, dp.TSubset(intervals, 5000.0))
+    exact = oracles.gram_integral(np.arange(1, N + 1), a, intervals, fsum)
+    _assert_certified(res.value, res.halving_delta, exact)
+    assert 0.3 <= abs(res.value - exact) / (res.halving_delta * exact) <= 0.35
 
 
 def test_mean_value_ratio_envelope():

@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from liouville_lab import arith_core
 from liouville_lab import interval_stats as ist
 from liouville_lab.expsum_circle import e_of
-from liouville_lab.util import BudgetError, PreconditionError
+from liouville_lab.util import BudgetError, PreconditionError, fsum
 
 import oracles
 
@@ -174,6 +175,36 @@ def test_parseval_link_needs_three_nodes(monkeypatch):
     rep = ist.parseval_link(10**4, 50, 1e150)
     assert 0.0 < rep.T < 0.5
     assert rep.lhs <= rep.envelope
+
+
+def _parseval_exact(X, T):
+    # 2 int_0^T |sum_{X < n <= 2X} lambda(n)/n n^{-it}|^2 dt: real
+    # coefficients, so n^{-it} may be n^{it}
+    n = np.arange(X + 1, 2 * X + 1)
+    lam = np.array([oracles.liouville(int(k)) for k in n], dtype=np.float64)
+    return 2.0 * oracles.gram_integral(n, lam / n, [(0.0, T)], fsum)
+
+
+def _assert_certified(rep, exact):
+    # the fine-coarse difference bounds the true error, up to rounding
+    eps = np.finfo(np.float64).eps
+    assert abs(rep.integral - exact) <= rep.halving_delta * exact + 64 * eps * exact
+
+
+@given(st.data(), st.integers(min_value=20, max_value=2000), st.floats(min_value=0.1, max_value=1.0))
+@settings(max_examples=6, deadline=None)
+def test_parseval_halving_delta_bounds_true_error(data, X, delta):
+    h = data.draw(st.integers(min_value=1, max_value=X - 1))
+    assume(X / (h * delta * delta) <= 5000)
+    rep = ist.parseval_link(X, h, delta)
+    _assert_certified(rep, _parseval_exact(X, rep.T))
+
+
+def test_parseval_halving_delta_is_three_times_true_error_frozen():
+    rep = ist.parseval_link(1000, 50, 0.25)
+    exact = _parseval_exact(1000, rep.T)
+    _assert_certified(rep, exact)
+    assert 0.3 <= abs(rep.integral - exact) / (rep.halving_delta * exact) <= 0.35
 
 
 def test_additive_from_multiplicative_envelope():

@@ -29,6 +29,28 @@ def test_psi_delta_ramp_shape():
     assert zm.psi_delta(7.0, c) == 0.0
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.25, 0.2])
+def test_psi_delta_on_an_array_equals_each_element(delta):
+    # the flat part and the zero are tested before the slope, which rounds
+    # to 0.9999999999999998 at 1 - delta = 0.9 (n = 1800, x = 2000)
+    c = zm.SmoothCutoff(delta)
+    xs = np.concatenate((np.arange(1, 2101) / 2000.0, [1.0 - delta, 1.0, 5.0]))
+    got = zm.psi_delta(xs, c)
+    assert got.tolist() == [zm.psi_delta(float(x), c) for x in xs]
+    assert type(zm.psi_delta(0.5, c)) is float
+    assert zm.psi_delta(np.array([1.0 - delta, 1.0]), c).tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError):
+        zm.psi_delta(np.array([0.5, 0.0]), c)
+
+
+def test_mellin_psi_on_an_array_equals_each_element():
+    c = zm.SmoothCutoff(0.1)
+    s = 1.2 + 1j * np.linspace(0.0, 40.0, 81)
+    assert zm.mellin_psi(s, c).tolist() == pytest.approx([zm.mellin_psi(v, c) for v in s], rel=1e-14)
+    with pytest.raises(ValueError):
+        zm.mellin_psi(np.array([1.0, -1.0]), c)
+
+
 @given(st.floats(min_value=0.01, max_value=0.49),
        st.floats(min_value=1e-6, max_value=3.0))
 @settings(max_examples=200, deadline=None)
