@@ -168,16 +168,13 @@ def _tile(pattern, r0, size, out=None):
 
 class _Buffers:
     """The arrays every segment of one walk, at most size integers long,
-    writes into, so that no segment allocates them afresh: acc; for pmin
-    finite, first, unless the caller has its own (own_first False); for
+    reads or writes, so that no segment allocates them afresh: acc; for
     pmin <= 7, the least wheel prime >= pmin tiled mod 210; and for
     pmin <= 2, the offsets 0..size-1 that first starts from."""
 
-    def __init__(self, size, pmin, own_first=True):
+    def __init__(self, size, pmin):
         self.acc = np.empty(size, dtype=np.int32)
-        self.first = self.least = self.iota = None
-        if pmin < math.inf and own_first:
-            self.first = np.empty(size, dtype=np.int64)
+        self.least = self.iota = None
         if pmin <= WHEEL_PRIMES[-1]:
             self.least = _tile(_least_wheel(pmin), 0, size + LEAST_WHEEL)
         if pmin <= 2:
@@ -215,7 +212,7 @@ def _sieve_segment(lo, hi, powers, pmin=math.inf, buffers=None, first=None):
     when acc & 0xFF00 is 0. first is the smallest prime factor >= pmin, 0
     when there is none; it is None when pmin >= hi, for the paths that read
     only acc, unless the caller gives first, an int64 array of hi - lo
-    entries to fill. acc, and first when not given, live in buffers, a
+    entries to fill (a fresh one when not given). acc lives in buffers, a
     _Buffers for pmin and at least hi - lo integers (fresh ones when None).
     No division runs per prime power. The powers fall in three parts:
     - wheel: the powers dividing WHEEL are periodic mod WHEEL, so their
@@ -262,7 +259,7 @@ def _sieve_segment(lo, hi, powers, pmin=math.inf, buffers=None, first=None):
         first = None
     else:
         if first is None:
-            first = buffers.first[:size]
+            first = np.empty(size, dtype=np.int64)
         if pmin <= 2:
             np.add(buffers.iota[:size], lo, out=first)
         else:
@@ -356,11 +353,11 @@ def _walk(lo, hi, pmin=math.inf, segment_len=None, budget=SPAN_BUDGET, first=Non
     after the check. Segments hold segment_len integers, DEFAULT_SEGMENT
     when None. acc is one buffer that every segment overwrites, so callers
     read it before the next; first, when given, is the int64 output over
-    [lo, hi) whose slices the segments fill, else one buffer like acc."""
+    [lo, hi) whose slices the segments fill, else a fresh array per segment."""
     _check_span(lo, hi, budget)
     step = min(DEFAULT_SEGMENT if segment_len is None else segment_len, hi - lo)
     powers = _prime_powers(primes_upto(math.isqrt(hi - 1)), hi)
-    buffers = _Buffers(step, pmin, first is None)
+    buffers = _Buffers(step, pmin)
     bounds = ((a, min(a + step, hi)) for a in range(lo, hi, step))
     return ((slice(a - lo, b - lo),)
             + _sieve_segment(a, b, powers, pmin, buffers, None if first is None else first[a - lo : b - lo])
