@@ -1,11 +1,14 @@
 """Short-window statistics: window sums, variances over dyadic ranges of
 starting points, exceptional fractions, twisted window averages, and the
-bridge from window variance to a vertical-line second moment. Every
-statistic over many windows takes its sums from one kernel, _window_sums,
-with edges from _edges; variance, exceptional_fraction and exp_sum_avg
-stream it one segment at a time through _streamed_windows.
+bridge from window variance to a vertical-line second moment. _edges is
+the one window-edge rule. variance, exceptional_fraction and exp_sum_avg
+take their window sums from one streamed pass, _streamed_windows, one
+segment at a time: one slice difference of a prefix per run of windows
+of one length (_runs, _window_sums), or, for multiplicative windows with
+few windows per run, two gathers at the edges of _edges.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -17,6 +20,7 @@ from .expsum_circle import characters_mod
 from .util import BudgetError, ExactSum, PreconditionError, check_mul64, fsum, fsum_complex
 
 WINDOW_BUDGET = 6 * 10**7
+_RUN_MIN = 256  # least windows per run, X/h, at which multiplicative passes take runs
 
 
 @dataclass
@@ -77,48 +81,95 @@ def _running_sums(tail, vals):
     return out
 
 
-def _window_sums(prefix, base, starts, stops):
-    """Sums of f over the windows (starts[i], stops[i]] as differences of one
-    prefix, where prefix[n - base] is the sum of f up to n."""
-    sums = prefix[stops - base]
-    sums -= prefix[starts - base]
+def _runs(kind, X, h):
+    """(firsts, lengths), two lists: the window anchored at x in (X, 2X] has
+    length lengths[k] for firsts[k] <= x < firsts[k + 1], the last run
+    ending at 2X. Additive windows make one run of length h. A
+    multiplicative window has length x - floor(x(X-h)/X) = ceil(xh/X),
+    non-decreasing in x, so length l = h+1, ..., 2h holds on the x in
+    (floor((l-1)X/h), floor(lX/h)], in exact integer arithmetic."""
+    if kind == "additive":
+        return [X + 1], [h]
+    check_mul64(2 * h, X)
+    lengths = np.arange(h + 1, 2 * h + 1, dtype=np.int64)
+    return ((lengths - 1) * X // h + 1).tolist(), lengths.tolist()
+
+
+def _window_sums(prefix, i, counts, lengths, dtype):
+    """Sums of f over windows with consecutive stops, the first at prefix
+    index i, counts[k] windows of length lengths[k] after one another: one
+    slice difference of the prefix per run of one length, written into a
+    fresh array of dtype."""
+    sums = np.empty(sum(counts), dtype=dtype)
+    j = 0
+    for m, ell in zip(counts, lengths):
+        np.subtract(prefix[i + j:i + j + m], prefix[i + j - ell:i + j - ell + m],
+                    out=sums[j:j + m])
+        j += m
     return sums
 
 
-def _streamed_windows(values, edges, X, stat):
-    """stat(sums, starts, stops) of the windows (starts, stops] = edges(xs)
-    for every integer x in (X, 2X], in order of x, yielded
-    arith_core.DEFAULT_SEGMENT windows at a time; values(lo, hi) gives f on
-    [lo, hi).
+def _streamed_windows(values, kind, X, h):
+    """(sums, lengths) of kind's windows, (x, x+h] or ((1-h/X)x, x], for
+    every integer x in (X, 2X], in order of x, yielded
+    arith_core.DEFAULT_SEGMENT windows at a time: a fresh array of window
+    sums of f, float64 for real f (each the double of the exact integer sum
+    for integer f) and complex128 for complex f, and the windows' lengths,
+    one float when the segment is one run, a float64 array otherwise.
+    values(lo, hi) gives f on [lo, hi); additive windows may be longer
+    than X.
 
     The whole span is checked against the budget before any work. One
     prefix of f runs from the first window's start across every segment:
     each segment extends it over its new values and keeps a tail of one
     window length for the next, so each window sum is a difference of the
-    floats one np.cumsum would give. Only stat's result is handed out, so a
-    segment's edges and sums are freed as the next one is built and memory
-    stays O(segment + h)."""
-    first, _ = edges(X + 1)
-    _, last = edges(2 * X)
-    arith_core._check_span(first, last + 1)
+    floats one np.cumsum would give. Stops are consecutive integers, so a
+    segment's sums are one slice difference per run of one length
+    (_runs, _window_sums). Multiplicative passes with fewer than _RUN_MIN
+    windows per run (X < _RUN_MIN h) take both edges from _edges and
+    gather instead: there, a run costs more Python than its windows save.
+    Only what the caller keeps outlives a segment, so memory stays
+    O(segment + h)."""
+    offset = h if kind == "additive" else 0  # the window at x stops at x + offset
+    first = X + 1 if kind == "additive" else X - h  # the first window's start
+    arith_core._check_span(first, 2 * X + offset + 1)
+    gather = kind == "multiplicative" and X < _RUN_MIN * h
+    if gather:
+        spec = WindowSpec(kind, X, h)
+    else:
+        firsts, run_lengths = _runs(kind, X, h)
     base, tail = first - 1, np.zeros(1)  # the prefix is 0 up to first - 1
     for a in range(X + 1, 2 * X + 1, arith_core.DEFAULT_SEGMENT):
-        xs = np.arange(a, min(a + arith_core.DEFAULT_SEGMENT, 2 * X + 1), dtype=np.int64)
-        starts, stops = edges(xs)
-        prefix = _running_sums(tail, values(base + len(tail), stops[-1] + 1))
-        sums = _window_sums(prefix, base, starts, stops)
-        base, tail = starts[-1], prefix[starts[-1] - base:].copy()
-        yield stat(sums, starts, stops)
+        b = min(a + arith_core.DEFAULT_SEGMENT, 2 * X + 1)
+        prefix = _running_sums(tail, values(base + len(tail), b + offset))
+        dtype = np.result_type(prefix.dtype, np.float64)
+        if gather:
+            starts, stops = _edges(spec, np.arange(a, b, dtype=np.int64))
+            sums = np.subtract(prefix[stops - base], prefix[starts - base],
+                               out=np.empty(b - a, dtype=dtype))
+            lengths, last = np.subtract(stops, starts, dtype=np.float64), int(starts[-1])
+        else:
+            k, k_end = bisect.bisect_right(firsts, a) - 1, bisect.bisect_left(firsts, b)
+            cuts = [a] + firsts[k + 1:k_end] + [b]
+            counts = [q - p for p, q in zip(cuts, cuts[1:])]
+            ells = run_lengths[k:k_end]
+            sums = _window_sums(prefix, a + offset - base, counts, ells, dtype)
+            lengths = (float(ells[0]) if len(ells) == 1 else
+                       np.repeat(np.array(ells, dtype=np.float64), counts))
+            last = b - 1 + offset - ells[-1]
+        base, tail = last, prefix[last - base:].copy()
+        yield sums, lengths
 
 
 def _abs_window_means(fname, spec):
     """|window mean of f| for every integer x in (X, 2X], in order of x,
-    one streamed segment of windows at a time."""
+    one streamed segment of windows at a time, each a fresh array."""
     if spec.X > WINDOW_BUDGET:
         raise BudgetError("window count %d exceeds budget" % spec.X)
-    yield from _streamed_windows(
-        lambda lo, hi: _values(fname, lo, hi), lambda xs: _edges(spec, xs), spec.X,
-        lambda sums, starts, stops: np.abs(sums / np.subtract(stops, starts, dtype=np.float64)))
+    for sums, lengths in _streamed_windows(
+            lambda lo, hi: _values(fname, lo, hi), spec.kind, spec.X, spec.h):
+        sums /= lengths
+        yield np.abs(sums) if np.iscomplexobj(sums) else np.abs(sums, out=sums)
 
 
 def short_sum(fname, spec, x):
@@ -169,10 +220,10 @@ def exp_sum_avg(X, h, alpha):
     # window, summed by one fsum; the span is checked before it is allocated
     arith_core._check_span(X + 1, 2 * X + h + 1)
     abs_sums = np.empty(X)
-    for _ in _streamed_windows(
-            twisted, lambda xs: (xs, xs + h), X,
-            lambda sums, starts, stops: np.abs(sums, out=abs_sums[starts[0] - X - 1:starts[-1] - X])):
-        pass
+    j = 0
+    for sums, _ in _streamed_windows(twisted, "additive", X, h):
+        np.abs(sums, out=abs_sums[j:j + len(sums)])
+        j += len(sums)
     return fsum(abs_sums) / (h * X)
 
 

@@ -220,14 +220,15 @@ def one_shot_exp_sum_avg(ist, X, h, alpha):
     """exp_sum_avg from one np.cumsum of lambda(n) e(alpha n) over all of
     (X, 2X + h], in one array: the twisted average before it was streamed.
 
-    ist is the interval_stats module; its sieve, prefix and window kernels
-    and exact sum feed both sides, so a comparison isolates the segment
-    walk."""
+    ist is the interval_stats module; its sieve and exact sum feed both
+    sides, and the prefix and its differences are this oracle's own, so a
+    comparison judges the segment walk and the window kernel."""
     lam = ist.arith_core.liouville_range(X + 1, 2 * X + h + 1).astype(np.float64)
     n = np.arange(X + 1, 2 * X + h + 1, dtype=np.float64)
     c = lam * np.exp(2j * np.pi * float(alpha) * n)
-    xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
-    sums = ist._window_sums(ist._running_sums(np.zeros(1), c), X, xs, xs + h)
+    prefix = np.zeros(len(c) + 1, dtype=np.complex128)
+    np.cumsum(c, out=prefix[1:])  # prefix[k] = sum of c over (X, X + k]
+    sums = prefix[1 + h:X + 1 + h] - prefix[1:X + 1]  # (x, x + h] for x in (X, 2X]
     return ist.fsum(np.abs(sums)) / (h * X)
 
 

@@ -134,7 +134,7 @@ def test_exp_sum_avg_stream_equals_one_shot(segment, monkeypatch):
 
 def test_exp_sum_avg_peak_allocation_per_window():
     # one segment of 2^18 complex windows, a tail of one window length and
-    # 8 bytes of |sum| per window (29.6 MiB here): the one-shot pass held
+    # 8 bytes of |sum| per window (25.6 MiB here): the one-shot pass held
     # about 104 bytes per window (99 MiB here)
     tracemalloc.start()
     try:
@@ -227,12 +227,21 @@ STREAM_FNAMES = ["liouville", "mobius", "von_mangoldt_minus_one",
                  ("liouville_times_character", 5, 1)]
 
 
+# multiplicative windows per run X/h just below, at and just above
+# _RUN_MIN: the gather side and the run side of the crossover
+BELOW_RUN_MIN = (ist._RUN_MIN * 40 - 1, 40)
+AT_RUN_MIN = (ist._RUN_MIN * 40, 40)
+ABOVE_RUN_MIN = (ist._RUN_MIN * 40 + 1, 40)
+
+
 @pytest.mark.parametrize("segment", [64, 1000])
 @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
-@pytest.mark.parametrize("X, h", [(50, 7), (2000, 1500), (3001, 40)])
+@pytest.mark.parametrize("X, h", [(50, 7), (2000, 1500), (3001, 40), (20000, 50),
+                                  BELOW_RUN_MIN, ABOVE_RUN_MIN])
 def test_streamed_window_statistics_are_segment_independent(segment, kind, X, h, monkeypatch):
     # X below, at and off a multiple of the segment; h = 1500 carries a
-    # tail longer than the segment
+    # tail longer than the segment; (20000, 50) has runs of 400 windows of
+    # one length, longer than one segment and across seams
     spec = ist.WindowSpec(kind, X, h)
     taus = (0.02, 0.1, 0.3)
     monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT", segment)
@@ -243,6 +252,43 @@ def test_streamed_window_statistics_are_segment_independent(segment, kind, X, h,
         assert ist.variance(fname, spec) == oracles.exact_sum(want * want) / X, fname
         assert ist.exceptional_fraction(fname, spec, taus) == [
             np.count_nonzero(want >= tau) / X for tau in taus], fname
+
+
+@pytest.mark.parametrize("X, h", [(2, 1), (10, 3), (50, 7), (100, 60), (1001, 1000),
+                                  (3001, 40), (20000, 50), (20000, 13), BELOW_RUN_MIN])
+def test_run_table_matches_edges(X, h):
+    # h > X/2, X a multiple of h or not: the length of the run holding x
+    # is stop - start of _edges for every x in (X, 2X]
+    xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
+    starts, stops = ist._edges(ist.WindowSpec("multiplicative", X, h), xs)
+    firsts, lengths = ist._runs("multiplicative", X, h)
+    assert firsts[0] == X + 1
+    counts = np.diff(firsts + [2 * X + 1])
+    assert np.all(counts > 0)
+    assert np.array_equal(np.repeat(lengths, counts), stops - starts)
+    assert ist._runs("additive", X, h) == ([X + 1], [h])
+
+
+@pytest.mark.parametrize("segment", [7, 64])
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+@pytest.mark.parametrize("X, h", [(20000, 50), (20000, 13), BELOW_RUN_MIN, AT_RUN_MIN,
+                                  ABOVE_RUN_MIN])
+def test_streamed_lengths_match_edges_across_seams(segment, kind, X, h, monkeypatch):
+    # the lengths each segment yields, runs cut at its seams, are the
+    # lengths of _edges; only passes below _RUN_MIN windows per run gather
+    xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
+    starts, stops = ist._edges(ist.WindowSpec(kind, X, h), xs)
+    calls, edges = [], ist._edges
+
+    def counted_edges(spec, xs):
+        calls.append(len(xs))
+        return edges(spec, xs)
+    monkeypatch.setattr(ist, "_edges", counted_edges)
+    monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT", segment)
+    got = [np.broadcast_to(lengths, sums.shape) for sums, lengths in ist._streamed_windows(
+        lambda lo, hi: ist._values("liouville", lo, hi), kind, X, h)]
+    assert np.array_equal(np.concatenate(got), stops - starts)
+    assert bool(calls) == (kind == "multiplicative" and X < ist._RUN_MIN * h)
 
 
 def test_streamed_peak_allocation_does_not_grow_with_x():
