@@ -129,26 +129,13 @@ def _wheel_pattern():
 _WHEEL_PATTERN = _wheel_pattern()
 
 
-def _least_wheel(pmin):
-    """The least wheel prime >= pmin dividing n, on the residues mod
-    LEAST_WHEEL, and INT64_MAX where there is none."""
+def _least_wheel():
+    """The least wheel prime dividing n, on the residues mod LEAST_WHEEL,
+    and INT64_MAX where there is none."""
     least = np.full(LEAST_WHEEL, INT64_MAX)
     for p in WHEEL_PRIMES[::-1]:
-        if p >= pmin:
-            least[::p] = p
+        least[::p] = p
     return least
-
-
-def _wheel_smooth(pmin):
-    """The part of n made of the wheel powers 2, 4, 8, 3, 9, 5 and 7 of the
-    primes below pmin, on the residues mod WHEEL."""
-    smooth = np.ones(WHEEL, dtype=np.int64)
-    for p in WHEEL_PRIMES:
-        pk = p
-        while p < pmin and WHEEL % pk == 0:
-            smooth[::pk] *= p
-            pk *= p
-    return smooth
 
 
 def _tile(pattern, r0, size, out=None):
@@ -168,16 +155,15 @@ def _tile(pattern, r0, size, out=None):
 
 class _Buffers:
     """The arrays every segment of one walk, at most size integers long,
-    reads or writes, so that no segment allocates them afresh: acc; for
-    pmin <= 7, the least wheel prime >= pmin tiled mod 210; and for
-    pmin <= 2, the offsets 0..size-1 that first starts from."""
+    reads or writes, so that no segment allocates them afresh: acc, and
+    when spf is True, the least wheel prime dividing n tiled mod 210 and
+    the offsets 0..size-1 that spf starts from."""
 
-    def __init__(self, size, pmin):
+    def __init__(self, size, spf):
         self.acc = np.empty(size, dtype=np.int32)
         self.least = self.iota = None
-        if pmin <= WHEEL_PRIMES[-1]:
-            self.least = _tile(_least_wheel(pmin), 0, size + LEAST_WHEEL)
-        if pmin <= 2:
+        if spf:
+            self.least = _tile(_least_wheel(), 0, size + LEAST_WHEEL)
             self.iota = np.arange(size, dtype=np.int64)
 
 
@@ -198,8 +184,8 @@ def _log_steps(lo, hi):
     return [(0, m_lo)] + [(_log_step(m) - lo, m) for m in range(m_lo + 1, m_hi + 1)]
 
 
-def _sieve_segment(lo, hi, powers, pmin=math.inf, buffers=None, first=None):
-    """(acc, first) on one segment [lo, hi).
+def _sieve_segment(lo, hi, powers, buffers=None, spf=None):
+    """acc on one segment [lo, hi), and spf filled when given.
 
     powers is _prime_powers(base, hi') for base primes covering sqrt(hi-1)
     and any hi' >= hi: one list serves every segment of a span. acc is one
@@ -209,12 +195,11 @@ def _sieve_segment(lo, hi, powers, pmin=math.inf, buffers=None, first=None):
     and the cofactor test below adds 1 more where a prime is left over. So
     the low byte is Omega(n), and lambda(n) = 1 - 2 (acc & 1); the next byte
     counts the primes whose square divides n, so n is square-free exactly
-    when acc & 0xFF00 is 0. first is the smallest prime factor >= pmin, 0
-    when there is none; it is None when pmin >= hi, for the paths that read
-    only acc, unless the caller gives first, an int64 array of hi - lo
-    entries to fill (a fresh one when not given). acc lives in buffers, a
-    _Buffers for pmin and at least hi - lo integers (fresh ones when None).
-    No division runs per prime power. The powers fall in three parts:
+    when acc & 0xFF00 is 0. spf, when not None, is the caller's int64 array
+    of hi - lo entries, filled with the smallest prime factor of n (0 for
+    n = 1). acc lives in buffers, a _Buffers for spf and at least hi - lo
+    integers (fresh ones when None). No division runs per prime power. The
+    powers fall in three parts:
     - wheel: the powers dividing WHEEL are periodic mod WHEEL, so their
       part of acc is tiled from one precomputed period (Pritchard's
       pre-sieve), and they are masked out of powers;
@@ -236,52 +221,32 @@ def _sieve_segment(lo, hi, powers, pmin=math.inf, buffers=None, first=None):
     n, so the test is one comparison of acc with (m - 40) << 16 per step
     of _log_steps, or with one array of them where the steps are many.
 
-    first, for pmin < hi, starts at n (pmin <= 2) or INT64_MAX and takes the
-    minimum with the least wheel prime >= pmin, tiled mod 210, and with
-    every other base prime >= pmin, strided or scattered as above. For
-    pmin <= 2 whatever is still n is 1 (set to 0) or a prime. For pmin > 2
-    a smooth array multiplies the base-prime powers below pmin, tiled for
-    the wheel and strided or scattered for the rest, and wherever first is
-    still INT64_MAX, n // smooth is 1 or the prime cofactor, which first
-    takes when it is >= pmin (0 otherwise).
+    spf starts at n and takes the minimum with the least wheel prime, tiled
+    mod 210, and with every other base prime, strided or scattered as
+    above; whatever is still n is then 1 (set to 0) or a prime.
     """
     size = hi - lo
     if buffers is None:
-        buffers = _Buffers(size, pmin)
+        buffers = _Buffers(size, spf is not None)
     acc = _tile(_WHEEL_PATTERN, lo % WHEEL, size, buffers.acc[:size])
     ps, pks = powers
     reached = (pks < hi) & (ps * ps < hi) & (WHEEL % pks != 0)
     ps, pks = ps[reached], pks[reached]
-    smooth = None
-    if pmin >= hi:
-        if first is not None:
-            first.fill(0)  # every n < hi <= pmin
-        first = None
-    else:
-        if first is None:
-            first = np.empty(size, dtype=np.int64)
-        if pmin <= 2:
-            np.add(buffers.iota[:size], lo, out=first)
-        else:
-            first.fill(INT64_MAX)
-            smooth = _tile(_wheel_smooth(pmin), lo % WHEEL, size)
-        if buffers.least is not None:
-            r0 = lo % LEAST_WHEEL
-            np.minimum(first, buffers.least[r0 : r0 + size], out=first)
+    if spf is not None:
+        np.add(buffers.iota[:size], lo, out=spf)
+        r0 = lo % LEAST_WHEEL
+        np.minimum(spf, buffers.least[r0 : r0 + size], out=spf)
     # one strided call costs about as much as a few hundred scattered hits
     adds = _hits(ps, pks)
     dense = pks <= size >> 8
-    _scatter(lo, size, ps[~dense], pks[~dense], adds[~dense], pmin, acc, first, smooth)
+    _scatter(lo, size, ps[~dense], pks[~dense], adds[~dense], acc, spf)
     for p, pk, add in zip(ps[dense].tolist(), pks[dense].tolist(), adds[dense].tolist()):
         s = -lo % pk
         hits = acc[s::pk]
         np.add(hits, add, out=hits)  # in place: += would also copy the view back
-        if first is not None and pk == p >= pmin:
-            hits = first[s::p]
+        if spf is not None and pk == p:
+            hits = spf[s::p]
             np.minimum(hits, p, out=hits)
-        elif smooth is not None and p < pmin:
-            hits = smooth[s::pk]
-            np.multiply(hits, p, out=hits)
     starts, ms = zip(*_log_steps(lo, hi))
     limits = [(m - LOG_MARGIN) << 16 for m in ms]
     # a step costs about as much as comparing 4096 integers with an array
@@ -292,13 +257,9 @@ def _sieve_segment(lo, hi, powers, pmin=math.inf, buffers=None, first=None):
     else:
         limits = np.repeat(np.array(limits, dtype=np.int32), np.diff(starts + (size,)))
         np.add(acc, acc < limits, out=acc)
-    if smooth is not None:
-        i = np.flatnonzero(first == INT64_MAX)
-        cof = (i + lo) // smooth[i]
-        first[i] = np.where(cof >= pmin, cof, 0)
-    elif first is not None and lo == 1:
-        first[0] = 0
-    return acc, first
+    if spf is not None and lo == 1:
+        spf[0] = 0
+    return acc
 
 
 def _prime_powers(base_primes, hi):
@@ -314,11 +275,10 @@ def _prime_powers(base_primes, hi):
     return np.concatenate(p_all), np.concatenate(pk_all)
 
 
-def _scatter(lo, size, ps, pks, adds, pmin, acc, first, smooth):
+def _scatter(lo, size, ps, pks, adds, acc, spf):
     """Add the hits of the prime powers pks of ps on [lo, lo + size) into acc
-    in one call, adds being their increments; when first is not None, take
-    its minimum with every p >= pmin at the hits of k = 1, and when smooth
-    is not None, multiply it by every p < pmin at its hits. ps and pks are
+    in one call, adds being their increments, and when spf is not None,
+    take its minimum with every p at the hits of k = 1. ps and pks are
     ordered as _prime_powers orders them.
 
     Every hit index comes from one arange: the hits of a power p^k with
@@ -335,32 +295,28 @@ def _scatter(lo, size, ps, pks, adds, pmin, acc, first, smooth):
     idx *= np.repeat(pks, counts)
     idx += np.repeat(starts - pks * edges[:-1], counts)
     np.add.at(acc, idx, np.repeat(adds, counts))
-    if first is not None:
+    if spf is not None:
         k1 = int(np.count_nonzero(pks == ps))
-        lead = slice(edges[np.searchsorted(ps[:k1], pmin)], edges[k1])
-        np.minimum.at(first, idx[lead], np.repeat(ps[:k1], counts[:k1])[lead])
-    if smooth is not None:
-        low = ps < pmin
-        np.multiply.at(smooth, idx[np.repeat(low, counts)], np.repeat(ps[low], counts[low]))
+        np.minimum.at(spf, idx[: edges[k1]], np.repeat(ps[:k1], counts[:k1]))
 
 
-def _walk(lo, hi, pmin=math.inf, segment_len=None, budget=SPAN_BUDGET, first=None):
-    """(seg, acc, first) for each segment of [lo, hi) in turn: seg its slice
-    of [lo, hi), the rest _sieve_segment's outputs for pmin.
+def _walk(lo, hi, segment_len=None, budget=SPAN_BUDGET, spf=None):
+    """(seg, acc) for each segment of [lo, hi) in turn: seg its slice of
+    [lo, hi) and acc _sieve_segment's accumulator.
 
     The span check, base primes, _prime_powers and the _Buffers run once,
     when _walk is called, not on the first next(), so callers allocate
     after the check. Segments hold segment_len integers, DEFAULT_SEGMENT
     when None. acc is one buffer that every segment overwrites, so callers
-    read it before the next; first, when given, is the int64 output over
-    [lo, hi) whose slices the segments fill, else a fresh array per segment."""
+    read it before the next; spf, when given, is the int64 output over
+    [lo, hi) whose slices the segments fill with smallest prime factors."""
     _check_span(lo, hi, budget)
     step = min(DEFAULT_SEGMENT if segment_len is None else segment_len, hi - lo)
     powers = _prime_powers(primes_upto(math.isqrt(hi - 1)), hi)
-    buffers = _Buffers(step, pmin)
+    buffers = _Buffers(step, spf is not None)
     bounds = ((a, min(a + step, hi)) for a in range(lo, hi, step))
-    return ((slice(a - lo, b - lo),)
-            + _sieve_segment(a, b, powers, pmin, buffers, None if first is None else first[a - lo : b - lo])
+    return ((slice(a - lo, b - lo),
+             _sieve_segment(a, b, powers, buffers, None if spf is None else spf[a - lo : b - lo]))
             for a, b in bounds)
 
 
@@ -385,11 +341,11 @@ def build_sieve(lo, hi, segment_len=None):
     lo, hi = int(lo), int(hi)
     _check_span(lo, hi)  # before spf, which the walk fills
     spf = np.empty(hi - lo, dtype=np.int64)
-    segments = _walk(lo, hi, 1, segment_len, first=spf)
+    segments = _walk(lo, hi, segment_len, spf=spf)
     omega = np.empty(hi - lo, dtype=np.int16)
     lam = np.empty(hi - lo, dtype=np.int8)
     mu = np.empty(hi - lo, dtype=np.int8)
-    for seg, acc, _ in segments:
+    for seg, acc in segments:
         np.bitwise_and(acc, 0xFF, out=omega[seg], casting="unsafe")
         _lam(acc, lam[seg])
         np.multiply(lam[seg], _squarefree(acc), out=mu[seg])
@@ -401,21 +357,34 @@ def liouville_range(lo, hi):
     lo, hi = int(lo), int(hi)
     segments = _walk(lo, hi)
     out = np.empty(hi - lo, dtype=np.int8)
-    for seg, acc, _ in segments:
+    for seg, acc in segments:
         _lam(acc, out[seg])
     return out
 
 
-def least_factor_range(lo, hi, pmin):
-    """(lam, first) on [lo, hi), segmented: lam(n) as int8 and the least
-    prime factor of n that is >= pmin, 0 when there is none."""
-    lo, hi = int(lo), int(hi)
-    _check_span(lo, hi)  # before first, which the walk fills
-    first = np.empty(hi - lo, dtype=np.int64)
-    segments = _walk(lo, hi, pmin, first=first)
-    lam = np.empty(hi - lo, dtype=np.int8)
-    for seg, acc, _ in segments:
+def least_factor_range(hi, pmin):
+    """(lam, first) on [1, hi): lam(n) as int8 and the least prime factor
+    of n that is >= pmin, 0 when there is none.
+
+    One spf walk gives lam and spf, and first is spf where spf >= pmin.
+    Elsewhere each pass divides the cofactor m of n by its smallest prime
+    below pmin, read from the array, until the entry of m is 0 or >= pmin:
+    its spf, or its first when m was done first, is then n's answer. At
+    most log2 hi passes, each over the n still left."""
+    hi = int(hi)
+    _check_span(1, hi)  # before first, which the walk fills
+    first = np.empty(hi - 1, dtype=np.int64)
+    segments = _walk(1, hi, spf=first)
+    lam = np.empty(hi - 1, dtype=np.int8)
+    for seg, acc in segments:
         _lam(acc, lam[seg])
+    i = np.flatnonzero(first < pmin)  # n = i + 1
+    m = i + 1
+    while i.size:
+        v = first[m - 1]
+        done = (v == 0) | (v >= pmin)
+        first[i[done]] = v[done]
+        i, m = i[~done], m[~done] // v[~done]
     return lam, first
 
 
@@ -424,7 +393,7 @@ def mobius_range(lo, hi):
     lo, hi = int(lo), int(hi)
     segments = _walk(lo, hi)
     out = np.empty(hi - lo, dtype=np.int8)
-    for seg, acc, _ in segments:
+    for seg, acc in segments:
         _lam(acc, out[seg])
         np.multiply(out[seg], _squarefree(acc), out=out[seg])
     return out

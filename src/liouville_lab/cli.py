@@ -298,7 +298,13 @@ def h_variance(P):
     # every window is checked against X before the first sieve runs
     specs = [interval_stats.WindowSpec(P["kind"], X, h) for h in P["h_list"]]
     rows = []
-    prev = 1.0  # window means of a +-1 sequence are bounded by 1
+    # a mean of squared window means is at most max |f|^2 over the span:
+    # 1 for lambda and mu, and |Lambda(n) - 1| <= max(1, log n - 1) up to
+    # the last n the windows read
+    prev = 1.0
+    if P["fname"] == "von_mangoldt_minus_one":
+        top = 2 * X + (specs[0].h if P["kind"] == "additive" else 0)
+        prev = max(1.0, math.log(top) - 1.0) ** 2
     for spec in specs:
         v = interval_stats.variance(P["fname"], spec)
         rows.append(make_row("variance", {**P, "h": spec.h}, v, prev))

@@ -35,10 +35,6 @@ class CoeffSeq:
         return np.arange(self.support_lo + 1, self.support_hi + 1, dtype=np.float64)
 
     @property
-    def max_abs(self):
-        return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
-
-    @property
     def sum_sq(self):
         return fsum(np.abs(self.values) ** 2)
 

@@ -142,7 +142,7 @@ class _Sweep:
         self.w, one = w, 1.0 + w.delta
         self.band = arith_core.primes_in(w.P0, one * w.Q0).astype(np.float64)
         m_hi = max(w.domain_hi // (w.P0 + 1), 2 * w.X // w.P0) + 2
-        lam, least = arith_core.least_factor_range(1, m_hi, w.P0)
+        lam, least = arith_core.least_factor_range(m_hi, w.P0)
         self.qmin_all = np.where(least > 0, least, np.inf)  # index m - 1
         z2 = slice(max(w.X // w.Q0, 1) - 1, 2 * w.X // w.P0 + 1)
         self.ms = np.arange(z2.start + 1, z2.stop + 1, dtype=np.float64)

@@ -398,7 +398,8 @@ def _identity_factors(mr, w, s):
     band = mr.arith_core.primes_in(w.P0, one * w.Q0).astype(np.float64)
     pvals = -np.exp(-s * np.log(band)) if len(band) else np.zeros(0, np.complex128)
     m_base = max(w.X // w.Q0, 1)
-    lam_m, least = mr.arith_core.least_factor_range(m_base, 2 * w.X // w.P0 + 2, w.P0)
+    lam_m, least = mr.arith_core.least_factor_range(2 * w.X // w.P0 + 2, w.P0)
+    lam_m, least = lam_m[m_base - 1:], least[m_base - 1:]
     ms = np.arange(m_base, m_base + len(lam_m), dtype=np.float64)
     mvals = lam_m * np.exp(-s * np.log(ms))
     return band, pvals, ms, mvals, np.where(least > 0, least, np.inf)

@@ -115,11 +115,13 @@ def test_segment_independence(lo, span, seg):
 
 def test_least_factor_range_agrees_with_trial_division():
     # P0 = 30 and P0 = 1100 exceed sqrt(hi): the least factor then comes
-    # only from the prime cofactor the sieve leaves over
+    # from the spf of a cofactor above sqrt(hi); the ranges start at 1,
+    # and the tail from lo is compared
     lo2 = 10**6 + 3
     for lo, hi, P0 in ((2, 400, 5), (2, 400, 30), (lo2, lo2 + 400, 5),
                        (lo2, lo2 + 400, 1100)):
-        lam, first = ac.least_factor_range(lo, hi, P0)
+        lam, first = ac.least_factor_range(hi, P0)
+        lam, first = lam[lo - 1:], first[lo - 1:]
         for i, n in enumerate(range(lo, hi)):
             assert lam[i] == oracles.liouville(n)
             facs = [p for p, _ in oracles.trial_factor(n) if p >= P0]
@@ -133,38 +135,66 @@ def test_least_factor_range_segment_independence(segment, monkeypatch):
     # have no prime factor >= pmin
     cases = ((1, 5000, 7), (2, 400, 30), (10**6 + 3, 10**6 + 3000, 1100), (1, 5000, 1100),
              (1, 3000, 3000))
-    whole = [ac.least_factor_range(lo, hi, pmin) for lo, hi, pmin in cases]
+    whole = [ac.least_factor_range(hi, pmin) for _, hi, pmin in cases]
     monkeypatch.setattr(ac, "DEFAULT_SEGMENT", segment)
     for (lo, hi, pmin), (lam, first) in zip(cases, whole):
-        lam_s, first_s = ac.least_factor_range(lo, hi, pmin)
+        lam_s, first_s = ac.least_factor_range(hi, pmin)
         assert lam_s.dtype == np.int8 and first_s.dtype == np.int64
         assert np.array_equal(lam_s, lam) and np.array_equal(first_s, first)
-        assert np.array_equal(lam, ac.liouville_range(lo, hi))
+        assert np.array_equal(lam[lo - 1:], ac.liouville_range(lo, hi))
 
 
-def _assert_matches_strided(got, lo, hi, pmin):
-    # omega, sqfree and lambda from the accumulator, and first where
-    # pmin < hi, values and dtypes, against the one-strided-pass-per-prime-
-    # power kernel given the segment's own base primes
-    acc, first = got
+def _assert_least_factor_matches(hi, pmin):
+    # the least prime factor >= pmin that least_factor_range strips down
+    # to from spf, and lambda, against the strided oracle on [1, hi)
+    lam, first = ac.least_factor_range(hi, pmin)
     base = ac.primes_upto(math.isqrt(hi - 1))
-    omega, sqfree, want_first = oracles.strided_sieve_segment(lo, hi, base, pmin)
+    omega, _, want_first = oracles.strided_sieve_segment(1, hi, base, pmin)
+    assert lam.dtype == np.int8 and first.dtype == want_first.dtype, (hi, pmin)
+    assert np.array_equal(first, want_first), (hi, pmin, "first")
+    assert np.array_equal(lam, 1 - 2 * (omega & 1)), (hi, pmin, "lam")
+
+
+def test_least_factor_range_matches_strided_oracle():
+    # floors among and just past the wheel primes, inside and past sqrt(hi),
+    # at hi itself and beyond it; tiny ranges near 1 included
+    for hi in range(2, 60):
+        for pmin in (3, 5, 7, 8, hi - 1, hi):
+            _assert_least_factor_matches(hi, max(pmin, 2))
+    for hi in list(range(120, 130)) + [626, 699, 1 << 14, (1 << 18) + 1, 10**6 + 3]:
+        for pmin in (3, 10, 30, 1000, hi + 1):
+            _assert_least_factor_matches(hi, pmin)
+
+
+@given(st.integers(min_value=2, max_value=3 * 10**4),
+       st.one_of(st.integers(min_value=2, max_value=200),
+                 st.integers(min_value=2, max_value=10**5)))
+@settings(max_examples=60, deadline=None)
+def test_least_factor_range_matches_strided_oracle_property(hi, pmin):
+    _assert_least_factor_matches(hi, pmin)
+
+
+def _assert_matches_strided(acc, spf, lo, hi):
+    # omega, sqfree and lambda from the accumulator, and spf when given,
+    # values and dtypes, against the one-strided-pass-per-prime-power
+    # kernel given the segment's own base primes
+    base = ac.primes_upto(math.isqrt(hi - 1))
+    omega, sqfree, want_spf = oracles.strided_sieve_segment(lo, hi, base, 2 if spf is not None else hi)
     assert acc.dtype == np.int32
-    assert np.array_equal(acc & 0xFF, omega), (lo, hi, pmin, "omega")
-    assert np.array_equal(ac._squarefree(acc), sqfree), (lo, hi, pmin, "sqfree")
+    assert np.array_equal(acc & 0xFF, omega), (lo, hi, "omega")
+    assert np.array_equal(ac._squarefree(acc), sqfree), (lo, hi, "sqfree")
     lam = np.empty(hi - lo, dtype=np.int8)
     ac._lam(acc, lam)
-    assert np.array_equal(lam, 1 - 2 * (omega & 1)), (lo, hi, pmin, "lam")
-    if pmin < hi:
-        assert first.dtype == want_first.dtype, (lo, hi, pmin)
-        assert np.array_equal(first, want_first), (lo, hi, pmin, "first")
-    else:
-        assert first is None, (lo, hi, pmin)
+    assert np.array_equal(lam, 1 - 2 * (omega & 1)), (lo, hi, "lam")
+    if spf is not None:
+        assert spf.dtype == want_spf.dtype, (lo, hi)
+        assert np.array_equal(spf, want_spf), (lo, hi, "spf")
 
 
-def _assert_kernel_matches_strided(lo, hi, pmin):
+def _assert_kernel_matches_strided(lo, hi, with_spf):
     powers = ac._prime_powers(ac.primes_upto(math.isqrt(hi - 1)), hi)
-    _assert_matches_strided(ac._sieve_segment(lo, hi, powers, pmin), lo, hi, pmin)
+    spf = np.empty(hi - lo, dtype=np.int64) if with_spf else None
+    _assert_matches_strided(ac._sieve_segment(lo, hi, powers, spf=spf), spf, lo, hi)
 
 
 @pytest.mark.parametrize("length", [64, 1 << 14, 1 << 18])
@@ -173,8 +203,8 @@ def test_kernel_matches_strided_oracle_at_segment_lengths(length):
     # the powers are strided at 64, those up to 64 at 2^14, to 1024 at 2^18
     for lo in (1, 10**7 + 3):
         hi = lo + length
-        for pmin in (2, 10, 30, hi):
-            _assert_kernel_matches_strided(lo, hi, pmin)
+        for with_spf in (True, False):
+            _assert_kernel_matches_strided(lo, hi, with_spf)
 
 
 def test_kernel_matches_strided_oracle_at_wheel_and_power_edges():
@@ -183,8 +213,8 @@ def test_kernel_matches_strided_oracle_at_wheel_and_power_edges():
     for m in (1, 2, 397, 4 * 10**5):
         for d in (-1, 0, 1):
             for length in (64, 3000):
-                _assert_kernel_matches_strided(m * wheel + d, m * wheel + d + length, 2)
-                _assert_kernel_matches_strided(m * wheel + d, m * wheel + d + length, 7)
+                for with_spf in (True, False):
+                    _assert_kernel_matches_strided(m * wheel + d, m * wheel + d + length, with_spf)
     # segments that start or end on a multiple of a power near the cut:
     # 61, 67, 2^6, 7^2, 11^2 and 5^3 near 64; 1021, 2^10, 31^2, 37^2, 11^3
     # and 3^7 near 1024
@@ -193,14 +223,14 @@ def test_kernel_matches_strided_oracle_at_wheel_and_power_edges():
         for pk in powers:
             m = (10**6 // pk + 1) * pk
             for d in (-1, 0, 1):
-                _assert_kernel_matches_strided(m + d, m + d + length, 2)
-                _assert_kernel_matches_strided(m + d - length + 1, m + d + 1, 10)
+                _assert_kernel_matches_strided(m + d, m + d + length, True)
+                _assert_kernel_matches_strided(m + d - length + 1, m + d + 1, True)
     # tiny segments near 1, where 5 and 7 exceed sqrt(hi - 1) and the wheel
     # counts them in place of the prime cofactor
     for hi in range(2, 60):
-        for pmin in (2, 3, 5, 7, 8, hi):
-            _assert_kernel_matches_strided(1, hi, pmin)
-            _assert_kernel_matches_strided(max(1, hi - 5), hi, pmin)
+        for with_spf in (True, False):
+            _assert_kernel_matches_strided(1, hi, with_spf)
+            _assert_kernel_matches_strided(max(1, hi - 5), hi, with_spf)
 
 
 def test_kernel_matches_strided_oracle_beyond_1e9():
@@ -208,19 +238,16 @@ def test_kernel_matches_strided_oracle_beyond_1e9():
     # every base prime lands in the scatter
     for lo, length in ((10**9, 64), (10**9 + 7, 2000), (10**9 + 2519, 1 << 14),
                        (10**11 + 1, 1 << 12)):
-        for pmin in (2, 30, lo + length):
-            _assert_kernel_matches_strided(lo, lo + length, pmin)
+        for with_spf in (True, False):
+            _assert_kernel_matches_strided(lo, lo + length, with_spf)
 
 
 @given(st.integers(min_value=1, max_value=10**10),
        st.integers(min_value=1, max_value=6000),
-       st.one_of(st.integers(min_value=2, max_value=200),
-                 st.integers(min_value=2, max_value=10**5),
-                 st.just(None)))
+       st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_kernel_matches_strided_oracle_property(lo, length, pmin):
-    hi = lo + length
-    _assert_kernel_matches_strided(lo, hi, hi if pmin is None else pmin)
+def test_kernel_matches_strided_oracle_property(lo, length, with_spf):
+    _assert_kernel_matches_strided(lo, lo + length, with_spf)
 
 
 def test_kernel_matches_strided_oracle_at_margin_edges():
@@ -233,24 +260,23 @@ def test_kernel_matches_strided_oracle_at_margin_edges():
     ms = np.repeat([m for _, m in steps], np.diff([a for a, _ in steps] + [10**4]))
     assert ms.tolist() == [(n**16).bit_length() - 1 for n in range(2**20 - 5000, 2**20 + 5000)]
     for hi in list(range(2, 130)) + list(range(600, 700)):
-        for pmin in (2, 30, hi):
-            _assert_kernel_matches_strided(1, hi, pmin)
-            _assert_kernel_matches_strided(max(1, hi - 50), hi, pmin)
+        for with_spf in (True, False):
+            _assert_kernel_matches_strided(1, hi, with_spf)
+            _assert_kernel_matches_strided(max(1, hi - 50), hi, with_spf)
     for bound in (10**4, 10**6, 10**9 + 7):
         q = int(ac.primes_upto(math.isqrt(bound - 1))[-1])
         for lo, hi in ((q * q - 40, q * q + 1), (q * q, q * q + 40), (q * q - 3, (q + 1) ** 2)):
-            for pmin in (2, 30, hi):
-                _assert_kernel_matches_strided(lo, hi, pmin)
+            for with_spf in (True, False):
+                _assert_kernel_matches_strided(lo, hi, with_spf)
     for k in range(4, 33):
         for lo, hi in ((2**k - 40, 2**k), (2**k - 20, 2**k + 20), (2**k, 2**k + 40)):
-            for pmin in (2, hi):
-                _assert_kernel_matches_strided(max(lo, 1), hi, pmin)
+            for with_spf in (True, False):
+                _assert_kernel_matches_strided(max(lo, 1), hi, with_spf)
     # base primes to 1e6 (0.5 s per oracle call): the largest one's square,
     # 2^40 and 1e12
     q = int(ac.primes_upto(10**6)[-1])
     for lo, hi in ((q * q - 20, q * q + 20), (2**40 - 20, 2**40 + 20), (10**12 - 2048, 10**12 + 2048)):
-        _assert_kernel_matches_strided(lo, hi, 2)
-    _assert_kernel_matches_strided(10**12 - 2048, 10**12 + 2048, 1000)
+        _assert_kernel_matches_strided(lo, hi, True)
 
 
 @pytest.mark.parametrize("lo, hi", [(1, 10**10), (1001, 10**11), (10001, 10**12),
@@ -258,11 +284,16 @@ def test_kernel_matches_strided_oracle_at_margin_edges():
 def test_walk_segments_match_strided_oracle(lo, hi):
     # the walk's powers cover sqrt(hi - 1), far past sqrt(b - 1) of its
     # first segments [a, b), which must come out as their own base primes
-    # give them
-    for pmin in (2, 30, math.inf):
-        walk = ac._walk(lo, hi, pmin, 1 << 12, budget=math.inf)
-        for seg, *got in itertools.islice(walk, 3):
-            _assert_matches_strided(got, lo + seg.start, lo + seg.stop, pmin)
+    # give them: acc through the walk, and spf from the kernel given the
+    # walk's powers, since an spf output would span all of [lo, hi)
+    walk = ac._walk(lo, hi, 1 << 12, budget=math.inf)
+    for seg, acc in itertools.islice(walk, 3):
+        _assert_matches_strided(acc, None, lo + seg.start, lo + seg.stop)
+    powers = ac._prime_powers(ac.primes_upto(math.isqrt(hi - 1)), hi)
+    for a in range(lo, lo + (3 << 12), 1 << 12):
+        spf = np.empty(1 << 12, dtype=np.int64)
+        acc = ac._sieve_segment(a, a + (1 << 12), powers, spf=spf)
+        _assert_matches_strided(acc, spf, a, a + (1 << 12))
 
 
 @pytest.mark.parametrize("sieve, bound_mib", [
@@ -320,7 +351,7 @@ def test_prime_powers_built_once_per_walk(monkeypatch):
     assert calls == [2 * 10**6 + 1]
     monkeypatch.setattr(ac, "DEFAULT_SEGMENT", 1 << 10)
     for entry in (lambda: ac.build_sieve(1, 10**4), lambda: ac.liouville_range(1, 10**4),
-                  lambda: ac.mobius_range(1, 10**4), lambda: ac.least_factor_range(1, 10**4, 7)):
+                  lambda: ac.mobius_range(1, 10**4), lambda: ac.least_factor_range(10**4, 7)):
         calls.clear()
         entry()
         assert calls == [10**4]

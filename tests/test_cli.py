@@ -205,6 +205,27 @@ def test_envelope_failure_exits_one(capsys):
     assert any(r[-1] == "fail" for r in rows)
 
 
+def test_variance_first_envelope_is_max_square_of_f(capsys):
+    # Lambda(n) - 1 reaches log n - 1, so h = 1 scores 6.10 against
+    # (log(2e6) - 1)^2, not against the bound 1 of a +-1 sequence; lambda
+    # keeps 1 (additive windows read up to 2X + h)
+    argv = ["variance", "--x", "1000000", "--h-list", "1,100", "--fname",
+            "von_mangoldt_minus_one"]
+    rc, out, _ = run(argv, capsys)
+    assert rc == 0
+    rows = parse_csv(out)
+    assert float(rows[0][3]) == pytest.approx((math.log(2 * 10**6) - 1) ** 2, rel=1e-10)
+    assert [r[-1] for r in rows] == ["pass", "pass"]
+    rc, out, _ = run(argv[:5] + ["--kind", "additive", "--fname", "von_mangoldt_minus_one"],
+                     capsys)
+    assert rc == 0
+    assert float(parse_csv(out)[0][3]) == pytest.approx((math.log(2 * 10**6 + 1) - 1) ** 2,
+                                                        rel=1e-10)
+    rc, out, _ = run(argv[:5], capsys)
+    assert rc == 0
+    assert parse_csv(out)[0][3] == "1"
+
+
 def test_failed_quadrature_certificate_is_a_row(capsys):
     # at T = 1 the contour integral moves by about 1.5e-3 under step halving,
     # over its 1e-4 tolerance: the run still prints every row and exits 1

@@ -26,7 +26,6 @@ def test_coeff_seq_support_is_lo_exclusive():
     c = dp.CoeffSeq(10, 13, np.array([1.0, 2.0, 3.0]))
     assert c.n_array.tolist() == [11.0, 12.0, 13.0]
     assert c.sum_sq == pytest.approx(14.0)
-    assert c.max_abs == 3.0
 
 
 def test_coeffs_from_dict_round_trip():
