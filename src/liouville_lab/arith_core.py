@@ -369,8 +369,10 @@ def least_factor_range(hi, pmin):
     One spf walk gives lam and spf, and first is spf where spf >= pmin.
     Elsewhere each pass divides the cofactor m of n by its smallest prime
     below pmin, read from the array, until the entry of m is 0 or >= pmin:
-    its spf, or its first when m was done first, is then n's answer. At
-    most log2 hi passes, each over the n still left."""
+    its spf, or its first when m was done first, is then n's answer. Each
+    segment is stripped as soon as it is sieved, since every m < n is
+    already there: at most log2 hi passes, each over the n of the segment
+    still left."""
     hi = int(hi)
     _check_span(1, hi)  # before first, which the walk fills
     first = np.empty(hi - 1, dtype=np.int64)
@@ -378,13 +380,14 @@ def least_factor_range(hi, pmin):
     lam = np.empty(hi - 1, dtype=np.int8)
     for seg, acc in segments:
         _lam(acc, lam[seg])
-    i = np.flatnonzero(first < pmin)  # n = i + 1
-    m = i + 1
-    while i.size:
-        v = first[m - 1]
-        done = (v == 0) | (v >= pmin)
-        first[i[done]] = v[done]
-        i, m = i[~done], m[~done] // v[~done]
+        i = np.flatnonzero(first[seg] < pmin)
+        i += seg.start  # n = i + 1
+        m = i + 1
+        while i.size:
+            v = first[m - 1]
+            done = (v == 0) | (v >= pmin)
+            first[i[done]] = v[done]
+            i, m = i[~done], m[~done] // v[~done]
     return lam, first
 
 

@@ -210,17 +210,21 @@ def exceptional_fraction(fname, spec, taus):
 
 def exp_sum_avg(X, h, alpha):
     """(1/(hX)) sum over x in (X, 2X] of |sum_{x<n<=x+h} lambda(n) e(alpha n)|,
-    from one streamed pass of the window kernel over a complex prefix; the
-    |sums| of every segment go into one exact accumulator."""
+    from one streamed pass of the window kernel over a complex prefix."""
     X, h, alpha = int(X), int(h), float(alpha)
 
     def twisted(lo, hi):
         lam = arith_core.liouville_range(lo, hi).astype(np.float64)
         return lam * np.exp(2j * np.pi * alpha * np.arange(lo, hi, dtype=np.float64))
-    acc = ExactSum()
+    # |sums| of every segment go into one array of X floats, 8 bytes per
+    # window, summed by one fsum; the span is checked before it is allocated
+    arith_core._check_span(X + 1, 2 * X + h + 1)
+    abs_sums = np.empty(X)
+    j = 0
     for sums, _ in _streamed_windows(twisted, "additive", X, h):
-        acc.add(np.abs(sums))
-    return acc.value() / (h * X)
+        np.abs(sums, out=abs_sums[j:j + len(sums)])
+        j += len(sums)
+    return fsum(abs_sums) / (h * X)
 
 
 @dataclass

