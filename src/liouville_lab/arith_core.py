@@ -352,14 +352,41 @@ def build_sieve(lo, hi, segment_len=None):
     return FactorTable(lo, hi, spf, omega, lam, mu)
 
 
-def liouville_range(lo, hi):
-    """int8 array of lambda(n) for n in [lo, hi); lean path for bulk scans."""
+def _stream(lo, hi, mobius=False):
+    """values(a, b): a fresh int8 array of lambda(n), or of mu(n) when mobius
+    is True, for n in [a, b), where the pieces [a, b) run through [lo, hi)
+    in order, each starting where the last stopped. One _walk over [lo, hi)
+    serves every piece, so the span is checked when _stream is called and
+    the base primes, prime powers and buffers are built once; a piece may
+    straddle the walk's segments, and a segment its pieces."""
     lo, hi = int(lo), int(hi)
     segments = _walk(lo, hi)
-    out = np.empty(hi - lo, dtype=np.int8)
-    for seg, acc in segments:
-        _lam(acc, out[seg])
-    return out
+    at, seg_lo, seg_hi, acc = lo, lo, lo, None  # next n to give; the segment sieved
+
+    def values(a, b):
+        nonlocal at, seg_lo, seg_hi, acc
+        a, b = int(a), int(b)
+        if a != at or not a <= b <= hi:
+            raise ValueError("piece [%d, %d) does not follow %d within [%d, %d)"
+                             % (a, b, at, lo, hi))
+        out = np.empty(b - a, dtype=np.int8)
+        while at < b:
+            if at == seg_hi:
+                seg, acc = next(segments)
+                seg_lo, seg_hi = lo + seg.start, lo + seg.stop
+            stop = min(b, seg_hi)
+            part, piece = acc[at - seg_lo : stop - seg_lo], out[at - a : stop - a]
+            _lam(part, piece)
+            if mobius:
+                np.multiply(piece, _squarefree(part), out=piece)
+            at = stop
+        return out
+    return values
+
+
+def liouville_range(lo, hi):
+    """int8 array of lambda(n) for n in [lo, hi); lean path for bulk scans."""
+    return _stream(lo, hi)(lo, hi)
 
 
 def least_factor_range(hi, pmin):
@@ -393,13 +420,7 @@ def least_factor_range(hi, pmin):
 
 def mobius_range(lo, hi):
     """int8 array of mu(n) for n in [lo, hi), segmented."""
-    lo, hi = int(lo), int(hi)
-    segments = _walk(lo, hi)
-    out = np.empty(hi - lo, dtype=np.int8)
-    for seg, acc in segments:
-        _lam(acc, out[seg])
-        np.multiply(out[seg], _squarefree(acc), out=out[seg])
-    return out
+    return _stream(lo, hi, mobius=True)(lo, hi)
 
 
 def von_mangoldt_minus_one_range(lo, hi):

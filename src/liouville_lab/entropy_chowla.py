@@ -339,7 +339,8 @@ def expectation_F_independent(joint, method="g"):
 def log_chowla_sum(x, w):
     """Exact sum of lambda(n) lambda(n+1) / n over x/w < n <= x, streamed in
     arith_core.DEFAULT_SEGMENT-long pieces into one exact accumulator after
-    the whole span is checked against the sieve budget."""
+    the whole span is checked against the sieve budget. The pieces read
+    lambda from one arith_core._stream over the span."""
     x = int(x)
     if not 1 <= w <= x:
         raise PreconditionError("need 1 <= w <= x")
@@ -347,11 +348,18 @@ def log_chowla_sum(x, w):
     if lo > x:
         return 0.0
     arith_core._check_span(lo, x + 2)
+    values = arith_core._stream(lo, x + 2)
     acc = ExactSum()
+    # one buffer of terms for every piece: fresh 2 MiB arrays per piece
+    # cost a page fault per 4 KiB
+    offsets = np.arange(min(arith_core.DEFAULT_SEGMENT, x + 1 - lo), dtype=np.float64)
+    terms = np.empty_like(offsets)
+    lam = values(lo, lo + 1)  # lambda(lo); each piece carries its last value over
     for a in range(lo, x + 1, arith_core.DEFAULT_SEGMENT):
         b = min(a + arith_core.DEFAULT_SEGMENT, x + 1)
-        lam = arith_core.liouville_range(a, b + 1).astype(np.float64)
-        acc.add(lam[:-1] * lam[1:] / np.arange(a, b, dtype=np.float64))
+        lam = np.concatenate((lam[-1:], values(a + 1, b + 1)))  # int8 on [a, b]
+        n = np.add(offsets[:b - a], a, out=terms[:b - a])  # exact: n < 2^53
+        acc.add(np.divide(lam[:-1] * lam[1:], n, out=n))
     return acc.value()
 
 

@@ -5,10 +5,14 @@ the one window-edge rule. variance, exceptional_fraction and exp_sum_avg
 take their window sums from one streamed pass, _streamed_windows, one
 segment at a time: one slice difference of a prefix per run of windows
 of one length (_runs, _window_sums), or, for multiplicative windows with
-few windows per run, two gathers at the edges of _edges.
+few windows per run, two gathers at the edges of _edges. Each pass reads
+f from one stream over its span (_value_stream), so lambda and mu come
+from one sieve walk per pass. For lambda and mu the prefix and the window
+sums are exact int32, and variance adds their squares per run of one
+length into exact integer totals.
 """
 
-import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +21,8 @@ import numpy as np
 from . import arith_core
 from .dirichlet_poly import _nodes, _square_integral
 from .expsum_circle import characters_mod
-from .util import BudgetError, ExactSum, PreconditionError, check_mul64, fsum, fsum_complex
+from .util import (INT64_MAX, BudgetError, ExactSum, PreconditionError, check_mul64, fsum,
+                   fsum_complex)
 
 WINDOW_BUDGET = 6 * 10**7
 _RUN_MIN = 256  # least windows per run, X/h, at which multiplicative passes take runs
@@ -38,23 +43,31 @@ class WindowSpec:
             raise PreconditionError("need 0 < h < X")
 
 
-def _values(fname, lo, hi):
-    """f(n) for n in [lo, hi). fname is a string or a
-    ('liouville_times_character', q, index) tuple."""
-    if fname == "liouville":
-        return arith_core.liouville_range(lo, hi)
-    if fname == "mobius":
-        return arith_core.mobius_range(lo, hi)
+def _value_stream(fname, lo, hi):
+    """values(a, b): f(n) for n in [a, b), where the pieces [a, b) run
+    through [lo, hi) in order, each starting where the last stopped. fname
+    is a string or a ('liouville_times_character', q, index) tuple. lambda
+    and mu, and the lambda of lambda chi, come as int8 from one
+    arith_core._stream over [lo, hi); Lambda - 1 is sieved per piece."""
+    if fname in ("liouville", "mobius"):
+        return arith_core._stream(lo, hi, mobius=fname == "mobius")
     if fname == "von_mangoldt_minus_one":
-        return arith_core.von_mangoldt_minus_one_range(lo, hi)
+        return arith_core.von_mangoldt_minus_one_range
     if isinstance(fname, (tuple, list)) and fname[0] == "liouville_times_character":
         _, q, index = fname
-        table = characters_mod(int(q))
-        chi = table.row(int(index))
-        lam = arith_core.liouville_range(lo, hi).astype(np.complex128)
-        res = np.arange(lo, hi, dtype=np.int64) % int(q)
-        return lam * chi[res]
+        chi = characters_mod(int(q)).row(int(index))
+        lam = arith_core._stream(lo, hi)
+
+        def values(a, b):
+            res = np.arange(a, b, dtype=np.int64) % int(q)
+            return lam(a, b).astype(np.complex128) * chi[res]
+        return values
     raise ValueError("unknown function spec %r" % (fname,))
+
+
+def _values(fname, lo, hi):
+    """f(n) for n in [lo, hi) in one piece."""
+    return _value_stream(fname, lo, hi)(lo, hi)
 
 
 def _edges(spec, xs):
@@ -71,8 +84,9 @@ def _running_sums(tail, vals):
     """tail, then tail[-1] + vals[0], tail[-1] + vals[0] + vals[1], and so
     on, added left to right by one np.cumsum: a prefix of f carried from one
     segment into the next gives the same floats as one np.cumsum over the
-    whole span. int64 for int8 vals, vals' dtype otherwise."""
-    dtype = np.int64 if vals.dtype == np.int8 else vals.dtype
+    whole span. int32 for int8 vals (the caller bounds the span by
+    arith_core.SPAN_BUDGET = 2^26), vals' dtype otherwise."""
+    dtype = np.int32 if vals.dtype == np.int8 else vals.dtype
     out = np.empty(len(tail) + len(vals), dtype=dtype)
     out[:len(tail)] = tail
     run = out[len(tail) - 1:]
@@ -81,26 +95,28 @@ def _running_sums(tail, vals):
     return out
 
 
-def _runs(kind, X, h):
-    """(firsts, lengths), two lists: the window anchored at x in (X, 2X] has
-    length lengths[k] for firsts[k] <= x < firsts[k + 1], the last run
-    ending at 2X. Additive windows make one run of length h. A
-    multiplicative window has length x - floor(x(X-h)/X) = ceil(xh/X),
-    non-decreasing in x, so length l = h+1, ..., 2h holds on the x in
-    (floor((l-1)X/h), floor(lX/h)], in exact integer arithmetic."""
+def _runs(kind, X, h, a, b):
+    """(counts, lengths), two int64 arrays: the windows anchored at x in
+    [a, b), within (X, 2X], fall in runs of one length in order of x,
+    counts[j] windows of length lengths[j]. Additive windows make one run
+    of length h. A multiplicative window has length
+    x - floor(x(X-h)/X) = ceil(xh/X), non-decreasing in x, so length l
+    holds on the x in (floor((l-1)X/h), floor(lX/h)], never empty since
+    X > h, in exact integer arithmetic."""
     if kind == "additive":
-        return [X + 1], [h]
+        return np.array([b - a]), np.array([h])
     check_mul64(2 * h, X)
-    lengths = np.arange(h + 1, 2 * h + 1, dtype=np.int64)
-    return ((lengths - 1) * X // h + 1).tolist(), lengths.tolist()
+    lengths = np.arange(-(-a * h // X), -(-(b - 1) * h // X) + 1, dtype=np.int64)
+    cuts = np.concatenate(([a], (lengths[1:] - 1) * X // h + 1, [b]))
+    return np.diff(cuts), lengths
 
 
-def _window_sums(prefix, i, counts, lengths, dtype):
+def _window_sums(prefix, i, counts, lengths):
     """Sums of f over windows with consecutive stops, the first at prefix
     index i, counts[k] windows of length lengths[k] after one another: one
     slice difference of the prefix per run of one length, written into a
-    fresh array of dtype."""
-    sums = np.empty(sum(counts), dtype=dtype)
+    fresh array of the prefix's dtype."""
+    sums = np.empty(sum(counts), dtype=prefix.dtype)
     j = 0
     for m, ell in zip(counts, lengths):
         np.subtract(prefix[i + j:i + j + m], prefix[i + j - ell:i + j - ell + m],
@@ -110,55 +126,46 @@ def _window_sums(prefix, i, counts, lengths, dtype):
 
 
 def _streamed_windows(values, kind, X, h):
-    """(sums, lengths) of kind's windows, (x, x+h] or ((1-h/X)x, x], for
-    every integer x in (X, 2X], in order of x, yielded
+    """(sums, counts, lengths) of kind's windows, (x, x+h] or ((1-h/X)x, x],
+    for every integer x in (X, 2X], in order of x, yielded
     arith_core.DEFAULT_SEGMENT windows at a time: a fresh array of window
-    sums of f, float64 for real f (each the double of the exact integer sum
-    for integer f) and complex128 for complex f, and the windows' lengths,
-    one float when the segment is one run, a float64 array otherwise.
-    values(lo, hi) gives f on [lo, hi); additive windows may be longer
-    than X.
+    sums of f, exact int32 for int8 f, float64 for float f and complex128
+    for complex f, and _runs of the segment, counts[j] windows of length
+    lengths[j] in turn. values(lo, hi) opens a stream of f over [lo, hi),
+    as _value_stream does, and the pass reads it piece by piece; additive
+    windows may be longer than X.
 
-    The whole span is checked against the budget before any work. One
-    prefix of f runs from the first window's start across every segment:
-    each segment extends it over its new values and keeps a tail of one
-    window length for the next, so each window sum is a difference of the
-    floats one np.cumsum would give. Stops are consecutive integers, so a
-    segment's sums are one slice difference per run of one length
-    (_runs, _window_sums). Multiplicative passes with fewer than _RUN_MIN
-    windows per run (X < _RUN_MIN h) take both edges from _edges and
-    gather instead: there, a run costs more Python than its windows save.
-    Only what the caller keeps outlives a segment, so memory stays
-    O(segment + h)."""
+    The whole span is checked against the budget before any work, and so
+    bounds an int32 prefix. One prefix of f runs from the first window's
+    start across every segment: each segment extends it over its new
+    values and keeps a tail of one window length for the next, so each
+    window sum is a difference of the values one np.cumsum would give.
+    Stops are consecutive integers, so a segment's sums are one slice
+    difference per run of one length (_window_sums). Multiplicative passes
+    with fewer than _RUN_MIN windows per run (X < _RUN_MIN h) take both
+    edges from _edges and gather instead: there, a run costs more Python
+    than its windows save. Only what the caller keeps outlives a segment,
+    so memory stays O(segment + h)."""
     offset = h if kind == "additive" else 0  # the window at x stops at x + offset
     first = X + 1 if kind == "additive" else X - h  # the first window's start
     arith_core._check_span(first, 2 * X + offset + 1)
+    take = values(first, 2 * X + offset + 1)
     gather = kind == "multiplicative" and X < _RUN_MIN * h
     if gather:
         spec = WindowSpec(kind, X, h)
-    else:
-        firsts, run_lengths = _runs(kind, X, h)
     base, tail = first - 1, np.zeros(1)  # the prefix is 0 up to first - 1
     for a in range(X + 1, 2 * X + 1, arith_core.DEFAULT_SEGMENT):
         b = min(a + arith_core.DEFAULT_SEGMENT, 2 * X + 1)
-        prefix = _running_sums(tail, values(base + len(tail), b + offset))
-        dtype = np.result_type(prefix.dtype, np.float64)
+        prefix = _running_sums(tail, take(base + len(tail), b + offset))
+        counts, lengths = _runs(kind, X, h, a, b)
         if gather:
             starts, stops = _edges(spec, np.arange(a, b, dtype=np.int64))
-            sums = np.subtract(prefix[stops - base], prefix[starts - base],
-                               out=np.empty(b - a, dtype=dtype))
-            lengths, last = np.subtract(stops, starts, dtype=np.float64), int(starts[-1])
+            sums = prefix[stops - base] - prefix[starts - base]
         else:
-            k, k_end = bisect.bisect_right(firsts, a) - 1, bisect.bisect_left(firsts, b)
-            cuts = [a] + firsts[k + 1:k_end] + [b]
-            counts = [q - p for p, q in zip(cuts, cuts[1:])]
-            ells = run_lengths[k:k_end]
-            sums = _window_sums(prefix, a + offset - base, counts, ells, dtype)
-            lengths = (float(ells[0]) if len(ells) == 1 else
-                       np.repeat(np.array(ells, dtype=np.float64), counts))
-            last = b - 1 + offset - ells[-1]
+            sums = _window_sums(prefix, a + offset - base, counts.tolist(), lengths.tolist())
+        last = b - 1 + offset - int(lengths[-1])  # the last window's start
         base, tail = last, prefix[last - base:].copy()
-        yield sums, lengths
+        yield sums, counts, lengths
 
 
 def _abs_window_means(fname, spec):
@@ -166,9 +173,12 @@ def _abs_window_means(fname, spec):
     one streamed segment of windows at a time, each a fresh array."""
     if spec.X > WINDOW_BUDGET:
         raise BudgetError("window count %d exceeds budget" % spec.X)
-    for sums, lengths in _streamed_windows(
-            lambda lo, hi: _values(fname, lo, hi), spec.kind, spec.X, spec.h):
-        sums /= lengths
+    for sums, counts, lengths in _streamed_windows(
+            functools.partial(_value_stream, fname), spec.kind, spec.X, spec.h):
+        if sums.dtype == np.int32:
+            sums = sums.astype(np.float64)  # exact
+        sums /= (float(lengths[0]) if len(lengths) == 1 else
+                 np.repeat(lengths.astype(np.float64), counts))
         yield np.abs(sums) if np.iscomplexobj(sums) else np.abs(sums, out=sums)
 
 
@@ -183,16 +193,53 @@ def short_sum(fname, spec, x):
     return fsum(vals)
 
 
-def variance(fname, spec):
-    """Average of |window mean of f|^2 over integer x in (X, 2X].
+def _square_sum(sums, bound):
+    """The exact sum of the squares of the integer array sums, each at most
+    bound in magnitude, as a Python int: int64 sums of at most
+    (2^63 - 1) // bound^2 squares each, none of which can overflow."""
+    squares = np.multiply(sums, sums, dtype=np.int64)
+    step = INT64_MAX // (bound * bound)
+    return sum(int(squares[i:i + step].sum()) for i in range(0, len(squares), step))
 
-    One streamed pass of the window kernel; the squares of every segment
-    go into one exact accumulator."""
-    acc = ExactSum()
-    for means in _abs_window_means(fname, spec):
-        means *= means
-        acc.add(means)
-    return acc.value() / spec.X
+
+def variance(fname, spec):
+    """Average of |window mean of f|^2 over integer x in (X, 2X], from one
+    streamed pass of the window kernel.
+
+    For lambda and mu every window sum S is an integer with |S| <= l, its
+    window length, and the squares of each run of one length l add up
+    exactly to an integer T_l; the variance is fsum(T_l / l^2) / X, one
+    rounding per run. The additive pass is one run, l = h, summed by
+    _square_sum into a Python int. A multiplicative run holds at most
+    X/h + 1 windows of length l <= 2h, and the span check gives
+    X + h < 2^26 and h < 2^25, so T_l <= 4h(X + h) < 2^53: the run totals
+    and every partial sum of them fit int64, and T_l / l^2 is one correctly
+    rounded double division.
+
+    For float and complex f the squared means of every segment go into one
+    exact accumulator."""
+    if spec.X > WINDOW_BUDGET:
+        raise BudgetError("window count %d exceeds budget" % spec.X)
+    if fname not in ("liouville", "mobius"):
+        acc = ExactSum()
+        for means in _abs_window_means(fname, spec):
+            means *= means
+            acc.add(means)
+        return acc.value() / spec.X
+    X, h = spec.X, spec.h
+    windows = _streamed_windows(functools.partial(_value_stream, fname), spec.kind, X, h)
+    if spec.kind == "additive":
+        terms = [sum(_square_sum(sums, h) for sums, _, _ in windows) / (h * h)]
+    else:
+        totals = np.zeros(h, dtype=np.int64)  # T_l at l - h - 1, l = h + 1, ..., 2h
+        for sums, counts, lengths in windows:
+            squares = np.multiply(sums, sums, dtype=np.int64)
+            k = int(lengths[0]) - (h + 1)
+            totals[k:k + len(lengths)] += np.add.reduceat(squares, np.cumsum(counts) - counts)
+        terms = np.arange(h + 1, 2 * h + 1, dtype=np.float64)
+        np.square(terms, out=terms)  # exact: l^2 <= 2^52
+        np.divide(totals, terms, out=terms)
+    return fsum(terms) / X
 
 
 def exceptional_fraction(fname, spec, taus):
@@ -210,21 +257,21 @@ def exceptional_fraction(fname, spec, taus):
 
 def exp_sum_avg(X, h, alpha):
     """(1/(hX)) sum over x in (X, 2X] of |sum_{x<n<=x+h} lambda(n) e(alpha n)|,
-    from one streamed pass of the window kernel over a complex prefix."""
+    from one streamed pass of the window kernel over a complex prefix, the
+    |sums| of every segment added into one exact accumulator."""
     X, h, alpha = int(X), int(h), float(alpha)
 
     def twisted(lo, hi):
-        lam = arith_core.liouville_range(lo, hi).astype(np.float64)
-        return lam * np.exp(2j * np.pi * alpha * np.arange(lo, hi, dtype=np.float64))
-    # |sums| of every segment go into one array of X floats, 8 bytes per
-    # window, summed by one fsum; the span is checked before it is allocated
-    arith_core._check_span(X + 1, 2 * X + h + 1)
-    abs_sums = np.empty(X)
-    j = 0
-    for sums, _ in _streamed_windows(twisted, "additive", X, h):
-        np.abs(sums, out=abs_sums[j:j + len(sums)])
-        j += len(sums)
-    return fsum(abs_sums) / (h * X)
+        lam = arith_core._stream(lo, hi)
+
+        def values(a, b):
+            phases = np.exp(2j * np.pi * alpha * np.arange(a, b, dtype=np.float64))
+            return lam(a, b).astype(np.float64) * phases
+        return values
+    acc = ExactSum()
+    for sums, _, _ in _streamed_windows(twisted, "additive", X, h):
+        acc.add(np.abs(sums))
+    return acc.value() / (h * X)
 
 
 @dataclass

@@ -198,6 +198,37 @@ def naive_window_means(values, starts, stops):
     return out
 
 
+def _window_edges(kind, X, h):
+    """(start, stop) of every window (start, stop] anchored at x in (X, 2X]:
+    (x, x + h] when additive, ((1 - h/X) x, x] when multiplicative."""
+    for x in range(X + 1, 2 * X + 1):
+        yield (x, x + h) if kind == "additive" else (x * (X - h) // X, x)
+
+
+def integer_square_totals(values, kind, X, h):
+    """{l: T_l}: the exact sum of S^2 over the windows of length l, S the
+    Python-int sum of the integers values[n] (1-indexed) over the window."""
+    prefix = [0] + list(itertools.accumulate(int(values[n]) for n in range(1, 2 * X + h + 1)))
+    totals = {}
+    for a, b in _window_edges(kind, X, h):
+        s = prefix[b] - prefix[a]
+        totals[b - a] = totals.get(b - a, 0) + s * s
+    return totals
+
+
+def integer_window_variance(values, kind, X, h):
+    """Window variance of integer f: math.fsum(T_l / l^2) / X over the
+    exact totals of integer_square_totals, one rounding per length."""
+    totals = integer_square_totals(values, kind, X, h)
+    return math.fsum(t / (ell * ell) for ell, t in totals.items()) / X
+
+
+def exact_window_variance(values, kind, X, h):
+    """The same variance as an exact Fraction, sum of T_l / l^2 over X."""
+    totals = integer_square_totals(values, kind, X, h)
+    return sum(Fraction(t, ell * ell) for ell, t in totals.items()) / X
+
+
 def one_shot_abs_window_means(ist, fname, spec):
     """|window mean of f| for every x in (X, 2X] from one np.cumsum over the
     whole span, in one array: the window kernel before it was streamed.

@@ -334,6 +334,25 @@ def test_least_factor_range_scratch_is_per_segment():
     assert large <= 24 * 2**20
 
 
+def test_stream_pieces_straddle_segments(monkeypatch):
+    # pieces shorter and longer than a segment of 2^10, one empty, from one
+    # walk; a piece that does not start where the last stopped is refused
+    lo, hi = 10**6 + 3, 10**6 + 5003
+    lam, mu = ac.liouville_range(lo, hi), ac.mobius_range(lo, hi)
+    monkeypatch.setattr(ac, "DEFAULT_SEGMENT", 1 << 10)
+    cuts = [lo, lo + 1, lo + 700, lo + 700, lo + 2900, lo + 3000, hi]
+    for want, mobius in ((lam, False), (mu, True)):
+        values = ac._stream(lo, hi, mobius)
+        got = [values(a, b) for a, b in zip(cuts, cuts[1:])]
+        assert all(g.dtype == np.int8 for g in got)
+        assert np.array_equal(np.concatenate(got), want)
+    values = ac._stream(lo, hi)
+    values(lo, lo + 10)
+    for a, b in ((lo, lo + 20), (lo + 11, lo + 20), (lo + 10, hi + 1)):
+        with pytest.raises(ValueError):
+            values(a, b)
+
+
 def test_walk_checks_span_when_called():
     # before the first next(), so that callers allocate their outputs after
     # the check

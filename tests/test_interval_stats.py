@@ -1,12 +1,15 @@
 """Window sums, variance over starting points, and the vertical-line bridge."""
 
+import functools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from liouville_lab import arith_core
+from liouville_lab import arith_core, entropy_chowla
 from liouville_lab import interval_stats as ist
 from liouville_lab.expsum_circle import e_of
 from liouville_lab.util import BudgetError, PreconditionError, fsum
@@ -132,17 +135,27 @@ def test_exp_sum_avg_stream_equals_one_shot(segment, monkeypatch):
         assert ist.exp_sum_avg(X, h, alpha) == w, (X, h, alpha)
 
 
-def test_exp_sum_avg_peak_allocation_per_window():
-    # one segment of 2^18 complex windows, a tail of one window length and
-    # 8 bytes of |sum| per window (25.6 MiB here): the one-shot pass held
-    # about 104 bytes per window (99 MiB here)
+def _exp_sum_avg_peak(X):
     tracemalloc.start()
     try:
-        ist.exp_sum_avg(10**6, 100, 0.6180339887498949)
+        ist.exp_sum_avg(X, 100, 0.6180339887498949)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    return peak
+
+
+def test_exp_sum_avg_peak_allocation_per_window():
+    # one segment of 2^18 complex windows and a tail of one window length
+    # (19.2 MiB here): the one-shot pass held about 104 bytes per window
+    # (99 MiB here)
+    assert _exp_sum_avg_peak(10**6) <= 32 * 2**20
+
+
+def test_exp_sum_avg_peak_does_not_grow_with_x():
+    # the |sums| of each segment go into one ExactSum: an array of X of
+    # them took 25.6 MiB at X = 1e6 and 48.5 MiB at 4e6
+    assert _exp_sum_avg_peak(4 * 10**6) <= _exp_sum_avg_peak(10**6) + 2**20
 
 
 def test_parseval_link_envelope_and_certification():
@@ -241,32 +254,104 @@ ABOVE_RUN_MIN = (ist._RUN_MIN * 40 + 1, 40)
 def test_streamed_window_statistics_are_segment_independent(segment, kind, X, h, monkeypatch):
     # X below, at and off a multiple of the segment; h = 1500 carries a
     # tail longer than the segment; (20000, 50) has runs of 400 windows of
-    # one length, longer than one segment and across seams
+    # one length, longer than one segment and across seams. The variance
+    # of int8 f is fsum(T_l / l^2) / X over exact integer totals T_l;
+    # float and complex f keep one exact sum of squared means
     spec = ist.WindowSpec(kind, X, h)
     taus = (0.02, 0.1, 0.3)
+    integer = {fname: ist._values(fname, 1, 2 * X + h + 1) for fname in ("liouville", "mobius")}
     monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT", segment)
     for fname in STREAM_FNAMES:
         want = oracles.one_shot_abs_window_means(ist, fname, spec)
         got = np.concatenate(list(ist._abs_window_means(fname, spec)))
         assert np.array_equal(got, want), fname
-        assert ist.variance(fname, spec) == oracles.exact_sum(want * want) / X, fname
+        if fname in integer:
+            assert ist.variance(fname, spec) == oracles.integer_window_variance(
+                np.concatenate(([0], integer[fname])), kind, X, h), fname
+        else:
+            assert ist.variance(fname, spec) == oracles.exact_sum(want * want) / X, fname
         assert ist.exceptional_fraction(fname, spec, taus) == [
             np.count_nonzero(want >= tau) / X for tau in taus], fname
+
+
+@given(st.data(), st.sampled_from(["additive", "multiplicative"]),
+       st.sampled_from(["liouville", "mobius"]), st.integers(min_value=1, max_value=12))
+@settings(max_examples=40, deadline=None)
+def test_integer_variance_within_two_ulp_of_exact(data, kind, fname, h):
+    # three roundings (T_l / l^2, the fsum, / X); X up to 300 h reaches
+    # both sides of _RUN_MIN = 256 windows per run
+    X = data.draw(st.integers(min_value=h + 1, max_value=300 * h))
+    values = np.concatenate(([0], ist._values(fname, 1, 2 * X + h + 1)))
+    exact = oracles.exact_window_variance(values, kind, X, h)
+    got = ist.variance(fname, ist.WindowSpec(kind, X, h))
+    assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
+
+def test_square_sum_is_exact_near_the_span_bound():
+    # |S| <= 2^26: 4096 squares near 2^52 overflow one int64 sum, so
+    # _square_sum adds at most 2047 of them per int64
+    sums = np.full(4096, 2**26 - 1, dtype=np.int32)
+    sums[::3] *= -1
+    sums[::7] -= 5
+    want = sum(int(s) * int(s) for s in sums)
+    assert want > 2**63
+    assert ist._square_sum(sums, 2**26) == want
+    assert ist._square_sum(sums[:5], 2**26) == sum(int(s) * int(s) for s in sums[:5])
+
+
+@pytest.mark.parametrize("X, h", [(2**25, 2**25 - 1), (2**26 - 2**20 - 1, 2**20),
+                                  (2**26 - 2**12 - 1, 2**12)])
+def test_multiplicative_run_totals_fit_int64(X, h):
+    # at the span bound X + h + 1 = 2^26, every window sum at its largest,
+    # |S| = l: the totals of the runs of the longest windows, next to 2X,
+    # stay below 4h(X + h) < 2^53
+    assert X + h + 1 == arith_core.SPAN_BUDGET
+    counts, lengths = ist._runs("multiplicative", X, h, 2 * X + 1 - 2**12, 2 * X + 1)
+    sums = np.repeat(lengths, counts).astype(np.int32)
+    got = np.add.reduceat(np.multiply(sums, sums, dtype=np.int64), np.cumsum(counts) - counts)
+    want = [c * ell * ell for c, ell in zip(counts.tolist(), lengths.tolist())]
+    assert got.tolist() == want
+    assert max(want) <= 4 * h * (X + h) < 2**53
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: ist.variance("liouville", ist.WindowSpec("multiplicative", 5000, 10)),
+    lambda: ist.variance("mobius", ist.WindowSpec("additive", 5000, 10)),
+    lambda: ist.variance("liouville", ist.WindowSpec("multiplicative", 5000, 100)),
+    lambda: ist.exp_sum_avg(5000, 10, 0.37),
+    lambda: entropy_chowla.log_chowla_sum(20000, 4.0),
+])
+def test_streamed_pass_builds_prime_powers_once(entry, monkeypatch):
+    # one walk over the pass's span, not one per segment of 2^10
+    calls = []
+    prime_powers = arith_core._prime_powers
+
+    def counted(base_primes, hi):
+        calls.append(hi)
+        return prime_powers(base_primes, hi)
+    monkeypatch.setattr(arith_core, "_prime_powers", counted)
+    monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT", 1 << 10)
+    entry()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("X, h", [(2, 1), (10, 3), (50, 7), (100, 60), (1001, 1000),
                                   (3001, 40), (20000, 50), (20000, 13), BELOW_RUN_MIN])
 def test_run_table_matches_edges(X, h):
-    # h > X/2, X a multiple of h or not: the length of the run holding x
-    # is stop - start of _edges for every x in (X, 2X]
+    # h > X/2, X a multiple of h or not: the lengths of the runs of _runs,
+    # over all of (X, 2X] or cut at any seam, are stop - start of _edges
     xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
     starts, stops = ist._edges(ist.WindowSpec("multiplicative", X, h), xs)
-    firsts, lengths = ist._runs("multiplicative", X, h)
-    assert firsts[0] == X + 1
-    counts = np.diff(firsts + [2 * X + 1])
-    assert np.all(counts > 0)
-    assert np.array_equal(np.repeat(lengths, counts), stops - starts)
-    assert ist._runs("additive", X, h) == ([X + 1], [h])
+    for cut in sorted({X + 1, X + 2, (3 * X) // 2 + 1, 2 * X}):
+        got = []
+        for a, b in ((X + 1, cut), (cut, 2 * X + 1)):
+            if a < b:
+                counts, lengths = ist._runs("multiplicative", X, h, a, b)
+                assert np.all(counts > 0) and np.all(np.diff(lengths) == 1)
+                got.append(np.repeat(lengths, counts))
+        assert np.array_equal(np.concatenate(got), stops - starts)
+    counts, lengths = ist._runs("additive", X, h, X + 1, 2 * X + 1)
+    assert counts.tolist() == [X] and lengths.tolist() == [h]
 
 
 @pytest.mark.parametrize("segment", [7, 64])
@@ -285,8 +370,8 @@ def test_streamed_lengths_match_edges_across_seams(segment, kind, X, h, monkeypa
         return edges(spec, xs)
     monkeypatch.setattr(ist, "_edges", counted_edges)
     monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT", segment)
-    got = [np.broadcast_to(lengths, sums.shape) for sums, lengths in ist._streamed_windows(
-        lambda lo, hi: ist._values("liouville", lo, hi), kind, X, h)]
+    got = [np.repeat(lengths, counts) for sums, counts, lengths in ist._streamed_windows(
+        functools.partial(ist._value_stream, "liouville"), kind, X, h)]
     assert np.array_equal(np.concatenate(got), stops - starts)
     assert bool(calls) == (kind == "multiplicative" and X < ist._RUN_MIN * h)
 
