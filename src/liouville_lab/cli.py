@@ -6,6 +6,7 @@ byte-identical files. Wall time goes to stderr only.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -626,7 +627,10 @@ def _read_config(path):
     return out
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: EXPERIMENTS' names and flags are
+    static, and main looks each handler up when it runs."""
     ap = argparse.ArgumentParser(
         prog="liouville-lab",
         description="Deterministic desk-scale experiments over sign statistics.")

@@ -4,6 +4,7 @@ functional F with its independent-average reduction, and logarithmically
 weighted consecutive-sign sums with their envelopes.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,20 +26,63 @@ def _support_start(x, w):
 
 
 def _pack_signs(lam, start, count, H):
-    """Sign patterns of H consecutive values packed into integers: bit j of
+    """Sign patterns of H consecutive values packed into int64: bit j of
     entry i is set iff lam[start + i + j] < 0, for i < count and j < H.
 
     A pattern of width 2h is two of width h side by side, so doubling builds
     width H in ceil(log2 H) shifted ORs; the last one overlaps when H is not
-    a power of two, on bits that agree."""
-    bits = (lam[start : start + count + H - 1] < 0).astype(np.int64)
+    a power of two, on bits that agree. The ORs run in the narrowest
+    unsigned dtype that holds H bits, widened once at the end."""
+    dtype = np.uint16 if H <= 16 else np.uint32 if H <= 32 else np.uint64
+    bits = (lam[start : start + count + H - 1] < 0).astype(dtype)
     h = 1
     while 2 * h <= H:
         bits[: len(bits) - h] |= bits[h:] << h
         h *= 2
     if h < H:
         bits[:count] |= bits[H - h : H - h + count] << (H - h)
-    return bits[:count]
+    return bits[:count].astype(np.int64)
+
+
+def _sorted_runs(keys, width):
+    """(distinct keys ascending, order, run) for an int64 array of keys below
+    2^width: order lists the positions sorted by key and then by position,
+    and run[k] is the index of keys[order[k]] among the distinct keys. So
+    np.bincount(run, weights=w[order]) adds each key's weights in order of
+    position, the additions of a bincount over np.unique's inverse.
+
+    Each key is packed above its position, in b bits, and the packed values
+    sorted by one np.sort. A key wider than 63 - b bits takes two such sorts
+    (LSD): by its low 63 - b bits, then by its high digit above its place in
+    that order, which fits since width <= 62 and b <= 32."""
+    count = len(keys)
+    b = count.bit_length()
+    mask = (1 << b) - 1
+    pos = np.arange(count, dtype=np.int64)
+    if width + b <= 63:
+        packed = keys << b
+        packed |= pos
+        packed.sort()
+        order = packed & mask
+        packed >>= b  # the keys in sorted order
+    else:
+        low = 63 - b
+        packed = (keys & ((1 << low) - 1)) << b
+        packed |= pos
+        packed.sort()
+        order = packed & mask
+        packed = keys[order] >> low << b
+        packed |= pos
+        packed.sort()
+        order = order[packed & mask]
+        packed = keys[order]
+    new = np.empty(count, dtype=bool)  # where a run of one key starts
+    new[:1] = True
+    np.not_equal(packed[1:], packed[:-1], out=new[1:])
+    run = new.astype(np.intp)
+    run[:1] = 0
+    np.cumsum(run, out=run)
+    return packed[new], order, run
 
 
 def _mixed_radix(ns, primes):
@@ -58,18 +102,20 @@ class LogWeightedModel:
     x: int
     w: float
     lo: int = field(init=False)
-    L: float = field(init=False)
 
     def __post_init__(self):
         self.x = int(self.x)
         if not 1 <= self.w <= self.x:
             raise PreconditionError("need 1 <= w <= x")
         self.lo = _support_start(self.x, self.w)
+
+    @functools.cached_property
+    def L(self):
+        """The normalizer: sum of 1/n over the support, summed when first
+        read (the joint laws renormalize their own masses)."""
         if self.lo > self.x:
-            self.L = 0.0
-        else:
-            ns = np.arange(self.lo, self.x + 1, dtype=np.float64)
-            self.L = fsum(1.0 / ns)
+            return 0.0
+        return fsum(1.0 / np.arange(self.lo, self.x + 1, dtype=np.float64))
 
     @property
     def n_count(self):
@@ -102,13 +148,13 @@ class JointDistribution:
     def _marginal(self, values, space):
         """(distinct values ascending, their masses) for values in
         [0, space). Both routes add the masses in key order: a dense count
-        when the space is no longer than the keys, else one sort."""
+        when the space is no longer than the keys, else _sorted_runs."""
         if space <= len(values):
             m = np.bincount(values, weights=self.masses, minlength=space)
             uniq = np.flatnonzero(m)  # every key carries positive mass
             return uniq, m[uniq]
-        uniq, inv = np.unique(values, return_inverse=True)
-        return uniq, np.bincount(inv, weights=self.masses)
+        uniq, order, run = _sorted_runs(values, (space - 1).bit_length())
+        return uniq, np.bincount(run, weights=self.masses[order])
 
     @property
     def x_marginal(self):
@@ -206,27 +252,31 @@ def check_residue_space(H, epsilon):
         raise BudgetError("residue space %d exceeds budget %d" % (omega, arith_core.SPAN_BUDGET))
 
 
-def build_joint(model, H, epsilon):
+def build_joint(model, H, epsilon, lam=None):
     """Exact joint law of H consecutive signs past N and N's residues at
     the band primes, enumerated over the whole support (no sampling).
+    lam, when given, holds lambda(n) for lo < n <= x + H at least, lam[i] =
+    lambda(lo + 1 + i); otherwise that span is sieved here.
 
     The support is walked in 2^21-integer chunks. A key space of 2^H omega
     no larger than the support is counted densely, one bincount per chunk
-    added in order; a larger one is grouped by one sort per chunk, and the
-    chunk groups are merged by a second sort only when there are several.
-    Either way each key's mass adds its 1/n in increasing n within a chunk
-    and the chunk totals in chunk order, so both routes give the same bits."""
+    added in order; a larger one is grouped by _sorted_runs per chunk, and
+    the chunk groups are merged by _sorted_runs again only when there are
+    several. Either way each key's mass adds its 1/n in increasing n within
+    a chunk and the chunk totals in chunk order, so both routes give the
+    same bits."""
     H = int(H)
     if H < 1:
         raise ValueError("H must be positive")
-    if model.n_count == 0 or model.L == 0.0:
+    if model.n_count == 0:
         raise ValueError("model support is empty")
     primes, omega, fits = _key_space(H, epsilon)
     if not fits:
         raise BudgetError("2^H * |Omega| = 2^%d * %d exceeds key budget" % (H, omega))
     primes = tuple(int(p) for p in primes)
     lo, x = model.lo, model.x
-    lam = arith_core.liouville_range(lo + 1, x + H + 1)
+    if lam is None:
+        lam = arith_core.liouville_range(lo + 1, x + H + 1)
     chunk = 1 << 21
     # the residue index has period omega in n: one period, when it is no
     # longer than a chunk and the support, tiles every chunk
@@ -234,6 +284,7 @@ def build_joint(model, H, epsilon):
     if omega <= min(chunk, model.n_count):
         period = _mixed_radix(np.arange(omega, dtype=np.int64), primes)
     space = omega << H
+    width = (space - 1).bit_length()
     total = np.zeros(space) if space <= model.n_count else None
     key_parts = []
     wt_parts = []
@@ -245,21 +296,21 @@ def build_joint(model, H, epsilon):
             keys += _mixed_radix(np.arange(a, b, dtype=np.int64), primes)
         else:
             keys += arith_core._tile(period, a % omega, b - a)
-        wts = 1.0 / np.arange(a, b, dtype=np.float64)
         if total is not None:
+            wts = 1.0 / np.arange(a, b, dtype=np.float64)
             total += np.bincount(keys, weights=wts, minlength=space)
         else:
-            uniq, inv = np.unique(keys, return_inverse=True)
+            uniq, order, run = _sorted_runs(keys, width)
             key_parts.append(uniq)
-            wt_parts.append(np.bincount(inv, weights=wts))
+            wt_parts.append(np.bincount(run, weights=1.0 / (order + a)))  # 1/n, n exact
     if total is not None:
         keys = np.flatnonzero(total)  # every n adds a positive 1/n
         masses = total[keys]
     elif len(key_parts) == 1:
         keys, masses = key_parts[0], wt_parts[0]
     else:
-        keys, inv = np.unique(np.concatenate(key_parts), return_inverse=True)
-        masses = np.bincount(inv, weights=np.concatenate(wt_parts))
+        keys, order, run = _sorted_runs(np.concatenate(key_parts), width)
+        masses = np.bincount(run, weights=np.concatenate(wt_parts)[order])
     masses /= fsum(masses)  # total mass exactly 1 to rounding
     return JointDistribution(H, primes, omega, keys, masses, model.x, float(model.w))
 
@@ -271,18 +322,6 @@ def y_uniformity(joint):
 
 
 # ------------------------------------------------------ the F functional
-
-def _F_on_primes(xs, res, primes, H):
-    out = {}
-    for p, r in zip(primes, res):
-        p = int(p)
-        total = 0
-        for j in range(1, H - p + 1):
-            if (r + j) % p == 0:
-                total += xs[j - 1] * xs[j + p - 1]
-        out[p] = total
-    return out
-
 
 def _sign_columns(bits, j):
     return 1 - 2 * ((bits >> (j - 1)) & 1)
@@ -309,7 +348,8 @@ def expectation_F_independent(joint, method="g"):
 
     method 'g' collapses the uniform average in closed form, weighting the
     pair sum at shift p by 1/p; 'uniform' averages over every residue
-    pattern explicitly."""
+    pattern explicitly: for each one, the integer pair products of every
+    sign pattern of the x-marginal go into one exact int64 vector."""
     bits = joint.keys // joint.omega
     if method == "g":
         parts = []
@@ -323,15 +363,14 @@ def expectation_F_independent(joint, method="g"):
     xs, xmass = joint.x_marginal
     if len(xs) * joint.omega > 1 << 22:
         raise BudgetError("explicit uniform average too large")
-    parts = []
-    for b, m in zip(xs, xmass):
-        xvec = [1 - 2 * ((int(b) >> (j - 1)) & 1) for j in range(1, joint.H + 1)]
-        acc = 0
-        for yidx in range(joint.omega):
-            comps = _F_on_primes(xvec, joint.y_residues(yidx), joint.primes, joint.H)
-            acc += sum(comps.values())
-        parts.append(m * acc / joint.omega)
-    return math.fsum(parts)
+    signs = [_sign_columns(xs, j) for j in range(1, joint.H + 1)]
+    acc = np.zeros(len(xs), dtype=np.int64)
+    for yidx in range(joint.omega):
+        for p, r in zip(joint.primes, joint.y_residues(yidx)):
+            for j in range(1, joint.H - p + 1):
+                if (r + j) % p == 0:
+                    acc += signs[j - 1] * signs[j + p - 1]
+    return math.fsum(xmass * acc / joint.omega)
 
 
 # ------------------------------------------------------ weighted pair sums
@@ -498,19 +537,25 @@ class DecrementTrace:
 def decrement_trace(x, w, epsilon, H0, max_steps):
     """Entropy and information rates along the blowup sequence of block
     lengths, with exact joints at every step; stops early (flagged) when
-    the packed state would overflow."""
+    the packed state would overflow. lambda is sieved once, to x plus the
+    longest admissible block, for every joint."""
     model = LogWeightedModel(x, w)
     h = int(H0)
     if h < 2:
         raise ValueError("H0 must be at least 2")
-    steps = []
-    witness = -1
+    hs = []
     exhausted = False
-    for j in range(int(max_steps)):
+    for _ in range(int(max_steps)):
         if h > 32 or not _key_space(h, epsilon)[2]:
             exhausted = True
             break
-        joint = build_joint(model, h, epsilon)
+        hs.append(h)
+        h = _next_block_length(h)
+    lam = arith_core.liouville_range(model.lo + 1, model.x + hs[-1] + 1) if hs else None
+    steps = []
+    witness = -1
+    for j, h in enumerate(hs):
+        joint = build_joint(model, h, epsilon, lam)
         Hx = entropy_x(joint)
         info = mutual_information(joint)
         steps.append((h, Hx / h, info / h))
@@ -518,7 +563,6 @@ def decrement_trace(x, w, epsilon, H0, max_steps):
             threshold = 1.0 / (math.log(h) * math.log(math.log(math.log(h))))
             if info / h <= threshold:
                 witness = j
-        h = _next_block_length(h)
     return DecrementTrace(steps, witness, exhausted)
 
 

@@ -258,15 +258,27 @@ def exceptional_fraction(fname, spec, taus):
 def exp_sum_avg(X, h, alpha):
     """(1/(hX)) sum over x in (X, 2X] of |sum_{x<n<=x+h} lambda(n) e(alpha n)|,
     from one streamed pass of the window kernel over a complex prefix, the
-    |sums| of every segment added into one exact accumulator."""
+    |sums| of every segment added into one exact accumulator. The twisted
+    values of every piece are written into one buffer of n and one of
+    lambda(n) e(alpha n) per pass, as log_chowla_sum's terms are: fresh
+    arrays per piece cost a page fault per 4 KiB."""
     X, h, alpha = int(X), int(h), float(alpha)
+    twist = 2j * np.pi * alpha
 
     def twisted(lo, hi):
         lam = arith_core._stream(lo, hi)
+        # the longest piece of the pass is its first: a segment of windows
+        # and one window length
+        size = min(arith_core.DEFAULT_SEGMENT + h, hi - lo)
+        offsets = np.arange(size, dtype=np.float64)
+        ns = np.empty_like(offsets)
+        terms = np.empty(size, dtype=np.complex128)
 
-        def values(a, b):
-            phases = np.exp(2j * np.pi * alpha * np.arange(a, b, dtype=np.float64))
-            return lam(a, b).astype(np.float64) * phases
+        def values(a, b):  # each piece is overwritten by the next
+            n = np.add(offsets[:b - a], a, out=ns[:b - a])  # exact: n < 2^53
+            c = np.multiply(twist, n, out=terms[:b - a])
+            np.exp(c, out=c)
+            return np.multiply(lam(a, b), c, out=c)
         return values
     acc = ExactSum()
     for sums, _, _ in _streamed_windows(twisted, "additive", X, h):

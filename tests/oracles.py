@@ -393,6 +393,35 @@ def sort_marginal(values, masses):
     return uniq, np.bincount(inv, weights=masses)
 
 
+def _F_on_primes(xs, res, primes, H):
+    out = {}
+    for p, r in zip(primes, res):
+        p = int(p)
+        total = 0
+        for j in range(1, H - p + 1):
+            if (r + j) % p == 0:
+                total += xs[j - 1] * xs[j + p - 1]
+        out[p] = total
+    return out
+
+
+def loop_uniform_average(joint):
+    """E F(signs, residues*) with residues* uniform and independent of the
+    joint's sign pattern: one Python-int pair sum per sign pattern of the
+    x-marginal and residue pattern, m * acc / omega per sign pattern, one
+    math.fsum."""
+    xs, xmass = joint.x_marginal
+    parts = []
+    for b, m in zip(xs, xmass):
+        xvec = [1 - 2 * ((int(b) >> (j - 1)) & 1) for j in range(1, joint.H + 1)]
+        acc = 0
+        for yidx in range(joint.omega):
+            comps = _F_on_primes(xvec, joint.y_residues(yidx), joint.primes, joint.H)
+            acc += sum(comps.values())
+        parts.append(m * acc / joint.omega)
+    return math.fsum(parts)
+
+
 # ------------------------------------------------------------ diophantine
 
 def convergents(frac):

@@ -143,6 +143,23 @@ def test_repeat_runs_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_one_parser_per_process_and_help_unchanged(capsys):
+    # the registry's names and flags are static, so main parses with one
+    # parser; its help reads as that of a parser built afresh
+    assert cli.build_parser() is cli.build_parser()
+    fresh = cli.build_parser.__wrapped__()
+    for argv, parser in ((["--help"], fresh), (["entropy", "--help"], None)):
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        if parser is not None:
+            assert helps[0] == parser.format_help()
+
+
 def test_seed_reproduces_and_varies(capsys):
     base = ["mean-value", "--n", "150", "--t", "200", "--count", "1"]
     _, out_a, _ = run(base + ["--seed", "1"], capsys)

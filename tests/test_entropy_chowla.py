@@ -161,11 +161,15 @@ def test_build_joint_key_budget():
 
 # the dense route (2^H omega no larger than the support) and the sort route,
 # each on one chunk and on two (3e6 - 3e3 integers against chunks of 2^21),
-# and omega ~ 5.8e11, whose residue index is too long a period to tile
+# and omega ~ 5.8e11, whose residue index is too long a period to tile. Keys
+# wider than 63 bits less the positions' take two sorts: H = 32 (omega =
+# 6,678,671, 55-bit keys) over 999,000 integers, and 59-bit keys (omega ~
+# 3.0e11) over 1,800
 @pytest.mark.parametrize("x, w, H, eps, dense", [
     (10**6, 10**3, 8, 1.0, True), (10**6, 10**3, 10, 1.0, True),
     (10**6, 10**3, 16, 1.0, False), (3 * 10**6, 10**3, 8, 1.0, True),
-    (3 * 10**6, 10**3, 16, 1.0, False), (20, 2, 4, 16.0, False)])
+    (3 * 10**6, 10**3, 16, 1.0, False), (20, 2, 4, 16.0, False),
+    (10**6, 10**3, 32, 1.0, False), (2000, 10, 20, 3.0, False)])
 def test_build_joint_matches_sort_twice_oracle(x, w, H, eps, dense):
     model = ent.LogWeightedModel(x, w)
     joint = ent.build_joint(model, H, eps)
@@ -179,6 +183,21 @@ def test_build_joint_matches_sort_twice_oracle(x, w, H, eps, dense):
         want = oracles.sort_marginal(values, masses)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("width, count", [(1, 1), (8, 5000), (40, 3000), (43, 1 << 19),
+                                          (44, 1 << 19), (62, 3000), (62, 1 << 20)])
+def test_sorted_runs_match_unique(width, count):
+    # one sort while width plus the positions' bits (20 for 2^19) fit 63,
+    # two past that; repeats of each key, so runs of several positions
+    rng = np.random.default_rng(width)
+    pool = rng.integers(0, 1 << width, size=max(count // 3, 1), dtype=np.int64)
+    keys = rng.choice(pool, size=count)
+    wts = rng.random(count)
+    uniq, order, run = ent._sorted_runs(keys, width)
+    want, masses = oracles.sort_marginal(keys, wts)
+    assert np.array_equal(uniq, want)
+    assert np.array_equal(np.bincount(run, weights=wts[order]), masses)
 
 
 def test_pack_signs_doubling_matches_bit_loop():
@@ -232,6 +251,12 @@ def test_expectation_F_independent_methods_agree():
     assert g == pytest.approx(uni, abs=1e-12)
     with pytest.raises(ValueError):
         ent.expectation_F_independent(joint, "typo")
+
+
+@pytest.mark.parametrize("H", range(4, 11))
+def test_uniform_average_matches_loop(H):
+    joint = ent.build_joint(ent.LogWeightedModel(3000, 10), H, 1.0)
+    assert ent.expectation_F_independent(joint, "uniform") == oracles.loop_uniform_average(joint)
 
 
 def test_expectation_F_frozen_reference_point():
@@ -390,6 +415,24 @@ def test_decrement_trace_small_model():
     assert tr2.steps == tr.steps
     with pytest.raises(ValueError):
         ent.decrement_trace(2000, 10, 1.0, 1, 5)
+
+
+def test_decrement_trace_sieves_once(monkeypatch):
+    # one walk of lambda to x + 32 serves the joints at h = 8, 16 and 32,
+    # each equal to the joint that sieves its own span
+    walks = []
+    walk = ent.arith_core._walk
+
+    def counted(lo, hi, *args, **kwargs):
+        walks.append((lo, hi))
+        return walk(lo, hi, *args, **kwargs)
+    monkeypatch.setattr(ent.arith_core, "_walk", counted)
+    tr = ent.decrement_trace(2000, 10, 1.0, 8, 50)
+    assert walks == [(202, 2033)]  # lambda(n) for x/w + 1 < n <= x + 32
+    model = ent.LogWeightedModel(2000, 10)
+    for h, hrate, irate in tr.steps:
+        joint = ent.build_joint(model, h, 1.0)
+        assert (hrate, irate) == (ent.entropy_x(joint) / h, ent.mutual_information(joint) / h)
 
 
 def test_decrement_trace_stops_on_key_budget():
