@@ -269,26 +269,12 @@ def h_factorization(P):
     rows.append(make_row("factorization", {**P, "check": "err-density"},
                          rep.density, 3.0 * (alpha + delta)))
     t, nodes = P["t"], P["q_nodes"]
+    # the same Q-breakpoints give the integral exactly, and their jumps bound
+    # the midpoint rule at any node count
+    ex = mr_factorization.factorization_identity_exact(w, t)
     r0 = mr_factorization.factorization_identity_residual(w, t, nodes)
     rows.append(make_row("factorization", {**P, "check": "residual", "nodes": nodes},
-                         r0, None))
-    # quadrature error is grid quantization noise, so shrinkage is judged on
-    # residuals pooled over a fixed t set, and only once cells are finer than
-    # the shortest admissible log-Q interval (~1/m at the largest cofactor)
-    tpool = (0.0, 0.4, 0.8, 1.3, 2.1)
-    base = max(nodes, 4 * X)
-    pooled = []
-    for n in (base, 4 * base):
-        rs = [mr_factorization.factorization_identity_residual(w, tt, n)
-              for tt in tpool]
-        pooled.append(sum(rs) / len(rs))
-        rows.append(make_row("factorization",
-                             {**P, "check": "pooled-residual", "nodes": n},
-                             pooled[-1], None))
-    rows.append(make_row("factorization", {**P, "check": "node-doubling-shrink"},
-                         pooled[1], 0.5 * pooled[0]))
-    # the same Q-breakpoints give the integral exactly: a rounding-level check
-    ex = mr_factorization.factorization_identity_exact(w, t)
+                         r0, mr_factorization.residual_envelope(w, ex, nodes)))
     rows.append(make_row("factorization", {**P, "check": "identity-exact"},
                          ex.residual, ex.envelope, ratio=ex.ratio))
     return rows

@@ -46,32 +46,6 @@ class RamareWeight:
         return int(math.floor(2.0 * (1.0 + self.delta) * self.X))
 
 
-def _q_window(w, p, m, qmin_m):
-    """Exact dQ/Q measure of the admissible Q-window for n = p*m."""
-    one = 1.0 + w.delta
-    lo = max(float(w.P0), p / one, w.X / m)
-    hi = min(float(w.Q0), float(p), 2.0 * w.X / m, qmin_m / one)
-    if hi > lo:
-        return math.log(hi / lo)
-    return 0.0
-
-
-def ramare_weight(w, n):
-    """Weight value at a single integer n, exact closed-form measures."""
-    n = int(n)
-    if n < 2:
-        return 0.0
-    total = 0.0
-    one = 1.0 + w.delta
-    for p, _ in arith_core.factorize(n):
-        if not w.P0 < p <= one * w.Q0:
-            continue
-        m = n // p
-        qmin_m = next((q for q, _ in arith_core.factorize(m) if q >= w.P0), math.inf)
-        total += _q_window(w, p, m, qmin_m)
-    return total / math.log(one)
-
-
 def weight_array(w):
     """Weight values for every n in (X, 2(1+delta)X], cached on w."""
     if w._u is not None:
@@ -104,7 +78,6 @@ def weight_array(w):
 @dataclass
 class ErrReport:
     members: list        # (n, u) with |u - indicator| > 1e-12
-    near_misses: list    # (n, u) with deviation in (1e-12, 1e-6]
     density: float
 
 
@@ -114,11 +87,8 @@ def err_set(w):
     ns = np.arange(w.X + 1, w.domain_hi + 1, dtype=np.int64)
     indicator = (ns <= 2 * w.X).astype(np.float64)
     dev = np.abs(u - indicator)
-    memb_idx = np.flatnonzero(dev > 1e-12)
-    near_idx = np.flatnonzero((dev > 1e-12) & (dev <= 1e-6))
-    members = [(int(ns[i]), float(u[i])) for i in memb_idx]
-    near = [(int(ns[i]), float(u[i])) for i in near_idx]
-    return ErrReport(members, near, len(members) / w.X)
+    members = [(int(ns[i]), float(u[i])) for i in np.flatnonzero(dev > 1e-12)]
+    return ErrReport(members, len(members) / w.X)
 
 
 def _line_point(t):
@@ -217,16 +187,14 @@ def factorization_identity_residual(w, t, q_nodes):
 
     Left side: sum over (X, 2X] of lambda(n) n^{-s} minus the error-set
     term. Right side: (1/log(1+delta)) times the midpoint log-Q quadrature
-    of Z1(Q) Z2(Q) with q_nodes nodes. The integrand is piecewise constant
-    in Q, so the residual is pure quadrature error and shrinks at least
-    linearly as nodes double. Empty prime band gives residual <= 1e-10.
+    of Z1(Q) Z2(Q) with q_nodes nodes. The integrand is a step function of
+    log Q, so the residual is quadrature error plus rounding, and
+    residual_envelope bounds it at any q_nodes. An empty prime band makes
+    both sides vanish.
 
     Z1 Z2 is evaluated once per run of nodes on which it is constant and
     summed node by node in order, so the value is bit-for-bit that of the
-    plain per-node loop (kept in tests/oracles.py). Known false failure: a
-    one-prime band such as P0=60, Q0=61 does not pool its midpoint error
-    over primes, so the pooled residual need not halve as nodes double;
-    factorization_identity_exact is the sharp statement there.
+    plain per-node loop (kept in tests/oracles.py).
     """
     if q_nodes < 16:
         raise ValueError("q_nodes must be at least 16")
@@ -254,6 +222,8 @@ class ExactIdentity:
     residual: float  # |sum u(n) lambda(n) n^{-s} - integral / log(1+delta)|
     scale: float     # sum |u(n) n^{-s}|
     envelope: float  # 8 (1 + 1/L + |t| log N) eps * scale, see below
+    jumps: float     # sum |J_i| of the jumps of Z1 Z2 between pieces
+    peak: float      # max |Z1 Z2| over the pieces
 
     @property
     def ratio(self):
@@ -290,8 +260,49 @@ def factorization_identity_exact(w, t):
 
     cuts = sweep.q_breaks()
     lo, hi = cuts[:-1], cuts[1:]
-    rhs = fsum_complex(sweep.products(s, np.sqrt(lo * hi)) * np.log(hi / lo)) / math.log(one)
+    pieces = sweep.products(s, np.sqrt(lo * hi))
+    rhs = fsum_complex(pieces * np.log(hi / lo)) / math.log(one)
     longest = min(math.log(one), math.log(w.Q0 / w.P0))
     ulps = 8.0 * (1.0 + 1.0 / longest + abs(s.imag) * math.log(w.domain_hi))
     return ExactIdentity(abs(lhs - rhs), scale,
-                         ulps * np.finfo(np.float64).eps * scale)
+                         ulps * np.finfo(np.float64).eps * scale,
+                         fsum(np.abs(np.diff(pieces))), float(np.abs(pieces).max()))
+
+
+def residual_envelope(w, ex, q_nodes):
+    """Bound on factorization_identity_residual(w, t, q_nodes), given
+    ex = factorization_identity_exact(w, t); 0 only when u vanishes.
+
+    Midpoint theorem: in log Q, f = Z1 Z2 is a step function with jumps
+    J_i between the pieces. In a cell of width du = log(Q0/P0)/q_nodes,
+    |f(v) - f(node)| is at most the sum of the |J_i| between v and the
+    node, and each J_i lies on the far side of the node for at most du/2
+    of the cell. So the midpoint rule errs by at most (du/2) sum |J_i|.
+
+    Rounding, each rounding charged eps (twice the unit roundoff, so the
+    second-order terms and the residual's own final subtraction fit):
+    - nodes: log Q at a node is off by eps (log(Q0/P0) + log Q0 + 1), the
+      membership tests flip within eps of the cuts, and the grid ends miss
+      log P0, log Q0 by as little, all within eta = 3 eps (1 + log Q0). A
+      jump costs du/2 + eta in its cell, and under 4 eta more elsewhere
+      (only when du < 2 eta); each grid end costs eta peak.
+    - the exact side: ex.envelope bounds the rounding of both sides of
+      the exact identity, in u, n^{-s} and log(b/a).
+    - the running sum of q_nodes products f du, each at most peak du, and
+      its division by log(1+delta): (q_nodes + 1) eps peak log(Q0/P0).
+    - the left side: |lhs|, |z_err| <= K = (1 + max|u|) log(N/X), as
+      |indicator - u| <= 1 + max|u| and the sum of 1/n over (X, N] stays
+      below log(N/X) by more than the ulps of |n^{-s}|. Both sums, two
+      roundings per z_err term and lhs - z_err make 6K; the exact side's
+      sum of u(n) lambda(n) n^{-s} adds 2 scale. When u vanishes, lhs and
+      z_err add the same doubles and this term is exactly 0.
+    """
+    eps = np.finfo(np.float64).eps
+    span = math.log(w.Q0 / w.P0)
+    du = span / q_nodes
+    eta = 3.0 * eps * (1.0 + math.log(w.Q0))
+    midpoint = (du / 2 + 5.0 * eta) * ex.jumps + 2.0 * eta * ex.peak
+    running = (q_nodes + 1) * eps * ex.peak * span
+    K = (1.0 + float(np.abs(weight_array(w)).max())) * math.log(w.domain_hi / w.X)
+    lhs = eps * (6.0 * K + 2.0 * ex.scale) if ex.scale > 0 else 0.0
+    return (midpoint + running) / math.log(1.0 + w.delta) + ex.envelope + lhs

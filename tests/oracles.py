@@ -450,6 +450,33 @@ def dist_to_z(x):
 
 # ------------------------------------------------------- two-factor identity
 
+def _q_window(w, p, m, qmin_m):
+    """Exact dQ/Q measure of the admissible Q-window for n = p*m."""
+    one = 1.0 + w.delta
+    lo = max(float(w.P0), p / one, w.X / m)
+    hi = min(float(w.Q0), float(p), 2.0 * w.X / m, qmin_m / one)
+    if hi > lo:
+        return math.log(hi / lo)
+    return 0.0
+
+
+def ramare_weight(w, n):
+    """The two-factor weight at one integer n, by trial division: for each
+    band prime p | n, the closed-form log-measure of its Q-window."""
+    n = int(n)
+    if n < 2:
+        return 0.0
+    total = 0.0
+    one = 1.0 + w.delta
+    for p, _ in trial_factor(n):
+        if not w.P0 < p <= one * w.Q0:
+            continue
+        m = n // p
+        qmin_m = next((q for q, _ in trial_factor(m) if q >= w.P0), math.inf)
+        total += _q_window(w, p, m, qmin_m)
+    return total / math.log(one)
+
+
 def _identity_factors(mr, w, s):
     """Band primes with -p^{-s}, and the cofactors m of Z2 over
     (X/Q0, 2X/P0] with lambda(m) m^{-s} and their smallest prime factor

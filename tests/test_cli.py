@@ -396,7 +396,7 @@ def test_every_default_lies_in_its_domain():
 
 
 def test_empty_band_envelope_is_rejected_not_scored(capsys):
-    # no prime in [24, 25): the node-doubling check would compare 0 with 0
+    # no prime in [24, 25): the residual and its envelope are both 0
     rc, out, err = run(["factorization", "--x", "500", "--p0", "24", "--q0", "25"], capsys)
     assert rc == 2
     assert out == ""
@@ -446,6 +446,18 @@ def test_factorization_identity_exact_row(capsys):
                       "--q0", "20", "--p0", "3"], capsys)
     assert rc == 0
     rows = parse_csv(out)
-    assert "check=node-doubling-shrink" in rows[-2][1]
+    assert "check=residual" in rows[-2][1]
+    assert rows[-2][-1] == "pass"
     assert "check=identity-exact" in rows[-1][1]
     assert rows[-1][-1] == "pass"
+
+
+@pytest.mark.parametrize("args", [["--x", "20000"], ["--p0", "60", "--q0", "61"]])
+def test_factorization_residual_row_passes(args, capsys):
+    # the midpoint-rule envelope holds where node doubling did not shrink
+    rc, out, _ = run(["factorization", *args], capsys)
+    assert rc == 0
+    rows = parse_csv(out)
+    assert [r[1].split("check=")[1].split(";")[0] for r in rows] == [
+        "weight-upper", "weight-lower", "err-density", "residual", "identity-exact"]
+    assert all(r[-1] == "pass" for r in rows)

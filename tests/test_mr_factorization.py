@@ -10,30 +10,6 @@ from liouville_lab import arith_core, cli, mr_factorization as mr
 import oracles
 
 
-def oracle_weight(w, n):
-    """Independent interval-intersection evaluation of the weight.
-
-    For each prime p | n in the admissible band, the Q-set is cut by four
-    constraints; its log measure is computed from explicit endpoints.
-    """
-    one = 1.0 + w.delta
-    total = 0.0
-    for p, _ in oracles.trial_factor(n):
-        if not w.P0 < p <= one * w.Q0:
-            continue
-        m = n // p
-        qmin = math.inf
-        for q, _ in (oracles.trial_factor(m) if m > 1 else []):
-            if q >= w.P0:
-                qmin = q
-                break
-        lo = max(float(w.P0), p / one, w.X / m)
-        hi = min(float(w.Q0), float(p), 2.0 * w.X / m, qmin / one)
-        if hi > lo:
-            total += math.log(hi / lo)
-    return total / math.log(one)
-
-
 def test_weight_parameter_validation():
     with pytest.raises(ValueError):
         mr.RamareWeight(1000, 0.1, 100, 100)
@@ -44,27 +20,13 @@ def test_weight_parameter_validation():
 
 
 def test_weight_matches_interval_oracle_pointwise():
-    w = mr.RamareWeight(200, 0.2, 4, 16)
-    for n in range(150, 550):
-        assert mr.ramare_weight(w, n) == pytest.approx(
-            oracle_weight(w, n), abs=1e-12), n
-
-
-def test_weight_array_agrees_with_scalar_path(monkeypatch):
-    w = mr.RamareWeight(300, 0.15, 5, 30)
-    u = mr.weight_array(w)
-
-    # the scalar weight factors by trial division alone, so it stays an
-    # independent check of the sieved array
-    def started(*args, **kwargs):
-        raise RuntimeError("sieve started")
-    for name in ("_walk", "_sieve_segment", "_prime_powers", "_scatter", "_tile",
-                 "_hits", "_log_step", "_log_steps", "_least_wheel", "_Buffers",
-                 "_lam", "_squarefree", "primes_upto"):
-        monkeypatch.setattr(mr.arith_core, name, started)
-    ns = np.arange(w.X + 1, w.domain_hi + 1)
-    for i in range(0, len(ns), 17):
-        assert u[i] == pytest.approx(mr.ramare_weight(w, int(ns[i])), abs=1e-12)
+    # every n of the domain: the sieved array against trial division
+    for params in ((200, 0.2, 4, 16), (300, 0.15, 5, 30)):
+        w = mr.RamareWeight(*params)
+        u = mr.weight_array(w)
+        for n in range(w.X + 1, w.domain_hi + 1):
+            assert u[n - w.X - 1] == pytest.approx(
+                oracles.ramare_weight(w, n), abs=1e-12), (params, n)
 
 
 def test_weight_range_and_support():
@@ -73,11 +35,12 @@ def test_weight_range_and_support():
     assert float(u.min()) >= 0.0
     assert float(u.max()) <= 1.0 + 1e-12
     # off-domain inputs evaluate to zero
-    assert mr.ramare_weight(w, 1) == 0.0
-    assert mr.ramare_weight(w, w.X // 2) == 0.0
-    assert mr.ramare_weight(w, 8 * w.X) == 0.0
+    assert oracles.ramare_weight(w, 1) == 0.0
+    assert oracles.ramare_weight(w, w.X // 2) == 0.0
+    assert oracles.ramare_weight(w, 8 * w.X) == 0.0
     # no band prime factor gives zero: a power of two
-    assert mr.ramare_weight(w, 2**14) == 0.0
+    assert oracles.ramare_weight(w, 2**14) == 0.0
+    assert u[2**14 - w.X - 1] == 0.0
 
 
 def test_constructive_branch_weight_is_one():
@@ -109,12 +72,11 @@ def test_err_density_envelope():
     rep = mr.err_set(w)
     alpha = math.log(10) / math.log(100)
     assert rep.density <= 3.0 * (alpha + 0.1)
-    assert len(rep.near_misses) <= len(rep.members)
     # every reported member recomputes to a genuine mismatch
     for n, uval in rep.members[:40] + rep.members[-40:]:
         ind = 1.0 if w.X < n <= 2 * w.X else 0.0
-        assert abs(mr.ramare_weight(w, n) - ind) > 1e-12
-        assert mr.ramare_weight(w, n) == pytest.approx(uval, abs=1e-12)
+        assert abs(oracles.ramare_weight(w, n) - ind) > 1e-12
+        assert oracles.ramare_weight(w, n) == pytest.approx(uval, abs=1e-12)
 
 
 def test_err_density_empty_band_degenerate():
@@ -124,8 +86,11 @@ def test_err_density_empty_band_degenerate():
     assert rep.density == pytest.approx(1.0)
     u = mr.weight_array(w)
     assert float(np.abs(u).max()) == 0.0
-    # the identity then degenerates and the residual is at floor level
-    assert mr.factorization_identity_residual(w, 0.7, 64) <= 1e-10
+    # the identity then degenerates: both sides of the residual add the same
+    # doubles, and its envelope vanishes with it
+    assert mr.factorization_identity_residual(w, 0.7, 64) == 0.0
+    ex = mr.factorization_identity_exact(w, 0.7)
+    assert mr.residual_envelope(w, ex, 64) == 0.0
 
 
 def test_identity_residual_node_doubling_trend():
@@ -173,6 +138,37 @@ def test_identity_residual_matches_per_node_oracle():
                 assert got == want, (params, nodes, t)
 
 
+# the default band, X = 2e4 and a wider band at X = 1e5, the one-prime band,
+# and small weights with wide, narrow and long bands
+ENVELOPE_GRID = ((10**4, 0.1, 10, 100), (2 * 10**4, 0.1, 10, 100),
+                 (10**5, 0.1, 30, 300), (10**4, 0.1, 60, 61), (500, 0.99, 3, 20),
+                 (500, 0.15, 4, 20), (1000, 0.01, 2, 250))
+
+
+def test_identity_residual_within_envelope():
+    # the midpoint theorem bounds the residual at coarse and fine grids alike
+    for params in ENVELOPE_GRID:
+        w = mr.RamareWeight(*params)
+        for t in (0.0, 0.7, 13.0):
+            ex = mr.factorization_identity_exact(w, t)
+            for nodes in (16, 64, 4096, 4 * w.X):
+                r = mr.factorization_identity_residual(w, t, nodes)
+                assert r <= mr.residual_envelope(w, ex, nodes), (params, t, nodes)
+
+
+def test_identity_residual_fails_with_indicator_weight():
+    # with u replaced by the indicator of (X, 2X] the error-set term drops
+    # out of the left side; on a grid fine enough to resolve it the residual
+    # row must see it (at 64 nodes only identity-exact does)
+    w = mr.RamareWeight(10**4, 0.1, 10, 100)
+    ns = np.arange(w.X + 1, w.domain_hi + 1)
+    w._u = (ns <= 2 * w.X).astype(np.float64)
+    for t in (0.0, 0.7, 13.0):
+        ex = mr.factorization_identity_exact(w, t)
+        r = mr.factorization_identity_residual(w, t, 4 * w.X)
+        assert r > 10.0 * mr.residual_envelope(w, ex, 4 * w.X), t
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_identity_rejects_non_finite_t(t):
     w = mr.RamareWeight(500, 0.15, 4, 20)
@@ -208,23 +204,24 @@ def test_identity_exact_matches_per_piece_oracle():
 
 
 def test_default_factorization_sieves_once_per_weight(monkeypatch, capsys):
-    # one cofactor sieve and one lambda sieve serve the weight and all
-    # twelve evaluations of the identity; the band primes are listed once
-    counts = {"_walk": 0, "primes_in": 0}
+    # one cofactor sieve and one lambda sieve serve the weight and both
+    # evaluations of the identity, one per quadrature; the band primes are
+    # listed once
+    counts = {"_walk": 0, "primes_in": 0, "products": 0}
 
-    def counted(name):
-        inner = getattr(arith_core, name)
-
+    def counted(name, inner):
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return inner(*args, **kwargs)
         return wrapper
-    for name in counts:
-        monkeypatch.setattr(arith_core, name, counted(name))
+    for name in ("_walk", "primes_in"):
+        monkeypatch.setattr(arith_core, name, counted(name, getattr(arith_core, name)))
+    monkeypatch.setattr(mr._Sweep, "products", counted("products", mr._Sweep.products))
     assert cli.main(["factorization"]) == 0
     assert "factorization" in capsys.readouterr().out
     assert counts["_walk"] <= 2
     assert counts["primes_in"] == 1
+    assert counts["products"] == 2
 
 
 def test_identity_exact_fails_with_indicator_weight():
