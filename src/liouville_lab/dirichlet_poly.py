@@ -86,27 +86,55 @@ class TSubset:
         return math.fsum(b - a for a, b in self.intervals)
 
 
+_EPS = np.finfo(np.float64).eps
+# least N K / (M log2 M) at which an even grid takes the Taylor-FFT kernel.
+# On a 2-vCPU Xeon (numpy 2.4) the two kernels broke even at 17 (M = 2^11,
+# 2^13) to 55 (M = 2^18); 64 clears them all, so no grid gets slower
+_FFT_MIN = 64
+
+
+def _fft_size(K):
+    """The least power of 2 that is at least 2K."""
+    return 1 << (2 * K - 1).bit_length()
+
+
 def _phase_sum(logn, vals, ts):
     """Vector of sum_n vals_n e^{i t logn_n} on a t-array.
 
-    Zero coefficients are dropped first. On an evenly spaced grid
-    t_k = t0 + k dt (to a few ulps of max|t|) the phases factor as
-    e^{i t_{gB} logn} e^{i j dt logn} with k = gB + j and B = isqrt(len(ts)):
-    G = ceil(len(ts) / B) giant rows at the grid nodes ts[::B] carry vals,
-    B baby rows carry the offsets j dt, and one complex matrix product
-    joins them, so about (G + B) exponentials per term replace one per
-    node. Any other grid takes B = 1, the direct sum. Terms go in slabs
-    with (G + B) * slab <= 2^22 elements, summed into one output.
+    Zero coefficients are dropped first. A grid is even when
+    t_k = t0 + k dt, dt = (t_last - t0)/(K - 1), to within 4 eps max|t|. An
+    even grid of K nodes with N nonzero terms and N K >= _FFT_MIN M log2 M,
+    M = _fft_size(K), takes _taylor_fft_sum, which costs O(J (N + M log M))
+    for a Taylor order J <= 16; every other grid takes _bsgs_sum, O(N K).
     """
     keep = vals != 0
     logn, vals = logn[keep], vals[keep]
     K = len(ts)
-    B, dt = max(1, math.isqrt(K)), 0.0
-    if B > 1:
+    dt = 0.0
+    if K > 1:
         dt = (ts[-1] - ts[0]) / (K - 1)
         drift = np.max(np.abs(ts - (ts[0] + np.arange(K) * dt)))
-        if not drift <= 4 * np.finfo(np.float64).eps * np.max(np.abs(ts)):
-            B, dt = 1, 0.0
+        if not drift <= 4 * _EPS * np.max(np.abs(ts)):
+            dt = 0.0
+    M = _fft_size(K)
+    if dt and len(vals) * K >= _FFT_MIN * M * math.log2(M):
+        return _taylor_fft_sum(logn, vals, ts, dt)
+    return _bsgs_sum(logn, vals, ts, dt)
+
+
+def _bsgs_sum(logn, vals, ts, dt):
+    """_phase_sum by baby steps and giant steps; dt = 0 marks an uneven grid.
+
+    On an even grid of step dt the phases factor as
+    e^{i t_{gB} logn} e^{i j dt logn} with k = gB + j and B = isqrt(len(ts)):
+    G = ceil(len(ts) / B) giant rows at the grid nodes ts[::B] carry vals,
+    B baby rows carry the offsets j dt, and one complex matrix product
+    joins them, so about (G + B) exponentials per term replace one per
+    node. An uneven grid takes B = 1, the direct sum. Terms go in slabs
+    with (G + B) * slab <= 2^22 elements, summed into one output.
+    """
+    K = len(ts)
+    B = max(1, math.isqrt(K)) if dt else 1
     G = -(-K // B)
     out = np.zeros((G, B), dtype=np.complex128)
     offsets = np.arange(B) * dt
@@ -117,6 +145,57 @@ def _phase_sum(logn, vals, ts):
         giant *= vals[a:a + slab]
         out += giant @ np.exp(1j * np.multiply.outer(offsets, lg)).T
     return out.reshape(-1)[:K]
+
+
+def _taylor_fft_sum(logn, vals, ts, dt):
+    """_phase_sum on an even grid of K >= 2 nodes and step dt by Taylor
+    expansion about uniform frequencies (Anderson-Dahleh).
+
+    Centre the nodes at t_c = ts[c], c = (K - 1) // 2: t_k = t_c + kappa dt
+    with integer |kappa| <= K/2. Take M = _fft_size(K) >= 2K and put each
+    frequency y = logn on the bins of width 2 pi/(M dt): with
+    phi = y M dt/(2 pi), b = round(phi) and u = 2 (phi - b) in [-1, 1],
+        kappa dt y = 2 pi kappa b/M + z u,    z = pi kappa/M,
+    and |z| <= r = pi K/(2M) <= pi/4. Expanding e^{i z u} to degree J,
+        sum_n v_n e^{i t_k y_n}
+            = sum_{j<=J} (i z)^j/j! F_j(kappa) + E,
+        F_j(kappa) = sum_n v_n e^{i t_c y_n} u_n^j e^{2 pi i kappa b_n/M},
+    where F_j is one inverse FFT of the bincount of v e^{i t_c y} u^j into
+    the bins b mod M, read at kappa mod M: exact aliasing, since kappa is an
+    integer, and no two nodes share an index, since K <= M. As |u| <= 1,
+        |E| <= sum|v| sum_{j>J} r^j/j! <= sum|v| r^{J+1}/(J+1)! e^r,
+    the tail sum_{i>=0} r^{J+1+i}/(J+1+i)! being at most r^{J+1}/(J+1)!
+    times sum_i r^i/i!. J is the least order with r^{J+1}/(J+1)! e^r <= eps
+    (J <= 16 at r <= pi/4). The powers (i z)^j/j! and u^j are kept as one
+    running product each, so memory stays O(N + M + K). Rounding enters
+    where the direct sum's does, in the phases t_c y and kappa dt y, each
+    at most max|t| max|y| in size.
+    """
+    K = len(ts)
+    M = _fft_size(K)
+    c = (K - 1) // 2
+    phi = logn * (M * dt / (2.0 * math.pi))
+    bins = np.rint(phi)
+    u = 2.0 * (phi - bins)
+    bins = bins.astype(np.int64) & (M - 1)
+    w = vals * np.exp(1j * ts[c] * logn)
+    re, im = w.real.copy(), w.imag.copy()
+    kappa = np.arange(-c, K - c)
+    r = math.pi * K / (2 * M)
+    J, tail = 0, r * math.exp(r)
+    while tail > _EPS:
+        J += 1
+        tail *= r / (J + 1)
+    iz, at = 1j * (math.pi / M) * kappa, kappa & (M - 1)
+    power = np.ones(K, dtype=np.complex128)  # (i z)^j / j!
+    out = np.zeros(K, dtype=np.complex128)
+    for j in range(J + 1):
+        spectrum = np.bincount(bins, re, M) + 1j * np.bincount(bins, im, M)
+        out += power * np.fft.ifft(spectrum, norm="forward")[at]
+        power *= iz / (j + 1)
+        re *= u
+        im *= u
+    return out
 
 
 def _step_limit(N):
@@ -150,11 +229,12 @@ def _square_integral(logn, vals, intervals, step):
     """(fine, halving_delta) for the integral of |sum vals_n e^{i t logn_n}|^2
     over a union of t-intervals, each on _grid(a, b, step). The fine and
     coarse sums add up across intervals, and halving_delta is
-    |fine - coarse| / |fine| (|fine| at least 1e-300)."""
+    |fine - coarse| / |fine| (|fine| at least 1e-300). The node step is
+    (b - a)/(nodes - 1): ts[1] - ts[0] would round at the scale of t."""
     fine = coarse = 0.0
     for a, b in intervals:
         ts = _grid(a, b, step)
-        f, c = _trap_pair(np.abs(_phase_sum(logn, vals, ts)) ** 2, ts[1] - ts[0])
+        f, c = _trap_pair(np.abs(_phase_sum(logn, vals, ts)) ** 2, (b - a) / (len(ts) - 1))
         fine += f
         coarse += c
     return fine, abs(fine - coarse) / max(abs(fine), 1e-300)

@@ -116,14 +116,20 @@ def zeta_strip_grid(sigma, ts, terms):
 
 
 def z_lambda_residual(s, N):
-    """|sum_{n<=N} lambda(n) n^{-s} - zeta(2s)/zeta(s)| on Re s > 1."""
+    """|sum_{n<=N} lambda(n) n^{-s} - zeta(2s)/zeta(s)| on Re s > 1.
+
+    At real s the series is one real power and fsum; only a complex s
+    pays for the complex exponential."""
     s = complex(s)
     if s.real <= 1:
         raise ValueError("needs Re s > 1")
     N = int(N)
     lam = arith_core.liouville_range(1, N + 1).astype(np.float64)
     n = np.arange(1, N + 1, dtype=np.float64)
-    series = fsum_complex(lam * np.exp(-s * np.log(n)))
+    if s.imag == 0:
+        series = fsum(lam * n ** -s.real)
+    else:
+        series = fsum_complex(lam * np.exp(-s * np.log(n)))
     target = zeta_strip(2 * s) / zeta_strip(s)
     return abs(series - target)
 

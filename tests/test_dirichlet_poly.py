@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from liouville_lab import dirichlet_poly as dp, zeta_mellin as zm
+from liouville_lab import arith_core, cli, dirichlet_poly as dp, zeta_mellin as zm
 from liouville_lab.util import fsum
 
 import oracles
@@ -84,17 +84,83 @@ def _phase_case(name):
     }[name]
 
 
-@pytest.mark.parametrize("name", ["dense", "prime-band", "all-zero", "zeta-sigma",
-                                  "parseval-sign", "t0-offset", "descending", "count-1",
-                                  "count-2", "count-10", "uneven-zeta", "uneven-random",
-                                  "uneven-nudged"])
-def test_phase_sum_matches_direct_oracle(name):
-    logn, vals, ts = _phase_case(name)
-    got = dp._phase_sum(logn, vals, ts)
-    ref = oracles.direct_phase_sum(logn, vals, ts)
+_EVEN = ["dense", "prime-band", "all-zero", "zeta-sigma", "parseval-sign", "t0-offset",
+         "descending", "count-2", "count-10"]
+_UNEVEN = ["count-1", "uneven-zeta", "uneven-random", "uneven-nudged"]
+
+
+def _kernel(kernel, logn, vals, ts, even):
+    # the step _phase_sum's drift test passes on, or 0 for an uneven grid
+    dt = (ts[-1] - ts[0]) / (len(ts) - 1) if even else 0.0
+    if kernel == "taylor-fft":
+        return dp._taylor_fft_sum(logn, vals, ts, dt)
+    return dp._bsgs_sum(logn, vals, ts, dt)
+
+
+def _parseval_case(X):
+    # parseval_link's polynomial and half-line grid at h = 50, delta = 1/2
+    ns = np.arange(X + 1, 2 * X + 1, dtype=np.float64)
+    lam = arith_core.liouville_range(X + 1, 2 * X + 1).astype(np.float64)
+    return -np.log(ns), lam / ns, dp._grid(0.0, X / 12.5, 0.5)
+
+
+@pytest.mark.parametrize("kernel, name", [("bsgs", n) for n in _EVEN + _UNEVEN]
+                         + [("taylor-fft", n) for n in _EVEN + ["parseval-1e5"]])
+def test_phase_sum_matches_direct_oracle(kernel, name):
+    # rounding of the phases t y, as in one exponential per node and term;
+    # the Taylor-FFT kernel adds its remainder r^{J+1}/(J+1)! e^r sum|v|,
+    # at most eps sum|v| by its choice of J
+    if name == "parseval-1e5":
+        logn, vals, ts = _parseval_case(10**5)
+        sel = slice(None, None, 97)
+    else:
+        logn, vals, ts = _phase_case(name)
+        sel = slice(None)
+    got = _kernel(kernel, logn, vals, ts, name not in _UNEVEN)[sel]
+    ref = oracles.direct_phase_sum(logn, vals, ts[sel])
     bound = 4 * EPS * (1 + np.max(np.abs(ts)) * np.max(np.abs(logn))) * np.sum(np.abs(vals))
+    if kernel == "taylor-fft":
+        bound += EPS * np.sum(np.abs(vals))
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= bound
+
+
+def test_phase_sum_uneven_grid_goes_direct_at_any_size(monkeypatch):
+    # parseval_link's 3201-node grid, one node nudged off it: the direct sum
+    calls = []
+    monkeypatch.setattr(dp, "_bsgs_sum", lambda lg, v, ts, dt: calls.append(("bsgs", dt)))
+    monkeypatch.setattr(dp, "_taylor_fft_sum", lambda lg, v, ts, dt: calls.append(("fft", dt)))
+    logn, vals, ts = _parseval_case(10**4)
+    ts[7] += 1e-9
+    dp._phase_sum(logn, vals, ts)
+    assert calls == [("bsgs", 0.0)]
+
+
+@pytest.mark.parametrize("argv, kernel, grids", [
+    (["tnp"], "bsgs", {(1000, 16001), (1600, 16001)}),
+    (["mean-value", "--n", "500", "--t", "5000", "--count", "1"], "bsgs", {(500, 79129)}),
+    (["halasz", "--n", "500", "--t", "5000"], "bsgs", set()),
+    (["large-values", "--q", "1000", "--t", "3000"], "bsgs", {(135, 58069)}),
+    (["parseval-link"], "taylor-fft", {(10000, 3201)}),
+    (["parseval-link", "--x", "100000"], "taylor-fft", {(100000, 32001)}),
+])
+def test_phase_sum_dispatch_by_measured_crossover(argv, kernel, grids, monkeypatch, capsys):
+    # few terms over many nodes stay on baby-step/giant-step: mean-value,
+    # halasz, large-values and the two tnp zeta grids (N terms, K nodes);
+    # parseval-link's X terms over 4X/(h delta^2) + 1 nodes take Taylor-FFT
+    seen = []
+
+    def recorded(name, run):
+        def call(logn, vals, ts, dt):
+            seen.append((name, len(vals), len(ts)))
+            return run(logn, vals, ts, dt)
+        return call
+    monkeypatch.setattr(dp, "_bsgs_sum", recorded("bsgs", dp._bsgs_sum))
+    monkeypatch.setattr(dp, "_taylor_fft_sum", recorded("taylor-fft", dp._taylor_fft_sum))
+    assert cli.main(argv + ["--seed", "0"]) == 0
+    capsys.readouterr()
+    assert seen and {name for name, _, _ in seen} == {kernel}
+    assert grids <= {(N, K) for _, N, K in seen}
 
 
 def test_phase_sum_takes_giant_and_baby_steps(monkeypatch):
@@ -110,8 +176,9 @@ def test_phase_sum_takes_giant_and_baby_steps(monkeypatch):
     assert sum(sizes) == (63 + 64) * np.count_nonzero(band.values)
 
 
-def test_phase_sum_error_against_mpmath():
-    # 40 nodes of the mean-value grid at N = 500, T = 5000: the kernel's
+@pytest.mark.parametrize("kernel", ["bsgs", "taylor-fft"])
+def test_phase_sum_error_against_mpmath(kernel):
+    # 40 nodes of the mean-value grid at N = 500, T = 5000: each kernel's
     # worst error stays within twice that of one exponential per node and term
     N, T = 500, 5000.0
     vals = _unimodular(N)
@@ -119,7 +186,7 @@ def test_phase_sum_error_against_mpmath():
     step = math.pi / (4.0 * math.log(N))
     ts = np.linspace(0.0, T, 2 * int(math.ceil(T / step)) + 1)
     idx = np.random.default_rng(2).choice(len(ts), 40, replace=False)
-    got = dp._phase_sum(logn, vals, ts)[idx]
+    got = _kernel(kernel, logn, vals, ts, True)[idx]
     ref = oracles.direct_phase_sum(logn, vals, ts[idx])
     with mpmath.workdps(30):
         logs = [mpmath.log(n) for n in range(1, N + 1)]
@@ -200,19 +267,10 @@ def test_gram_oracle_matches_double_loop():
     assert parts == pytest.approx(oracles.mean_value_closed_form(a, 160.0), rel=1e-12)
 
 
-def _assert_certified(value, halving_delta, exact, node_ulps=0.0):
+def _assert_certified(value, halving_delta, exact):
     # the fine-coarse difference bounds the fine sum's true error, up to
     # rounding (for a smooth integrand the error is about a third of it)
-    assert abs(value - exact) <= halving_delta * abs(exact) + (64 + node_ulps) * EPS * abs(exact)
-
-
-def _node_step_ulps(intervals, N):
-    # the node step ts[1] - ts[0] rounds at the scale of t, not of the step:
-    # a relative error up to about eps b / dt on [a, b] (none from a = 0),
-    # which step halving cannot see; at N = 1 the integrand is constant,
-    # halving_delta is about eps and this is the whole error
-    step = dp._step_limit(N)
-    return max(b * (dp._nodes(a, b, step) - 1) / (b - a) if a > 0 else 0.0 for a, b in intervals)
+    assert abs(value - exact) <= halving_delta * abs(exact) + 64 * EPS * abs(exact)
 
 
 def _gaussian(N, seed):
@@ -240,8 +298,7 @@ def test_halasz_halving_delta_bounds_true_error(N, limit, k, seed):
     a = _gaussian(N, seed)
     hs = dp.halasz_subset_integral(dp.CoeffSeq(0, N, a), dp.TSubset(intervals, limit))
     _assert_certified(hs.value, hs.halving_delta,
-                      oracles.gram_integral(np.arange(1, N + 1), a, intervals, fsum),
-                      _node_step_ulps(intervals, N))
+                      oracles.gram_integral(np.arange(1, N + 1), a, intervals, fsum))
 
 
 @pytest.mark.parametrize("N, intervals, seed", [

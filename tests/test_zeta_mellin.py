@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from liouville_lab import arith_core as ac
 from liouville_lab import zeta_mellin as zm
+from liouville_lab.util import fsum, fsum_complex
 
 import oracles
+
+EPS = np.finfo(np.float64).eps
 
 
 def test_smooth_cutoff_rejects_bad_delta():
@@ -137,6 +140,29 @@ def test_z_lambda_residual_small():
     n = np.arange(1, 10**5 + 1, dtype=np.float64)
     series = float(np.dot(lam, n**-2.0))
     assert series == pytest.approx(math.pi**2 / 15, abs=1e-3)
+
+
+@pytest.mark.parametrize("s", [2.0, 1.5, 3.25, 2.0 + 7.5j])
+def test_z_lambda_residual_against_mpmath_and_complex_series(s):
+    # the residual moves by at most its series' error. At real s the series
+    # is one real power per term (within an ulp) and fsum: 2 eps sum|terms|
+    # from mpmath's. The complex exponential of -s log n carries about
+    # (|s| log N + 4) eps relative error per term, which bounds its distance
+    # from both; a complex s still takes it
+    N = 10**4
+    lam = ac.liouville_range(1, N + 1).astype(np.float64)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    s = complex(s)
+    target = zm.zeta_strip(2 * s) / zm.zeta_strip(s)
+    with mpmath.workdps(30):
+        exact = complex(mpmath.fsum(int(a) * mpmath.power(k, -mpmath.mpc(s))
+                                    for k, a in enumerate(lam, start=1)))
+    complex_series = fsum_complex(lam * np.exp(-s * np.log(n)))
+    ulp = EPS * fsum(n ** -s.real)
+    k_exp = abs(s) * math.log(N) + 4
+    got = zm.z_lambda_residual(s, N)
+    assert abs(got - abs(exact - target)) <= (2 if s.imag == 0 else k_exp) * ulp
+    assert abs(got - abs(complex_series - target)) <= k_exp * ulp
 
 
 def test_z_lambda_residual_needs_halfplane():
