@@ -182,7 +182,7 @@ def h_tnp(P):
     rows = []
     res = zeta_mellin.z_lambda_residual(2.0, x)
     rows.append(make_row("tnp", {**P, "check": "lambda-series-vs-zeta-ratio"},
-                         res, 1e-3))
+                         res, zeta_mellin.z_lambda_envelope(2.0, x)))
     psi = arith_core.chebyshev_psi(x)
     env = 2.0 / math.log(x)
     rows.append(make_row("tnp", {**P, "check": "weighted-prime-count"},

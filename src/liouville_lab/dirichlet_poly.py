@@ -87,10 +87,9 @@ class TSubset:
 
 
 _EPS = np.finfo(np.float64).eps
-# least N K / (M log2 M) at which an even grid takes the Taylor-FFT kernel.
-# On a 2-vCPU Xeon (numpy 2.4) the two kernels broke even at 17 (M = 2^11,
-# 2^13) to 55 (M = 2^18); 64 clears them all, so no grid gets slower
-_FFT_MIN = 64
+# nonzero terms per doubling of M above 2^10 from which an even grid takes
+# the Taylor-FFT kernel; the measured rule is in _phase_sum
+_FFT_TERMS = 900
 
 
 def _fft_size(K):
@@ -103,9 +102,18 @@ def _phase_sum(logn, vals, ts):
 
     Zero coefficients are dropped first. A grid is even when
     t_k = t0 + k dt, dt = (t_last - t0)/(K - 1), to within 4 eps max|t|. An
-    even grid of K nodes with N nonzero terms and N K >= _FFT_MIN M log2 M,
-    M = _fft_size(K), takes _taylor_fft_sum, which costs O(J (N + M log M))
-    for a Taylor order J <= 16; every other grid takes _bsgs_sum, O(N K).
+    even grid of K nodes with N nonzero terms takes _taylor_fft_sum, which
+    costs O(J (N + M log M)) for M = _fft_size(K) and a Taylor order J <= 16,
+    when N >= _FFT_TERMS max(2, log2 M - 10); every other grid takes
+    _bsgs_sum, O(N K). As both K and M log M grow with M, the break-even is
+    a number of terms that grows with M. On a 2-vCPU AMD EPYC (numpy 2.4,
+    K from M/4 to M/2, over repeated sweeps) it was 1270-2600 terms at
+    M = 2^11, 2400-2500 at 2^12, 3500-3600 at 2^13, 4200-5000 at 2^14,
+    4500-7100 at 2^15, 6100-8000 at 2^16 and 7700-10700 at 2^17 and 2^18;
+    the spread is mostly the second core, which only _bsgs_sum's matrix
+    product uses. The rule lies within or below each range. Below 2^11 the
+    break-even rises again (1600 at 2^10, 3000 at 2^9, over 6000 below), so
+    the floor of 1800 terms errs towards the FFT there.
     """
     keep = vals != 0
     logn, vals = logn[keep], vals[keep]
@@ -116,8 +124,7 @@ def _phase_sum(logn, vals, ts):
         drift = np.max(np.abs(ts - (ts[0] + np.arange(K) * dt)))
         if not drift <= 4 * _EPS * np.max(np.abs(ts)):
             dt = 0.0
-    M = _fft_size(K)
-    if dt and len(vals) * K >= _FFT_MIN * M * math.log2(M):
+    if dt and len(vals) >= _FFT_TERMS * max(2, _fft_size(K).bit_length() - 11):
         return _taylor_fft_sum(logn, vals, ts, dt)
     return _bsgs_sum(logn, vals, ts, dt)
 
@@ -126,25 +133,60 @@ def _bsgs_sum(logn, vals, ts, dt):
     """_phase_sum by baby steps and giant steps; dt = 0 marks an uneven grid.
 
     On an even grid of step dt the phases factor as
-    e^{i t_{gB} logn} e^{i j dt logn} with k = gB + j and B = isqrt(len(ts)):
-    G = ceil(len(ts) / B) giant rows at the grid nodes ts[::B] carry vals,
-    B baby rows carry the offsets j dt, and one complex matrix product
-    joins them, so about (G + B) exponentials per term replace one per
-    node. An uneven grid takes B = 1, the direct sum. Terms go in slabs
-    with (G + B) * slab <= 2^22 elements, summed into one output.
+    e^{i (t0 + g B dt) y} e^{i j dt y} with y = logn, k = gB + j and
+    B = isqrt(len(ts)): G = ceil(len(ts) / B) giant rows carry vals, B baby
+    rows carry the offsets j dt, and one complex matrix product joins them.
+    Each set of rows is built by doubling, rows[h:2h] = rows[:h] e^{i h s y}
+    for h = 1, 2, 4, ..., with s = dt from baby row 0 = 1 and s = B dt from
+    giant row 0 = e^{i t0 y} vals, so row r is row 0 times one factor per
+    bit of r. The ceil(log2 B) + ceil(log2 G) + 1 = L exponentials per term
+    are one np.exp per slab. An uneven grid takes the direct sum, one
+    exponential per node. Terms go in slabs with (G + B) * slab <= 2^22
+    elements, summed into one output.
+
+    Rounding. A baby factor's phase (h dt) y rounds once (h is a power of
+    2), a giant factor's (h (B dt)) y twice and t0 y once, so the phases
+    of node k sum to within eps (|t0| + |k dt|) |y| of (t0 + k dt) y. Each
+    exponential is within eps of its point on the unit circle, and each of
+    the L + 1 complex products adds at most sqrt(5) eps/2, so the entry of
+    node k is within eps ((|t0| + |k dt|) |y| + 2.2 (L + 1)) |v| of
+    v e^{i (t0 + k dt) y}. One exponential per node is within
+    eps (|t_k y|/2 + 2.2) |v| of v e^{i t_k y}, a linspace node t_k is
+    within eps (|k dt| + |t_k|)/2 of t0 + k dt, and the sums over n round
+    alike in both. On a grid that does not cross t = 0, as every grid the
+    library builds, |t0| + |k dt| = |t_k| and |k dt| <= max|t|, so the
+    kernel is within eps (5 max|t| max|y|/2 + 2.2 (L + 2)) sum|v| of the
+    direct sum: inside 4 eps (1 + max|t| max|y|) sum|v| once
+    max|t| max|y| >= 1.5 L + 1.
     """
     K = len(ts)
     B = max(1, math.isqrt(K)) if dt else 1
     G = -(-K // B)
     out = np.zeros((G, B), dtype=np.complex128)
-    offsets = np.arange(B) * dt
+    nb, ng = (B - 1).bit_length(), (G - 1).bit_length()
+    # phase steps of the baby factors, the giant factors and giant row 0
+    steps = np.concatenate(((1 << np.arange(nb)) * dt, (1 << np.arange(ng)) * (B * dt), ts[:1]))
     slab = max(1, (1 << 22) // (G + B))
     for a in range(0, len(vals), slab):
-        lg = logn[a:a + slab]
-        giant = np.exp(1j * np.multiply.outer(ts[::B], lg))
-        giant *= vals[a:a + slab]
-        out += giant @ np.exp(1j * np.multiply.outer(offsets, lg)).T
+        lg, v = logn[a:a + slab], vals[a:a + slab]
+        if not dt:
+            out[:, 0] += np.exp(1j * np.multiply.outer(ts, lg)) @ v
+            continue
+        f = np.exp(1j * np.multiply.outer(steps, lg))
+        giant = _doubling_rows(G, f[nb:-1], f[-1] * v)
+        out += giant @ _doubling_rows(B, f[:nb], 1.0).T
     return out.reshape(-1)[:K]
+
+
+def _doubling_rows(n, factors, row0):
+    """The n rows row0 prod_{bits 2^i of r} factors[i], r < n: rows[h:2h] =
+    rows[:h] factors[log2 h] for h = 1, 2, 4, ..."""
+    rows = np.empty((n, factors.shape[1]), dtype=np.complex128)
+    rows[0] = row0
+    for i, f in enumerate(factors):
+        h = 1 << i
+        np.multiply(rows[:min(h, n - h)], f, out=rows[h:2 * h])
+    return rows
 
 
 def _taylor_fft_sum(logn, vals, ts, dt):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith_core
-from .dirichlet_poly import _grid, _phase_sum, _step_limit, _trap_pair
+from .dirichlet_poly import _EPS, _grid, _phase_sum, _step_limit, _trap_pair
 from .util import fsum, fsum_complex
 
 
@@ -97,15 +97,18 @@ def zeta_strip(s, terms=None):
 
 
 def zeta_strip_grid(sigma, ts, terms):
-    """Vector zeta(sigma + i t) for a t-array, shared truncation M."""
+    """Vector zeta(sigma + i t) for a t-array, shared truncation M. The
+    tail's powers M^{1-s} and M^{-s-1} are M m and m/M for the one complex
+    power m = M^{-s} per node."""
     ts = np.asarray(ts, dtype=np.float64)
     M = int(terms)
     logn = np.log(np.arange(1, M + 1, dtype=np.float64))
     s = sigma + 1j * ts
     out = _phase_sum(-logn, np.exp(-sigma * logn), ts)
-    out += M ** (1.0 - s) / (s - 1.0) - 0.5 * M ** (-s)
+    m = M ** (-s)
+    out += M * m / (s - 1.0) - 0.5 * m
     poch = s.copy()
-    mpow = M ** (-s - 1.0)
+    mpow = m / M
     fact = 2.0
     for k, b2 in enumerate(_BERN, start=1):
         out += b2 / fact * poch * mpow
@@ -132,6 +135,28 @@ def z_lambda_residual(s, N):
         series = fsum_complex(lam * np.exp(-s * np.log(n)))
     target = zeta_strip(2 * s) / zeta_strip(s)
     return abs(series - target)
+
+
+def z_lambda_envelope(sigma, N):
+    """Bound on z_lambda_residual(sigma, N) at real sigma > 1.
+
+    The tail: |sum_{n>N} lambda(n) n^{-sigma}| <= sum_{n>N} n^{-sigma}
+    < N^{1-sigma}/(sigma - 1). Rounding, with Z(s) = s/(s - 1) > zeta(s):
+    each n^{-sigma} is within an ulp and fsum rounds once, so the series is
+    within 1.5 eps Z(sigma). zeta_strip at real s sums M = 1000 head terms
+    exp(-s log n), each within (1 + 1.5 s log M) eps relative (log n and
+    the product round once each, exp within an ulp), and a tail of smaller
+    terms rounded alike: within (2 + 2 s log M) eps Z(s) in all. As
+    1 <= zeta(2 sigma) < zeta(sigma), the quotient's error is at most the
+    sum of its two heads' errors plus eps/2.
+    """
+    sigma = float(sigma)
+    if not sigma > 1:
+        raise ValueError("needs real sigma > 1")
+    logm = math.log(1000)
+    zs, z2s = sigma / (sigma - 1.0), 2.0 * sigma / (2.0 * sigma - 1.0)
+    rounding = 1.5 * zs + (2 + 2 * sigma * logm) * zs + (2 + 4 * sigma * logm) * z2s + 0.5
+    return float(N) ** (1.0 - sigma) / (sigma - 1.0) + rounding * float(_EPS)
 
 
 @dataclass

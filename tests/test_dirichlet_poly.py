@@ -104,14 +104,25 @@ def _parseval_case(X):
     return -np.log(ns), lam / ns, dp._grid(0.0, X / 12.5, 0.5)
 
 
-@pytest.mark.parametrize("kernel, name", [("bsgs", n) for n in _EVEN + _UNEVEN]
+def _mean_value_case(N, T):
+    # mean_value_integral's grid at N unimodular terms over [0, T]
+    logn = np.log(np.arange(1, N + 1, dtype=np.float64))
+    return logn, _unimodular(N), dp._grid(0.0, T, dp._step_limit(N))
+
+
+@pytest.mark.parametrize("kernel, name", [("bsgs", n) for n in _EVEN + _UNEVEN + ["mean-value-500"]]
                          + [("taylor-fft", n) for n in _EVEN + ["parseval-1e5"]])
 def test_phase_sum_matches_direct_oracle(kernel, name):
     # rounding of the phases t y, as in one exponential per node and term;
     # the Taylor-FFT kernel adds its remainder r^{J+1}/(J+1)! e^r sum|v|,
-    # at most eps sum|v| by its choice of J
+    # at most eps sum|v| by its choice of J. mean-value-500 has 79129 nodes,
+    # B = 281 and G = 282: its doubled rows are products of up to 9 factors
     if name == "parseval-1e5":
         logn, vals, ts = _parseval_case(10**5)
+        sel = slice(None, None, 97)
+    elif name == "mean-value-500":
+        logn, vals, ts = _mean_value_case(500, 5000.0)
+        assert len(ts) == 79129
         sel = slice(None, None, 97)
     else:
         logn, vals, ts = _phase_case(name)
@@ -136,6 +147,22 @@ def test_phase_sum_uneven_grid_goes_direct_at_any_size(monkeypatch):
     assert calls == [("bsgs", 0.0)]
 
 
+def _dispatched(argv, monkeypatch, capsys):
+    # (kernel, N, K) of every grid a CLI run hands to a kernel
+    seen = []
+
+    def recorded(name, run):
+        def call(logn, vals, ts, dt):
+            seen.append((name, len(vals), len(ts)))
+            return run(logn, vals, ts, dt)
+        return call
+    monkeypatch.setattr(dp, "_bsgs_sum", recorded("bsgs", dp._bsgs_sum))
+    monkeypatch.setattr(dp, "_taylor_fft_sum", recorded("taylor-fft", dp._taylor_fft_sum))
+    assert cli.main(argv + ["--seed", "0"]) == 0
+    capsys.readouterr()
+    return seen
+
+
 @pytest.mark.parametrize("argv, kernel, grids", [
     (["tnp"], "bsgs", {(1000, 16001), (1600, 16001)}),
     (["mean-value", "--n", "500", "--t", "5000", "--count", "1"], "bsgs", {(500, 79129)}),
@@ -148,24 +175,24 @@ def test_phase_sum_dispatch_by_measured_crossover(argv, kernel, grids, monkeypat
     # few terms over many nodes stay on baby-step/giant-step: mean-value,
     # halasz, large-values and the two tnp zeta grids (N terms, K nodes);
     # parseval-link's X terms over 4X/(h delta^2) + 1 nodes take Taylor-FFT
-    seen = []
-
-    def recorded(name, run):
-        def call(logn, vals, ts, dt):
-            seen.append((name, len(vals), len(ts)))
-            return run(logn, vals, ts, dt)
-        return call
-    monkeypatch.setattr(dp, "_bsgs_sum", recorded("bsgs", dp._bsgs_sum))
-    monkeypatch.setattr(dp, "_taylor_fft_sum", recorded("taylor-fft", dp._taylor_fft_sum))
-    assert cli.main(argv + ["--seed", "0"]) == 0
-    capsys.readouterr()
+    seen = _dispatched(argv, monkeypatch, capsys)
     assert seen and {name for name, _, _ in seen} == {kernel}
     assert grids <= {(N, K) for _, N, K in seen}
 
 
+def test_phase_sum_dispatch_splits_long_zeta_grids(monkeypatch, capsys):
+    # tnp at T = 2000: both zeta grids have 80001 nodes (M = 2^18), where the
+    # rule asks for 7200 terms; 4000 terms stay on baby-step/giant-step and
+    # the 8000 of zeta(2s) take Taylor-FFT
+    seen = _dispatched(["tnp", "--perron-t", "2000"], monkeypatch, capsys)
+    assert sorted(seen) == [("bsgs", 4000, 80001), ("taylor-fft", 8000, 80001)]
+
+
 def test_phase_sum_takes_giant_and_baby_steps(monkeypatch):
-    # on an even grid of 4001 nodes B = 63 and G = 64: each nonzero term
-    # costs G + B exponentials, not one per node, and zero terms cost none
+    # on an even grid of 4001 nodes B = 63 and G = 64, and both sets of rows
+    # are built by doubling: each nonzero term costs ceil(log2 G) + 1 giant
+    # and ceil(log2 B) baby exponentials, not one per row, and zero terms
+    # cost none
     band = dp.prime_band_coeffs(1000, 0.15)
     logn = np.log(band.n_array)
     ts = np.linspace(0.0, 300.0, 4001)
@@ -173,7 +200,7 @@ def test_phase_sum_takes_giant_and_baby_steps(monkeypatch):
     exp = np.exp
     monkeypatch.setattr(dp.np, "exp", lambda z: sizes.append(np.size(z)) or exp(z))
     dp._phase_sum(logn, band.values, ts)
-    assert sum(sizes) == (63 + 64) * np.count_nonzero(band.values)
+    assert sum(sizes) == (6 + 1 + 6) * np.count_nonzero(band.values)
 
 
 @pytest.mark.parametrize("kernel", ["bsgs", "taylor-fft"])

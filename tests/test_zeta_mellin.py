@@ -165,6 +165,18 @@ def test_z_lambda_residual_against_mpmath_and_complex_series(s):
     assert abs(got - abs(complex_series - target)) <= k_exp * ulp
 
 
+def test_z_lambda_envelope_at_smallest_n():
+    # N = 2: 1 - 1/4 against zeta(4)/zeta(2) = pi^2/15, within the tail bound
+    # 1/N plus rounding of about 140 eps
+    res = zm.z_lambda_residual(2.0, 2)
+    env = zm.z_lambda_envelope(2.0, 2)
+    assert res == pytest.approx(abs(0.75 - math.pi**2 / 15), abs=1e-15)
+    assert 0.5 < env < 0.5 + 200 * EPS
+    assert res <= env
+    with pytest.raises(ValueError):
+        zm.z_lambda_envelope(1.0, 2)
+
+
 def test_z_lambda_residual_needs_halfplane():
     with pytest.raises(ValueError):
         zm.z_lambda_residual(1.0, 100)
