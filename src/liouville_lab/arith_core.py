@@ -352,15 +352,15 @@ def build_sieve(lo, hi, segment_len=None):
     return FactorTable(lo, hi, spf, omega, lam, mu)
 
 
-def _stream(lo, hi, mobius=False):
+def _stream(lo, hi, mobius=False, budget=SPAN_BUDGET):
     """values(a, b): a fresh int8 array of lambda(n), or of mu(n) when mobius
     is True, for n in [a, b), where the pieces [a, b) run through [lo, hi)
     in order, each starting where the last stopped. One _walk over [lo, hi)
-    serves every piece, so the span is checked when _stream is called and
-    the base primes, prime powers and buffers are built once; a piece may
-    straddle the walk's segments, and a segment its pieces."""
+    serves every piece, so the span is checked against budget when _stream
+    is called and the base primes, prime powers and buffers are built once;
+    a piece may straddle the walk's segments, and a segment its pieces."""
     lo, hi = int(lo), int(hi)
-    segments = _walk(lo, hi)
+    segments = _walk(lo, hi, budget=budget)
     at, seg_lo, seg_hi, acc = lo, lo, lo, None  # next n to give; the segment sieved
 
     def values(a, b):
@@ -492,23 +492,19 @@ def summatory_lambda(x):
     return int(large[d2[inner]].sum()) + int(small[x // d2[~inner]].sum())
 
 
-def chebyshev_psi(x):
-    """sum of log p over prime powers p^k <= x, with Lambda = log p exact."""
+def prime_sums(x):
+    """(psi(x), sum of 1/p over primes p <= x) from one primes_upto(x):
+    psi sums log p over the prime powers p^k <= x, with Lambda = log p
+    exact, and both sums are exactly rounded accumulations."""
     x = int(x)
     if x < 2:
-        return 0.0
+        return 0.0, 0.0
     primes = primes_upto(x)
     ps, pks = _prime_powers(primes[primes <= math.isqrt(x)], x + 1)
     extra = [math.log(p) for p in ps[pks != ps].tolist()]
-    return fsum(np.log(primes.astype(np.float64))) + math.fsum(extra)
-
-
-def prime_reciprocal_sum(x):
-    """sum of 1/p over primes p <= x, exactly rounded accumulation."""
-    plist = primes_upto(int(x))
-    if len(plist) == 0:
-        return 0.0
-    return fsum(1.0 / plist.astype(np.float64))
+    as_float = primes.astype(np.float64)
+    psi = fsum(np.log(as_float)) + math.fsum(extra)
+    return psi, fsum(np.divide(1.0, as_float, out=as_float))
 
 
 def squarefree_count(x):

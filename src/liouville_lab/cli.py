@@ -145,9 +145,7 @@ def h_sieve_check(P):
     if root >= 3:
         ms = rng.integers(2, root + 1, size=2000)
         ns = rng.integers(2, root + 1, size=2000)
-        for m, n in zip(ms, ns):
-            if t1.liouville(int(m * n)) != t1.liouville(int(m)) * t1.liouville(int(n)):
-                mism += 1
+        mism = int(np.count_nonzero(t1.lam[ms * ns - 1] != t1.lam[ms - 1] * t1.lam[ns - 1]))
     rows.append(make_row("sieve-check", {**P, "check": "complete-multiplicativity"},
                          mism, 0.5))
     lam = t1.lam[1:]  # n = 2..x; n = 1 contributes +1
@@ -156,14 +154,14 @@ def h_sieve_check(P):
     rows.append(make_row("sieve-check", {**P, "check": "summatory-consistency"},
                          abs(s_direct - s_fn), 0.5))
     samples = rng.integers(2, x + 1, size=2000)
-    bad = 0
-    for n in samples:
-        n = int(n)
-        squarefree = all(e == 1 for _, e in arith_core.factorize(n))
-        if (t1.mobius(n) != 0) != squarefree:
-            bad += 1
-        if t1.mobius(n) not in (-1, 0, 1):
-            bad += 1
+    # trial division by d^2 for d = 2 and every odd d <= sqrt(x), apart
+    # from the sieve
+    squarefree = samples % 4 != 0
+    for d in range(3, root + 1, 2):
+        squarefree &= samples % (d * d) != 0
+    mu = t1.mu[samples - 1]  # t1 starts at n = 1
+    bad = (int(np.count_nonzero((mu != 0) != squarefree))
+           + int(np.count_nonzero((mu < -1) | (mu > 1))))
     rows.append(make_row("sieve-check", {**P, "check": "mobius-squarefree"},
                          bad, 0.5))
     return rows
@@ -177,20 +175,36 @@ def h_squarefree(P):
     return [make_row("squarefree", P, density, 5e-4, ratio=dev / 5e-4)]
 
 
+def _reciprocal_envelope(x, rec, loglog):
+    """Bound on |rec - loglog - MERTENS| for rec the computed sum of 1/p
+    over p <= x and loglog the computed log log x, x >= 2.
+
+    Rosser and Schoenfeld (Illinois J. Math. 6, 1962, Theorem 5) give
+    -1/(2 log^2 x) < sum_{p <= x} 1/p - log log x - B < 1/log^2 x for all
+    x > 1, B the Mertens constant. Rounding: each 1/p is within eps/2
+    relative and fsum rounds once, so rec is within eps rec of the sum;
+    log x and its log are each within an ulp, so loglog is within
+    eps (|loglog| + 2) of log log x; MERTENS is within eps/2 of B, and the
+    two subtractions round once each, by at most eps/2 of their results,
+    each below rec + |loglog| + 1."""
+    rounding = 2 * rec + 2 * abs(loglog) + 4
+    return 1.0 / math.log(x) ** 2 + rounding * float(np.finfo(np.float64).eps)
+
+
 def h_tnp(P):
     x = P["x"]
     rows = []
     res = zeta_mellin.z_lambda_residual(2.0, x)
     rows.append(make_row("tnp", {**P, "check": "lambda-series-vs-zeta-ratio"},
                          res, zeta_mellin.z_lambda_envelope(2.0, x)))
-    psi = arith_core.chebyshev_psi(x)
+    psi, rec = arith_core.prime_sums(x)
     env = 2.0 / math.log(x)
     rows.append(make_row("tnp", {**P, "check": "weighted-prime-count"},
                          psi / x, env, ratio=abs(psi / x - 1.0) / env))
-    rec = arith_core.prime_reciprocal_sum(x)
-    dev = abs(rec - math.log(math.log(x)) - MERTENS)
+    loglog = math.log(math.log(x))
+    env = _reciprocal_envelope(x, rec, loglog)
     rows.append(make_row("tnp", {**P, "check": "prime-reciprocal-sum"},
-                         rec, 0.01, ratio=dev / 0.01))
+                         rec, env, ratio=abs(rec - loglog - MERTENS) / env))
     px, T, delta = P["perron_x"], P["perron_t"], P["perron_delta"]
     cutoff = zeta_mellin.SmoothCutoff(delta)
     pr = zeta_mellin.perron_truncated("liouville", px, cutoff, T)
@@ -292,8 +306,7 @@ def h_variance(P):
     if P["fname"] == "von_mangoldt_minus_one":
         top = 2 * X + (specs[0].h if P["kind"] == "additive" else 0)
         prev = max(1.0, math.log(top) - 1.0) ** 2
-    for spec in specs:
-        v = interval_stats.variance(P["fname"], spec)
+    for spec, v in zip(specs, interval_stats.variances(P["fname"], specs)):
         rows.append(make_row("variance", {**P, "h": spec.h}, v, prev))
         prev = v
     return rows

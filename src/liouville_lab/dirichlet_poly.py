@@ -87,8 +87,9 @@ class TSubset:
 
 
 _EPS = np.finfo(np.float64).eps
-# nonzero terms per doubling of M above 2^10 from which an even grid takes
-# the Taylor-FFT kernel; the measured rule is in _phase_sum
+# nonzero terms per doubling of M above 2^10, and per halving below 2^11,
+# from which an even grid takes the Taylor-FFT kernel; the measured rule
+# is in _phase_sum
 _FFT_TERMS = 900
 
 
@@ -104,16 +105,17 @@ def _phase_sum(logn, vals, ts):
     t_k = t0 + k dt, dt = (t_last - t0)/(K - 1), to within 4 eps max|t|. An
     even grid of K nodes with N nonzero terms takes _taylor_fft_sum, which
     costs O(J (N + M log M)) for M = _fft_size(K) and a Taylor order J <= 16,
-    when N >= _FFT_TERMS max(2, log2 M - 10); every other grid takes
-    _bsgs_sum, O(N K). As both K and M log M grow with M, the break-even is
-    a number of terms that grows with M. On a 2-vCPU AMD EPYC (numpy 2.4,
-    K from M/4 to M/2, over repeated sweeps) it was 1270-2600 terms at
-    M = 2^11, 2400-2500 at 2^12, 3500-3600 at 2^13, 4200-5000 at 2^14,
-    4500-7100 at 2^15, 6100-8000 at 2^16 and 7700-10700 at 2^17 and 2^18;
-    the spread is mostly the second core, which only _bsgs_sum's matrix
-    product uses. The rule lies within or below each range. Below 2^11 the
-    break-even rises again (1600 at 2^10, 3000 at 2^9, over 6000 below), so
-    the floor of 1800 terms errs towards the FFT there.
+    when N >= _FFT_TERMS max(2, log2 M - 10, 2^(11 - log2 M)); every other
+    grid takes _bsgs_sum, O(N K). As both K and M log M grow with M, the
+    break-even is a number of terms that grows with M above 2^11; below, a
+    few nodes cost _bsgs_sum so little that it grows again as M falls. On a
+    2-vCPU AMD EPYC (numpy 2.4, K from M/4 to M/2, over repeated sweeps) it
+    was over 1.1e5 terms at M = 2^6 and 2^7, 6100-43000 at 2^8, 4900-12400
+    at 2^9, 1870-3400 at 2^10, 1270-3400 at 2^11, 2400-2900 at 2^12,
+    3500-3600 at 2^13, 4200-5000 at 2^14, 4500-7100 at 2^15, 6100-8000 at
+    2^16 and 7700-10700 at 2^17 and 2^18; the spread is mostly the second
+    core, which only _bsgs_sum's matrix product uses. The rule lies within
+    or below each range.
     """
     keep = vals != 0
     logn, vals = logn[keep], vals[keep]
@@ -124,7 +126,8 @@ def _phase_sum(logn, vals, ts):
         drift = np.max(np.abs(ts - (ts[0] + np.arange(K) * dt)))
         if not drift <= 4 * _EPS * np.max(np.abs(ts)):
             dt = 0.0
-    if dt and len(vals) >= _FFT_TERMS * max(2, _fft_size(K).bit_length() - 11):
+    m = _fft_size(K).bit_length() - 1  # log2 M
+    if dt and len(vals) >= _FFT_TERMS * max(2, m - 10, 1 << max(11 - m, 0)):
         return _taylor_fft_sum(logn, vals, ts, dt)
     return _bsgs_sum(logn, vals, ts, dt)
 

@@ -5,14 +5,17 @@ the one window-edge rule. variance, exceptional_fraction and exp_sum_avg
 take their window sums from one streamed pass, _streamed_windows, one
 segment at a time: one slice difference of a prefix per run of windows
 of one length (_runs, _window_sums), or, for multiplicative windows with
-few windows per run, two gathers at the edges of _edges. Each pass reads
-f from one stream over its span (_value_stream), so lambda and mu come
-from one sieve walk per pass. For lambda and mu the prefix and the window
-sums are exact int32, and variance adds their squares per run of one
-length into exact integer totals.
+few windows per run, two gathers at the edges of _edges. A set of passes
+(variances: an h-list, or the additive pass and the X' ladder of
+additive_from_multiplicative_check) reads f from one stream over the
+union of its spans (_shared_windows, _value_stream), so lambda and mu
+come from one sieve walk per invocation, not one per pass. For lambda and
+mu the prefix and the window sums are exact int32, and variance adds
+their squares per run of one length into exact integer totals.
 """
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -43,20 +46,21 @@ class WindowSpec:
             raise PreconditionError("need 0 < h < X")
 
 
-def _value_stream(fname, lo, hi):
+def _value_stream(fname, lo, hi, budget=arith_core.SPAN_BUDGET):
     """values(a, b): f(n) for n in [a, b), where the pieces [a, b) run
     through [lo, hi) in order, each starting where the last stopped. fname
     is a string or a ('liouville_times_character', q, index) tuple. lambda
     and mu, and the lambda of lambda chi, come as int8 from one
-    arith_core._stream over [lo, hi); Lambda - 1 is sieved per piece."""
+    arith_core._stream over [lo, hi), checked against budget; Lambda - 1
+    is sieved per piece."""
     if fname in ("liouville", "mobius"):
-        return arith_core._stream(lo, hi, mobius=fname == "mobius")
+        return arith_core._stream(lo, hi, mobius=fname == "mobius", budget=budget)
     if fname == "von_mangoldt_minus_one":
         return arith_core.von_mangoldt_minus_one_range
     if isinstance(fname, (tuple, list)) and fname[0] == "liouville_times_character":
         _, q, index = fname
         chi = characters_mod(int(q)).row(int(index))
-        lam = arith_core._stream(lo, hi)
+        lam = arith_core._stream(lo, hi, budget=budget)
 
         def values(a, b):
             res = np.arange(a, b, dtype=np.int64) % int(q)
@@ -125,6 +129,19 @@ def _window_sums(prefix, i, counts, lengths):
     return sums
 
 
+def _reads(kind, X, h):
+    """(first, offset, segments) of a pass over kind's windows anchored at
+    every x in (X, 2X]: the window at x stops at x + offset, segments lists
+    the (a, b) of each segment of arith_core.DEFAULT_SEGMENT windows, x in
+    [a, b), and the pass reads f on [first, 2X + offset] in pieces, one
+    after another, the piece of segment (a, b) ending at b + offset."""
+    offset = h if kind == "additive" else 0
+    first = X + 1 if kind == "additive" else X - h  # the first window's start
+    segments = [(a, min(a + arith_core.DEFAULT_SEGMENT, 2 * X + 1))
+                for a in range(X + 1, 2 * X + 1, arith_core.DEFAULT_SEGMENT)]
+    return first, offset, segments
+
+
 def _streamed_windows(values, kind, X, h):
     """(sums, counts, lengths) of kind's windows, (x, x+h] or ((1-h/X)x, x],
     for every integer x in (X, 2X], in order of x, yielded
@@ -132,8 +149,8 @@ def _streamed_windows(values, kind, X, h):
     sums of f, exact int32 for int8 f, float64 for float f and complex128
     for complex f, and _runs of the segment, counts[j] windows of length
     lengths[j] in turn. values(lo, hi) opens a stream of f over [lo, hi),
-    as _value_stream does, and the pass reads it piece by piece; additive
-    windows may be longer than X.
+    as _value_stream does, and the pass reads it in the pieces of _reads;
+    additive windows may be longer than X.
 
     The whole span is checked against the budget before any work, and so
     bounds an int32 prefix. One prefix of f runs from the first window's
@@ -144,18 +161,19 @@ def _streamed_windows(values, kind, X, h):
     difference per run of one length (_window_sums). Multiplicative passes
     with fewer than _RUN_MIN windows per run (X < _RUN_MIN h) take both
     edges from _edges and gather instead: there, a run costs more Python
-    than its windows save. Only what the caller keeps outlives a segment,
-    so memory stays O(segment + h)."""
-    offset = h if kind == "additive" else 0  # the window at x stops at x + offset
-    first = X + 1 if kind == "additive" else X - h  # the first window's start
+    than its windows save. Only the tail and what the caller keeps outlive
+    a segment, so memory stays O(segment + h), and a suspended pass holds
+    no segment-long array."""
+    first, offset, segments = _reads(kind, X, h)
     arith_core._check_span(first, 2 * X + offset + 1)
     take = values(first, 2 * X + offset + 1)
     gather = kind == "multiplicative" and X < _RUN_MIN * h
     if gather:
         spec = WindowSpec(kind, X, h)
     base, tail = first - 1, np.zeros(1)  # the prefix is 0 up to first - 1
-    for a in range(X + 1, 2 * X + 1, arith_core.DEFAULT_SEGMENT):
-        b = min(a + arith_core.DEFAULT_SEGMENT, 2 * X + 1)
+
+    def segment(a, b):
+        nonlocal base, tail
         prefix = _running_sums(tail, take(base + len(tail), b + offset))
         counts, lengths = _runs(kind, X, h, a, b)
         if gather:
@@ -165,7 +183,70 @@ def _streamed_windows(values, kind, X, h):
             sums = _window_sums(prefix, a + offset - base, counts.tolist(), lengths.tolist())
         last = b - 1 + offset - int(lengths[-1])  # the last window's start
         base, tail = last, prefix[last - base:].copy()
-        yield sums, counts, lengths
+        return sums, counts, lengths
+    for a, b in segments:
+        yield segment(a, b)
+
+
+def _shared_windows(values, passes):
+    """(i, (sums, counts, lengths)) for every segment of windows of every
+    pass i, passes[i] = (kind, X, h), as _streamed_windows(values, kind, X,
+    h) yields them, all read from one stream values(lo, hi, budget) over
+    the union [lo, hi) of the passes' spans: for lambda and mu, one sieve
+    walk serves the whole set.
+
+    Every pass's span is checked against the budget before any work; the
+    union, which no array covers, only against the 64-bit invariants. The
+    passes advance in order of their next piece's end (for passes with one
+    X this is lockstep), so the stream is read in ascending pieces, and
+    only the values from the lowest position an unfinished pass can still
+    read are kept. Every unfinished pass reads no further than one piece
+    past that position, so memory stays O(segment + longest window), never
+    O(X), whatever the number of passes; a stretch of the union that no
+    pass reads is skipped a segment at a time."""
+    reads = []  # (first, ends) of each pass
+    for kind, X, h in passes:
+        first, offset, segments = _reads(kind, X, h)
+        arith_core._check_span(first, 2 * X + offset + 1)
+        reads.append((first, [b + offset for _, b in segments]))
+    lo, hi = min(first for first, _ in reads), max(ends[-1] for _, ends in reads)
+    take = values(lo, hi, budget=math.inf)
+    buf, buf_lo, buf_hi = None, lo, lo  # f on [buf_lo, buf_hi)
+
+    def shared(*_):  # the stream of every pass: a view of buf
+        return lambda a, b: buf[a - buf_lo:b - buf_lo]
+    passes = [_streamed_windows(shared, *p) for p in passes]
+    at = [first for first, _ in reads]  # where each pass reads next; inf once done
+    queue = [(ends[0], i, 0) for i, (_, ends) in enumerate(reads)]
+    heapq.heapify(queue)
+    while queue:
+        end, i, k = heapq.heappop(queue)
+        if end > buf_hi:
+            low = min(at)
+            while low - buf_hi > arith_core.DEFAULT_SEGMENT:
+                take(buf_hi, buf_hi + arith_core.DEFAULT_SEGMENT)
+                buf_hi += arith_core.DEFAULT_SEGMENT
+            piece = take(buf_hi, end)
+            if low < buf_hi:
+                piece = np.concatenate((buf[low - buf_lo:], piece))
+            buf, buf_lo, buf_hi = piece[len(piece) - (end - low):], low, end
+        yield i, next(passes[i])
+        ends = reads[i][1]
+        if k + 1 < len(ends):
+            at[i] = end
+            heapq.heappush(queue, (ends[k + 1], i, k + 1))
+        else:
+            at[i] = math.inf
+
+
+def _abs_means(sums, counts, lengths):
+    """|window mean of f| of one segment of windows, in place in sums when
+    they are float64."""
+    if sums.dtype == np.int32:
+        sums = sums.astype(np.float64)  # exact
+    sums /= (float(lengths[0]) if len(lengths) == 1 else
+             np.repeat(lengths.astype(np.float64), counts))
+    return np.abs(sums) if np.iscomplexobj(sums) else np.abs(sums, out=sums)
 
 
 def _abs_window_means(fname, spec):
@@ -173,13 +254,9 @@ def _abs_window_means(fname, spec):
     one streamed segment of windows at a time, each a fresh array."""
     if spec.X > WINDOW_BUDGET:
         raise BudgetError("window count %d exceeds budget" % spec.X)
-    for sums, counts, lengths in _streamed_windows(
+    for segment in _streamed_windows(
             functools.partial(_value_stream, fname), spec.kind, spec.X, spec.h):
-        if sums.dtype == np.int32:
-            sums = sums.astype(np.float64)  # exact
-        sums /= (float(lengths[0]) if len(lengths) == 1 else
-                 np.repeat(lengths.astype(np.float64), counts))
-        yield np.abs(sums) if np.iscomplexobj(sums) else np.abs(sums, out=sums)
+        yield _abs_means(*segment)
 
 
 def short_sum(fname, spec, x):
@@ -202,9 +279,65 @@ def _square_sum(sums, bound):
     return sum(int(squares[i:i + step].sum()) for i in range(0, len(squares), step))
 
 
+class _MeanSquare:
+    """variance of one spec, taken a segment of its windows at a time:
+    add(sums, counts, lengths) for each segment in turn, then value()."""
+
+    def __init__(self, fname, spec):
+        self.spec = spec
+        self.integer = fname in ("liouville", "mobius")
+        if not self.integer:
+            self.acc = ExactSum()
+        elif spec.kind == "additive":
+            self.total = 0
+        else:
+            self.totals = np.zeros(spec.h, dtype=np.int64)  # T_l at l - h - 1, l = h + 1, ..., 2h
+
+    def add(self, sums, counts, lengths):
+        h = self.spec.h
+        if not self.integer:
+            means = _abs_means(sums, counts, lengths)
+            means *= means
+            self.acc.add(means)
+        elif self.spec.kind == "additive":
+            self.total += _square_sum(sums, h)
+        else:
+            squares = np.multiply(sums, sums, dtype=np.int64)
+            k = int(lengths[0]) - (h + 1)
+            self.totals[k:k + len(lengths)] += np.add.reduceat(squares, np.cumsum(counts) - counts)
+
+    def value(self):
+        X, h = self.spec.X, self.spec.h
+        if not self.integer:
+            return self.acc.value() / X
+        if self.spec.kind == "additive":
+            terms = [self.total / (h * h)]
+        else:
+            terms = np.arange(h + 1, 2 * h + 1, dtype=np.float64)
+            np.square(terms, out=terms)  # exact: l^2 <= 2^52
+            np.divide(self.totals, terms, out=terms)
+        return fsum(terms) / X
+
+
+def variances(fname, specs):
+    """[variance(fname, spec) for spec in specs], every pass read from one
+    stream of f over the union of the specs' spans (_shared_windows): for
+    lambda and mu one sieve walk, not one per spec. Each value is the one
+    its own pass gives, since each adds its windows into exact totals.
+    Every spec is checked against the budgets before any work."""
+    for spec in specs:
+        if spec.X > WINDOW_BUDGET:
+            raise BudgetError("window count %d exceeds budget" % spec.X)
+    out = [_MeanSquare(fname, spec) for spec in specs]
+    for i, segment in _shared_windows(functools.partial(_value_stream, fname),
+                                      [(spec.kind, spec.X, spec.h) for spec in specs]):
+        out[i].add(*segment)
+    return [acc.value() for acc in out]
+
+
 def variance(fname, spec):
     """Average of |window mean of f|^2 over integer x in (X, 2X], from one
-    streamed pass of the window kernel.
+    streamed pass of the window kernel: variances of the one spec.
 
     For lambda and mu every window sum S is an integer with |S| <= l, its
     window length, and the squares of each run of one length l add up
@@ -218,28 +351,7 @@ def variance(fname, spec):
 
     For float and complex f the squared means of every segment go into one
     exact accumulator."""
-    if spec.X > WINDOW_BUDGET:
-        raise BudgetError("window count %d exceeds budget" % spec.X)
-    if fname not in ("liouville", "mobius"):
-        acc = ExactSum()
-        for means in _abs_window_means(fname, spec):
-            means *= means
-            acc.add(means)
-        return acc.value() / spec.X
-    X, h = spec.X, spec.h
-    windows = _streamed_windows(functools.partial(_value_stream, fname), spec.kind, X, h)
-    if spec.kind == "additive":
-        terms = [sum(_square_sum(sums, h) for sums, _, _ in windows) / (h * h)]
-    else:
-        totals = np.zeros(h, dtype=np.int64)  # T_l at l - h - 1, l = h + 1, ..., 2h
-        for sums, counts, lengths in windows:
-            squares = np.multiply(sums, sums, dtype=np.int64)
-            k = int(lengths[0]) - (h + 1)
-            totals[k:k + len(lengths)] += np.add.reduceat(squares, np.cumsum(counts) - counts)
-        terms = np.arange(h + 1, 2 * h + 1, dtype=np.float64)
-        np.square(terms, out=terms)  # exact: l^2 <= 2^52
-        np.divide(totals, terms, out=terms)
-    return fsum(terms) / X
+    return variances(fname, [spec])[0]
 
 
 def exceptional_fraction(fname, spec, taus):
@@ -331,15 +443,15 @@ def parseval_link(X, h, delta):
 def additive_from_multiplicative_check(X, h):
     """Additive variance against the multiplicative-variance envelope
     40 (delta + max multiplicative variance / delta), delta = h^{-1/2},
-    maximum over a geometric grid of X' in [X, 3X]."""
+    maximum over a geometric grid of X' in [X, 3X]. The additive pass and
+    the whole X' ladder read lambda from one sieve walk (variances)."""
     X, h = int(X), int(h)
     delta = 1.0 / math.sqrt(h)
-    lhs = variance("liouville", WindowSpec("additive", X, h))
-    worst = 0.0
+    specs = [WindowSpec("additive", X, h)]
     Xp = float(X)
     while Xp <= 3 * X:
-        v = variance("liouville", WindowSpec("multiplicative", int(Xp), h))
-        worst = max(worst, v)
+        specs.append(WindowSpec("multiplicative", int(Xp), h))
         Xp *= 1.0 + delta
-    bound = 40.0 * (delta + worst / delta)
+    lhs, *ladder = variances("liouville", specs)
+    bound = 40.0 * (delta + max(ladder) / delta)
     return lhs, bound

@@ -1,6 +1,8 @@
 """Smoothed cutoffs, their Mellin transforms, zeta on the right half plane,
 and the truncated contour formula tying smoothed partial sums to vertical
-line integrals.
+line integrals. The lambda-series against zeta(2s)/zeta(s) reads lambda
+from one sieve walk over [1, N] and streams its terms through reused
+buffers into one exact sum, so no array is N long.
 """
 
 import math
@@ -10,7 +12,7 @@ import numpy as np
 
 from . import arith_core
 from .dirichlet_poly import _EPS, _grid, _phase_sum, _step_limit, _trap_pair
-from .util import fsum, fsum_complex
+from .util import ExactSum, fsum, fsum_complex
 
 
 @dataclass
@@ -118,21 +120,47 @@ def zeta_strip_grid(sigma, ts, terms):
     return out
 
 
-def z_lambda_residual(s, N):
-    """|sum_{n<=N} lambda(n) n^{-s} - zeta(2s)/zeta(s)| on Re s > 1.
+def _lambda_series(s, N):
+    """sum_{n<=N} lambda(n) n^{-s} on Re s > 1, exactly rounded from the
+    rounded terms.
 
-    At real s the series is one real power and fsum; only a complex s
-    pays for the complex exponential."""
+    lambda comes piece by piece, arith_core.DEFAULT_SEGMENT integers at a
+    time, from one arith_core._stream over [1, N], and each piece's terms
+    are written into one buffer per pass: n, then n^{-sigma} at real s or
+    e^{-s log n} at complex s, times lambda(n). The pieces go into one
+    exact accumulator (one per part at complex s), whose value does not
+    depend on where the pieces are cut; fresh N-long arrays would cost a
+    page fault per 4 KiB. Only a complex s pays for the complex
+    exponential."""
+    lam = arith_core._stream(1, N + 1)
+    size = min(arith_core.DEFAULT_SEGMENT, N)
+    offsets = np.arange(size, dtype=np.float64)
+    ns = np.empty_like(offsets)
+    real = s.imag == 0
+    terms = ns if real else np.empty(size, dtype=np.complex128)
+    re, im = ExactSum(), ExactSum()
+    for a in range(1, N + 1, arith_core.DEFAULT_SEGMENT):
+        b = min(a + arith_core.DEFAULT_SEGMENT, N + 1)
+        n = np.add(offsets[:b - a], a, out=ns[:b - a])  # exact: n < 2^53
+        if real:
+            t = np.power(n, -s.real, out=n)
+        else:
+            t = np.multiply(-s, np.log(n, out=n), out=terms[:b - a])
+            np.exp(t, out=t)
+        np.multiply(lam(a, b), t, out=t)
+        re.add(t.real)
+        if not real:
+            im.add(t.imag)
+    return re.value() if real else complex(re.value(), im.value())
+
+
+def z_lambda_residual(s, N):
+    """|sum_{n<=N} lambda(n) n^{-s} - zeta(2s)/zeta(s)| on Re s > 1, the
+    series streamed by _lambda_series."""
     s = complex(s)
     if s.real <= 1:
         raise ValueError("needs Re s > 1")
-    N = int(N)
-    lam = arith_core.liouville_range(1, N + 1).astype(np.float64)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    if s.imag == 0:
-        series = fsum(lam * n ** -s.real)
-    else:
-        series = fsum_complex(lam * np.exp(-s * np.log(n)))
+    series = _lambda_series(s, int(N))
     target = zeta_strip(2 * s) / zeta_strip(s)
     return abs(series - target)
 

@@ -185,6 +185,22 @@ def chebyshev_psi(x):
     return total
 
 
+def whole_array_lambda_series(ac, s, N):
+    """sum_{n <= N} lambda(n) n^{-s} over one N-long array: lambda from
+    ac.liouville_range(1, N + 1) as float, every term lambda(n) n^{-sigma}
+    at real s or lambda(n) e^{-s log n} at complex s at once, and exact_sum
+    of each part, the series before it was streamed.
+
+    ac is the arith_core module; only its sieve feeds this side."""
+    lam = ac.liouville_range(1, N + 1).astype(np.float64)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    s = complex(s)
+    if s.imag == 0:
+        return exact_sum(lam * n ** -s.real)
+    terms = lam * np.exp(-s * np.log(n))
+    return complex(exact_sum(terms.real), exact_sum(terms.imag))
+
+
 def squarefree_count(x):
     return sum(1 for n in range(1, x + 1) if mobius(n) != 0)
 

@@ -462,14 +462,14 @@ def test_prime_tables_across_segment_edges(segment, monkeypatch):
     for pk in (2**12, 3**7, 67**2):
         edges += [pk - 1, pk, pk + 1]
     whole = (ac.primes_upto(bound), ac.von_mangoldt_minus_one_range(1, bound + 1),
-             ac.chebyshev_psi(bound))
+             ac.prime_sums(bound))
     monkeypatch.setattr(ac, "DEFAULT_SEGMENT", segment)
     assert np.array_equal(ac.primes_upto(bound), whole[0])
     assert np.array_equal(ac.von_mangoldt_minus_one_range(1, bound + 1), whole[1])
-    assert ac.chebyshev_psi(bound) == whole[2]
+    assert ac.prime_sums(bound) == whole[2]
     for b in edges:
         assert ac.primes_upto(b).tolist() == [p for p in primes if p <= b], b
-        assert ac.chebyshev_psi(b) == pytest.approx(oracles.chebyshev_psi(b), rel=1e-12), b
+        assert ac.prime_sums(b)[0] == pytest.approx(oracles.chebyshev_psi(b), rel=1e-12), b
         for a in edges:
             assert ac.primes_in(a, b).tolist() == [p for p in primes if a < p <= b], (a, b)
             if a < b:
@@ -479,13 +479,33 @@ def test_prime_tables_across_segment_edges(segment, monkeypatch):
 
 def test_chebyshev_psi_matches_oracle():
     for x in (10, 100, 1000):
-        assert ac.chebyshev_psi(x) == pytest.approx(
-            oracles.chebyshev_psi(x), rel=1e-12)
+        assert ac.prime_sums(x)[0] == pytest.approx(oracles.chebyshev_psi(x), rel=1e-12)
 
 
 def test_prime_reciprocal_sum_frozen():
     # 1/2 + 1/3 + 1/5 + 1/7 = 247/210
-    assert ac.prime_reciprocal_sum(10) == pytest.approx(247 / 210, rel=1e-13)
+    assert ac.prime_sums(10)[1] == pytest.approx(247 / 210, rel=1e-13)
+    assert ac.prime_sums(1) == (0.0, 0.0)
+
+
+def test_prime_sums_read_one_prime_list(monkeypatch):
+    # psi and the reciprocal sum share one primes_upto(x), and each is the
+    # exactly rounded sum of its rounded terms
+    calls = []
+    primes_upto = ac.primes_upto
+
+    def counted(bound):
+        calls.append(bound)
+        return primes_upto(bound)
+    monkeypatch.setattr(ac, "primes_upto", counted)
+    psi, rec = ac.prime_sums(10**4)
+    # the others are the base primes of primality_range, up to sqrt(x)
+    assert calls[0] == 10**4 and max(calls[1:]) <= 100
+    primes = oracles.primes_upto(10**4)
+    logs = [math.log(p) for p in primes]
+    logs += [math.log(p) for p in primes for k in range(2, 15) if p**k <= 10**4]
+    assert psi == pytest.approx(math.fsum(logs), rel=1e-15)
+    assert rec == math.fsum(1.0 / p for p in primes)
 
 
 def test_squarefree_count_oracle_and_frozen():

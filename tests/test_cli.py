@@ -257,6 +257,32 @@ def test_failed_quadrature_certificate_is_a_row(capsys):
     assert [r[-1] for r in rows[:-1]] == ["pass"] * 4
 
 
+@pytest.mark.parametrize("x, ratio", [(2, "0.290681620249"), (12, "0.588870048746"),
+                                      (10**6, "0.00743856720934")])
+def test_prime_reciprocal_sum_scored_by_its_theorem(x, ratio, capsys):
+    # envelope 1/log^2 x plus rounding: tnp --x 2 and --x 12 pass
+    rc, out, _ = run(["tnp", "--x", str(x)], capsys)
+    assert rc == 0
+    row = [r for r in parse_csv(out) if r[1].endswith("check=prime-reciprocal-sum")][0]
+    assert float(row[3]) == pytest.approx(1.0 / math.log(x) ** 2, rel=1e-11)
+    assert row[4:] == [ratio, "pass"]
+
+
+def test_prime_reciprocal_theorem_holds_for_every_x_to_a_million():
+    # Rosser-Schoenfeld: -1/(2 log^2 x) < sum_{p <= x} 1/p - log log x - B
+    # < 1/log^2 x. The difference jumps up at each prime p_k and falls
+    # until the next, so scaled by log^2 x its largest value on
+    # [p_k, p_k+1) is at p_k and its least as x -> p_k+1. Up to 10^6 it
+    # peaks at 0.989 (x = 19) and never falls below 0
+    primes = np.flatnonzero(arith_core.primality_range(1, 10**6 + 1)) + 1.0
+    sums = np.cumsum(1.0 / primes)
+    logs = np.log(primes)
+    upper = (sums - np.log(logs) - cli.MERTENS) * logs**2
+    lower = (sums[:-1] - np.log(logs[1:]) - cli.MERTENS) * logs[1:] ** 2
+    assert upper.max() < 0.99 and lower.min() > 0
+    assert cli._reciprocal_envelope(2, 0.5, math.log(math.log(2))) > 1 / math.log(2) ** 2
+
+
 def _forbid_work(monkeypatch, prime_bound=0):
     # every factor sieve starts in _walk, every boolean one in
     # primality_range (behind primes_upto too, after its budget check),
@@ -358,6 +384,9 @@ def test_joined_window_condition_exits_two_before_work(argv, monkeypatch, capsys
     # T = X/(h delta^2) = 2e14 asks for 8e14 t-nodes, refused before the
     # variance pass sieves (X, 2X]
     ["parseval-link", "--delta", "1e-06"],
+    # the h-list's passes share one walk, so the span (6e7 - 8e6, 1.2e8]
+    # of the last h is refused before the first h sieves
+    ["variance", "--x", "60000000", "--h-list", "100,8000000"],
 ])
 def test_span_past_budget_exits_three_before_work(argv, monkeypatch, capsys):
     _forbid_work(monkeypatch, prime_bound=64 if argv[0] == "entropy" else 0)

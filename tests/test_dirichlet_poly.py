@@ -188,6 +188,28 @@ def test_phase_sum_dispatch_splits_long_zeta_grids(monkeypatch, capsys):
     assert sorted(seen) == [("bsgs", 4000, 80001), ("taylor-fft", 8000, 80001)]
 
 
+@pytest.mark.parametrize("N, K, kernel", [
+    (8835, 20, "bsgs"), (4946, 56, "bsgs"), (28799, 20, "bsgs"), (28800, 20, "taylor-fft"),
+    (7199, 100, "bsgs"), (7200, 100, "taylor-fft"), (1799, 300, "bsgs"), (1800, 300, "taylor-fft"),
+])
+def test_phase_sum_dispatch_below_two_to_the_eleven(N, K, kernel, monkeypatch):
+    # even grids of K <= 512 nodes (M <= 2^10): the floor doubles per
+    # halving of M, 28800 terms at M = 2^6, 7200 at 2^8 and 1800 at 2^10,
+    # so 8835 terms on 20 nodes and 4946 on 56 stay on baby-step/giant-step
+    seen = []
+
+    def recorded(name):
+        def call(*args):
+            seen.append(name)
+            return np.zeros(K, dtype=np.complex128)
+        return call
+    monkeypatch.setattr(dp, "_bsgs_sum", recorded("bsgs"))
+    monkeypatch.setattr(dp, "_taylor_fft_sum", recorded("taylor-fft"))
+    logn = np.log(np.arange(2, N + 2, dtype=np.float64))
+    dp._phase_sum(logn, np.ones(N), np.linspace(0.0, 10.0, K))
+    assert seen == [kernel]
+
+
 def test_phase_sum_takes_giant_and_baby_steps(monkeypatch):
     # on an even grid of 4001 nodes B = 63 and G = 64, and both sets of rows
     # are built by doubling: each nonzero term costs ceil(log2 G) + 1 giant

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from liouville_lab import arith_core, entropy_chowla
+from liouville_lab import arith_core, cli, entropy_chowla
 from liouville_lab import interval_stats as ist
 from liouville_lab.expsum_circle import e_of
 from liouville_lab.util import BudgetError, PreconditionError, fsum
@@ -220,11 +220,108 @@ def test_parseval_halving_delta_is_three_times_true_error_frozen():
     assert 0.3 <= abs(rep.integral - exact) / (rep.halving_delta * exact) <= 0.35
 
 
-def test_additive_from_multiplicative_envelope():
+def _ladder(X, h):
+    # the additive spec and the geometric X' in [X, 3X] of the check
+    specs, Xp = [ist.WindowSpec("additive", X, h)], float(X)
+    while Xp <= 3 * X:
+        specs.append(ist.WindowSpec("multiplicative", int(Xp), h))
+        Xp *= 1.0 + 1.0 / math.sqrt(h)
+    return specs
+
+
+@pytest.mark.parametrize("segment", [None, 1 << 10])
+def test_additive_from_multiplicative_envelope(segment, monkeypatch):
+    # one pass per spec gives the same bits as the shared stream, at the
+    # default segment and across many segments of 2^10
+    if segment:
+        monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT", segment)
     lhs, bound = ist.additive_from_multiplicative_check(5000, 64)
     assert lhs <= bound
-    direct = ist.variance("liouville", ist.WindowSpec("additive", 5000, 64))
-    assert lhs == pytest.approx(direct, rel=1e-12)
+    direct, *ladder = [ist.variance("liouville", spec) for spec in _ladder(5000, 64)]
+    assert len(ladder) == 10
+    assert (lhs, bound) == (direct, 40.0 * (0.125 + max(ladder) / 0.125))
+
+
+# (kind, X, h): additive and multiplicative passes over one X; several X
+# with spans that overlap; spans with a stretch between them that no pass
+# reads, longer than a segment
+SPEC_SETS = [
+    [("additive", 5000, 10), ("additive", 5000, 100), ("additive", 5000, 1500)],
+    [("multiplicative", 5000, 10), ("multiplicative", 5000, 100),
+     ("multiplicative", 5000, 4000)],
+    [("additive", 3000, 40), ("multiplicative", 3000, 40), ("multiplicative", 4100, 40),
+     ("multiplicative", 7000, 300), ("additive", 5000, 1500), ("multiplicative", 3000, 40)],
+    [("multiplicative", 20000, 50), ("multiplicative", 100, 7), ("additive", 9000, 13)],
+]
+
+
+@pytest.mark.parametrize("segment", [64, 1000])
+@pytest.mark.parametrize("specs", SPEC_SETS)
+def test_set_variances_equal_one_pass_per_spec(specs, segment, monkeypatch):
+    specs = [ist.WindowSpec(*spec) for spec in specs]
+    top = max(2 * s.X + s.h for s in specs)
+    integer = {fname: np.concatenate(([0], ist._values(fname, 1, top + 1)))
+               for fname in ("liouville", "mobius")}
+    monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT", segment)
+    for fname in ("liouville", "mobius", "von_mangoldt_minus_one"):
+        got = ist.variances(fname, specs)
+        assert got == [ist.variance(fname, spec) for spec in specs], fname
+        if fname in integer:
+            assert got == [oracles.integer_window_variance(integer[fname], s.kind, s.X, s.h)
+                           for s in specs], fname
+
+
+def _walks(monkeypatch):
+    walks = []
+    walk = arith_core._walk
+
+    def counted(lo, hi, *args, **kwargs):
+        walks.append((lo, hi))
+        return walk(lo, hi, *args, **kwargs)
+    monkeypatch.setattr(arith_core, "_walk", counted)
+    return walks
+
+
+def test_variance_h_list_and_ladder_sieve_once(monkeypatch, capsys):
+    # one walk over the union of the spans: (X, 2X + 10000] for the
+    # additive h-list, (X - 10000, 2X] for the multiplicative one, and
+    # (5000 - 64, 2 X'] up to X' = 14453 for the ladder
+    walks = _walks(monkeypatch)
+    for kind, span in (("additive", (10**5 + 1, 2 * 10**5 + 10**4 + 1)),
+                       ("multiplicative", (10**5 - 10**4, 2 * 10**5 + 1))):
+        assert cli.main(["variance", "--x", "100000", "--kind", kind,
+                         "--h-list", "100,1000,10000"]) == 0
+        assert walks == [span]
+        walks.clear()
+    capsys.readouterr()
+    ist.additive_from_multiplicative_check(5000, 64)
+    assert walks == [(5000 - 64, 2 * _ladder(5000, 64)[-1].X + 1)]
+
+
+def test_ladder_checks_every_pass_before_the_walk(monkeypatch):
+    # the top of the ladder, X' near 9e7, passes the window budget: refused
+    # before the additive pass sieves
+    def started(*args, **kwargs):
+        raise RuntimeError("sieve started")
+    monkeypatch.setattr(arith_core, "_walk", started)
+    with pytest.raises(BudgetError):
+        ist.additive_from_multiplicative_check(3 * 10**7, 100)
+
+
+def test_ladder_peak_allocation_is_one_segment(monkeypatch):
+    # 13 passes, 2^14 windows a segment, over a union of 5 * 10^6
+    # integers: the shared values hold a segment and a window, and each
+    # suspended pass only the tail of its prefix, so the peak stays under
+    # one int8 array of the union
+    monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT", 1 << 14)
+    assert len(_ladder(10**6, 100)) == 13
+    tracemalloc.start()
+    try:
+        ist.additive_from_multiplicative_check(10**6, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_variance_decreases_with_window_length():

@@ -1,6 +1,7 @@
 """Cutoff transforms, strip zeta values, and the truncated contour formula."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -163,6 +164,35 @@ def test_z_lambda_residual_against_mpmath_and_complex_series(s):
     got = zm.z_lambda_residual(s, N)
     assert abs(got - abs(exact - target)) <= (2 if s.imag == 0 else k_exp) * ulp
     assert abs(got - abs(complex_series - target)) <= k_exp * ulp
+
+
+@pytest.mark.parametrize("N", [2, 12, 2**18, 2**18 + 1, 10**6])
+@pytest.mark.parametrize("s", [2.0, 2.0 + 7.5j])
+def test_streamed_lambda_series_equals_whole_array_series(s, N):
+    # N = 2^18 is one segment to the integer, 2^18 + 1 leaves a piece of one
+    # term, and 10^6 spans four segments: the streamed terms are the
+    # whole-array ones, and one exact sum does not see where pieces are cut
+    got = zm._lambda_series(complex(s), N)
+    assert got == oracles.whole_array_lambda_series(ac, s, N)
+    assert type(got) is (float if s == 2.0 else complex)
+
+
+def test_streamed_lambda_series_is_segment_independent(monkeypatch):
+    want = [zm._lambda_series(s, 5000) for s in (2.0, 1.5 + 3j)]
+    monkeypatch.setattr(ac, "DEFAULT_SEGMENT", 777)
+    assert [zm._lambda_series(s, 5000) for s in (2.0, 1.5 + 3j)] == want
+
+
+def test_z_lambda_residual_peak_allocation_is_one_segment():
+    # the whole-array series peaked near 23 MiB at N = 10^6; the stream
+    # holds two segment-long float buffers, the sieve's and a piece of lambda
+    tracemalloc.start()
+    try:
+        zm.z_lambda_residual(2.0, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_z_lambda_envelope_at_smallest_n():
