@@ -42,8 +42,8 @@ for tau, frac in zip(taus, interval_stats.exceptional_fraction("liouville", spec
 link = interval_stats.parseval_link(10**4, 50, 0.5)
 print("\nparseval bridge: lhs %.6g <= envelope %.6g: %s"
       % (link.lhs, link.envelope, "PASS" if link.lhs <= link.envelope else "FAIL"))
-print("bridge halving delta %.2e under 1e-2: %s"
-      % (link.halving_delta, "PASS" if link.halving_delta <= 1e-2 else "FAIL"))
+rel = link.quadrature_bound / link.integral
+print("bridge quadrature bound %.2e under 1e-2: %s" % (rel, "PASS" if rel <= 1e-2 else "FAIL"))
 
 # additive windows are controlled by multiplicative ones up to h^(1/2) slack
 lhs, bound = interval_stats.additive_from_multiplicative_check(5000, 64)

@@ -221,6 +221,11 @@ def _random_unimodular(rng, n):
     return np.exp(2j * np.pi * phases)
 
 
+def _relative(bound, value):
+    """A certified error bound over |value| (|value| at least 1e-300)."""
+    return bound / max(abs(value), 1e-300)
+
+
 def h_mean_value(P):
     rng = np.random.default_rng(P["seed"])
     n, T, count = P["n"], P["t"], P["count"]
@@ -232,8 +237,8 @@ def h_mean_value(P):
         dev = abs(mv.value - T * ssq)
         rows.append(make_row("mean-value", {**P, "vector": k},
                              dev, 8.0 * n * ssq))
-        rows.append(make_row("mean-value", {**P, "vector": k, "check": "step-halving"},
-                             mv.halving_delta, 1e-3))
+        rows.append(make_row("mean-value", {**P, "vector": k, "check": "quadrature-bound"},
+                             _relative(mv.quadrature_bound, mv.value), 1e-3))
     return rows
 
 
@@ -255,8 +260,8 @@ def h_halasz(P):
     subset = dirichlet_poly.TSubset(tuple(ivs), T)
     hs = dirichlet_poly.halasz_subset_integral(coeffs, subset)
     rows = [make_row("halasz", P, hs.value, hs.bound),
-            make_row("halasz", {**P, "check": "step-halving"},
-                     hs.halving_delta, 1e-3)]
+            make_row("halasz", {**P, "check": "quadrature-bound"},
+                     _relative(hs.quadrature_bound, hs.value), 1e-3)]
     return rows
 
 
@@ -275,7 +280,7 @@ def h_factorization(P):
     w = mr_factorization.RamareWeight(X, delta, P0, Q0)
     u = mr_factorization.weight_array(w)
     rows = [make_row("factorization", {**P, "check": "weight-upper"},
-                     float(u.max()), 1.0),
+                     float(u.max()), mr_factorization.weight_upper_envelope(w)),
             make_row("factorization", {**P, "check": "weight-lower"},
                      float(max(0.0, -u.min())), 0.5)]
     rep = mr_factorization.err_set(w)
@@ -319,8 +324,8 @@ def h_parseval_link(P):
     interval_stats.WindowSpec("additive", P["x2"], P["h2"])
     rep = interval_stats.parseval_link(X, h, delta)
     rows = [make_row("parseval-link", P, rep.lhs, rep.envelope),
-            make_row("parseval-link", {**P, "check": "step-halving"},
-                     rep.halving_delta, 1e-2)]
+            make_row("parseval-link", {**P, "check": "quadrature-bound"},
+                     _relative(rep.quadrature_bound, rep.integral), 1e-2)]
     av, abound = interval_stats.additive_from_multiplicative_check(P["x2"], P["h2"])
     rows.append(make_row("parseval-link",
                          {**P, "check": "additive-from-multiplicative"},

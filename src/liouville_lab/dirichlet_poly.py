@@ -2,10 +2,21 @@
 frequency-side quadrature and grid cover, mean values over t-ranges,
 integrals over sparse t-sets, powers of prime-supported polynomials, and
 grid measures of large-value sets.
+
+Square integrals (mean values, Halasz subsets, the Parseval bridge) come
+from _square_integral: the trapezoid rule with _EM_ORDER Euler-Maclaurin
+endpoint corrections, on the step at which the remainder bound is
+_QUAD_TOL of the trivial bound (b - a)(sum|v|)^2, so the node count
+follows the frequency spread sigma alone: ceil((b - a) sigma/_EM_REACH)
++ 1 per interval. Each returns a certified bound on its error, rounding
+included, which the CLI prints over |value| as a quadrature-bound row.
+Every trapezoid sum is exactly rounded (util.fsum), not a BLAS dot
+product, whose bits moved with the BLAS thread count.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -259,30 +270,163 @@ def _grid(a, b, step):
 
 
 def _trap(vals, dt):
-    """Trapezoid sum of equally spaced samples, real or complex."""
-    w = np.ones(len(vals))
-    w[0] = w[-1] = 0.5
-    return np.dot(w, vals).item() * dt
+    """Trapezoid sum of equally spaced real samples: the exactly rounded sum
+    (util.fsum) of the samples with the two ends weighted 1/2, exact, times
+    dt. No BLAS reduction is involved, so the bits do not depend on the
+    thread count."""
+    w = np.array(vals, dtype=np.float64)
+    w[[0, -1]] *= 0.5
+    return fsum(w) * dt
 
 
-def _trap_pair(vals, dt):
-    """(fine, coarse): trapezoid sums of all samples at dt, alternate at 2 dt."""
-    return _trap(vals, dt), _trap(vals[::2], 2 * dt)
+def _bernoulli_over_factorial(K):
+    """[B_2/2!, B_4/4!, ..., B_2K/(2K)!], each exact then rounded once."""
+    B = [Fraction(1)]
+    for m in range(1, 2 * K + 1):
+        B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    return [float(B[2 * k] / math.factorial(2 * k)) for k in range(1, K + 1)]
 
 
-def _square_integral(logn, vals, intervals, step):
-    """(fine, halving_delta) for the integral of |sum vals_n e^{i t logn_n}|^2
-    over a union of t-intervals, each on _grid(a, b, step). The fine and
-    coarse sums add up across intervals, and halving_delta is
-    |fine - coarse| / |fine| (|fine| at least 1e-300). The node step is
-    (b - a)/(nodes - 1): ts[1] - ts[0] would round at the scale of t."""
-    fine = coarse = 0.0
-    for a, b in intervals:
-        ts = _grid(a, b, step)
-        f, c = _trap_pair(np.abs(_phase_sum(logn, vals, ts)) ** 2, (b - a) / (len(ts) - 1))
-        fine += f
-        coarse += c
-    return fine, abs(fine - coarse) / max(abs(fine), 1e-300)
+# Every square integral is certified by Euler-Maclaurin at order _EM_ORDER
+# (K endpoint corrections, through f^(2K-1)) on the step at which the
+# remainder bound is _QUAD_TOL (b - a)(sum|v|)^2: that fraction of the
+# trivial bound on the integral
+_EM_ORDER = 8
+_QUAD_TOL = 1e-9
+_EM_COEFFS = _bernoulli_over_factorial(_EM_ORDER)
+# h sigma at which |B_2K|/(2K)! (h sigma)^2K = _QUAD_TOL, about 1.648
+_EM_REACH = (_QUAD_TOL / abs(_EM_COEFFS[-1])) ** (1.0 / (2 * _EM_ORDER))
+
+
+def _em_intervals(length, sigma):
+    """Trapezoid intervals, ceil(length sigma/_EM_REACH) and at least 1, on
+    a t-interval of the given length for frequencies of spread sigma: the
+    step is then at most _EM_REACH/sigma. A float, inf when it overflows."""
+    if not length > 0:
+        return 0.0
+    q = length * sigma / _EM_REACH
+    return max(1.0, float(math.ceil(q))) if q < math.inf else math.inf
+
+
+def _square_integral(logn, vals, intervals):
+    """(value, bound): the integral of f = |F|^2, F(t) = sum_n v_n e^{i t y_n}
+    with v = vals and y = logn, over a union of t-intervals, and a bound on
+    its error for the exact frequencies that logn rounds to within an ulp
+    each (np.log does).
+
+    Zero coefficients are dropped and the frequencies centred on
+    (min y + max y)/2, which leaves |F|^2 as it is and keeps |y| <= sigma/2,
+    sigma = max y - min y: the derivative sums below then hold no cancelling
+    terms of size (max|y|)^i. f = sum_{m,n} v_m conj(v_n) e^{i t (y_m - y_n)}
+    has every derivative |f^(j)| <= sigma^j (sum|v|)^2. On [a, b], with
+    _em_intervals(b - a, sigma) intervals of step h (np.linspace nodes),
+    Euler-Maclaurin (DLMF 2.10.1) gives
+        int_a^b f = T_h - sum_{k<=K} B_2k/(2k)! h^2k (f^(2k-1)(b) - f^(2k-1)(a)) + R,
+        |R| <= |B_2K|/(2K)! h^2K (b - a) sigma^2K (sum|v|)^2
+             = 2 zeta(2K) (h/2 pi)^2K (b - a) sigma^2K (sum|v|)^2,
+    as |B~_2K(x)| <= |B_2K| on the periodic Bernoulli function, with T_h the
+    trapezoid sum (_trap) of |F|^2 on the nodes, from _phase_sum. The odd
+    derivatives are f^(m) = 2 Re sum_{i < m/2} C(m, i) F^(i) conj(F^(m-i)),
+    F^(i)(t) = sum_n v_n (i y_n)^i e^{i t y_n}, 2K short sums per endpoint
+    (_endpoint_derivatives). K = _EM_ORDER, and the step makes |R| at most
+    _QUAD_TOL (b - a)(sum|v|)^2 (Trefethen and Weideman, SIAM Review 56,
+    2014: the trapezoid rule on the band-limited f needs only its endpoint
+    terms).
+
+    Rounding, with S = sum|v|, tm = max|t| over the intervals, Y = sigma/2,
+    Yin = max|logn|, n terms and e = eps:
+    - each sample F(t_k) is within D = e S (tm (4 Y + Yin) + 2.2 (log2 K +
+      5) + n + 9 log2(M) sqrt(M)) of its value at the exact node a + k h,
+      K nodes, M = _fft_size(K): the kernel's phases and linspace's nodes
+      (5/2 e tm Y by _bsgs_sum's rounding, the step's own rounding e tm Y/2,
+      and the Taylor-FFT kernel's phases round alike), the centring's eps/2
+      and the input's ulp (e tm (Y/2 + Yin)), exponentials and products
+      2.2 (L + 2) e S with L <= log2 K + 3, the sums over n in any order
+      (n e S; bincounts and one matrix product are such sums), and the
+      inverse FFTs, each within 4 log2(M) e sqrt(M) S of its exact value
+      (Higham, Accuracy and Stability, 2002, Thm 24.2) and weighted by
+      r^j/j!, which sum to e^r <= 2.2;
+    - each |F|^2 sample is then within 2 S D + D^2 + 2.5 e (S + D)^2, and
+      the trapezoid weights sum to b - a; fsum, the rounded step and the
+      product with it add 1.5 e |T_h|;
+    - F^(i) at an endpoint is within e S Y^i (n + i + 4 + tm (Y + Yin)) +
+      e S i Y^(i-1) (Y + Yin) (exponentials, i products by y, the sum over
+      n, and the frequencies' rounding), so, as sum_i C(m, i) Y^i Y^(m-i)
+      = sigma^m, f^(m) is within e S^2 sigma^(m-1) (4 g_m + (m + 3) sigma)
+      with g_m = Y (n + m + 4 + tm (Y + Yin)) + m (Y + Yin); each
+      correction rounds by (2k + 2) e relative, and the terms of an
+      interval and the intervals are added by fsum.
+    sigma, sum|v| and the bound are evaluated in floating point; the bound
+    is raised by 1e-12 relative to cover their roundings, each a few eps.
+    """
+    keep = vals != 0
+    y, v = logn[keep], vals[keep]
+    if not len(v) or not intervals:
+        return 0.0, 0.0
+    y_in = float(np.max(np.abs(y)))
+    y = y - 0.5 * (float(np.max(y)) + float(np.min(y)))
+    sigma = float(np.max(y) - np.min(y))
+    Y = float(np.max(np.abs(y)))
+    S = fsum(np.abs(v))
+    n, e, K = len(v), float(_EPS), _EM_ORDER
+    tm = max(max(abs(a), abs(b)) for a, b in intervals)
+    derivs = _odd_derivatives(_endpoint_derivatives(y, v, [t for ab in intervals for t in ab]))
+    sig = sigma + 4 * e * (Y + y_in)  # the spread of the exact frequencies
+    values, bound = [], 0.0
+    for j, (a, b) in enumerate(intervals):
+        nodes = int(_em_intervals(b - a, sigma)) + 1
+        ts = np.linspace(a, b, nodes)
+        h = (b - a) / (nodes - 1)
+        M = _fft_size(nodes)
+        D = e * S * (tm * (4 * Y + y_in) + 2.2 * (math.log2(nodes) + 5) + n
+                     + 9 * math.log2(M) * math.sqrt(M))
+        trap = _trap(np.abs(_phase_sum(y, v, ts)) ** 2, h)
+        terms = [trap]
+        bound += (b - a) * (2 * S * D + D * D + 2.5 * e * (S + D) ** 2) + 1.5 * e * abs(trap)
+        if sigma > 0:
+            bound += abs(_EM_COEFFS[-1]) * (h * sig) ** (2 * K) * (b - a) * S * S
+        hk = 1.0
+        for k in range(1, K + 1):
+            hk *= h * h
+            m = 2 * k - 1
+            fa, fb = derivs[2 * j, k - 1], derivs[2 * j + 1, k - 1]
+            c = _EM_COEFFS[k - 1] * hk
+            terms.append(-c * (fb - fa))
+            g = Y * (n + m + 4 + tm * (Y + y_in)) + m * (Y + y_in)
+            err = e * S * S * sig ** (m - 1) * (4 * g + (m + 3) * sig)
+            bound += abs(c) * (2 * err + (2 * k + 2) * e * (abs(fa) + abs(fb)))
+        values.append(math.fsum(terms))
+    value = math.fsum(values)
+    bound += e * (abs(value) + math.fsum(abs(x) for x in values))
+    return value, bound * (1.0 + 1e-12)
+
+
+def _endpoint_derivatives(y, v, ends):
+    """(len(ends), 2 _EM_ORDER) array of F^(i)(t) = sum_n v_n (i y_n)^i
+    e^{i t y_n} for each t in ends and i < 2 _EM_ORDER: the terms take one
+    more real factor y per order, each sum over n is np.sum along a row
+    (pairwise, no BLAS), and the sums are turned by i^i, exactly."""
+    w = v * np.exp(1j * np.multiply.outer(np.asarray(ends, dtype=np.float64), y))
+    out = np.empty((len(ends), 2 * _EM_ORDER), dtype=np.complex128)
+    for i in range(2 * _EM_ORDER):
+        out[:, i] = w.sum(axis=1)
+        w *= y
+    return out * np.array([1, 1j, -1, -1j])[np.arange(2 * _EM_ORDER) % 4]
+
+
+# f^(m) = 2 Re sum_{i < m/2} C(m, i) F^(i) conj(F^(m-i)) for m = 2k - 1,
+# k = 1..K: the pairs (i, m - i) of every m in turn, and where each m starts
+_EM_PAIRS = np.array([(i, 2 * k - 1 - i, math.comb(2 * k - 1, i))
+                      for k in range(1, _EM_ORDER + 1) for i in range(k)])
+_EM_STARTS = np.array([k * (k - 1) // 2 for k in range(1, _EM_ORDER + 1)])
+
+
+def _odd_derivatives(F):
+    """(rows, _EM_ORDER) array of f^(2k-1), f = |F|^2, from the rows of
+    _endpoint_derivatives (_EM_PAIRS)."""
+    i, j, c = _EM_PAIRS.T
+    terms = c * F[:, i] * np.conj(F[:, j])
+    return 2.0 * np.add.reduceat(terms, _EM_STARTS, axis=1).real
 
 
 def _cell_hits(exceed):
@@ -294,27 +438,24 @@ def _cell_hits(exceed):
 class MeanValueResult:
     value: float
     ratio: float
-    halving_delta: float
+    quadrature_bound: float
     sum_sq: float
 
 
 def mean_value_integral(coeffs, T):
-    """integral_0^T |sum a_n n^{it}|^2 dt by trapezoid quadrature.
-
-    The fine grid runs at half the step limit pi/(4 log support_hi); the
-    coarse pass reuses alternate nodes, and halving_delta reports their
-    relative difference for the caller to judge. Returns the value and the
-    ratio (value - T sum|a|^2) / (N sum|a|^2).
+    """integral_0^T |sum a_n n^{it}|^2 dt by _square_integral, the
+    endpoint-corrected trapezoid rule, with quadrature_bound certifying its
+    error. Returns the value and the ratio
+    (value - T sum|a|^2) / (N sum|a|^2).
     """
     T = float(T)
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    fine, halving = _square_integral(np.log(coeffs.n_array), coeffs.values, [(0.0, T)],
-                                     _step_limit(coeffs.support_hi))
+    value, err = _square_integral(np.log(coeffs.n_array), coeffs.values, [(0.0, T)])
     ssq = coeffs.sum_sq
     N = coeffs.support_hi
-    ratio = (fine - T * ssq) / (N * ssq) if ssq > 0 else 0.0
-    return MeanValueResult(fine, ratio, halving, ssq)
+    ratio = (value - T * ssq) / (N * ssq) if ssq > 0 else 0.0
+    return MeanValueResult(value, ratio, err, ssq)
 
 
 @dataclass
@@ -322,7 +463,7 @@ class HalaszResult:
     value: float
     bound: float
     measure: float
-    halving_delta: float
+    quadrature_bound: float
 
 
 def halasz_subset_integral(coeffs, subset):
@@ -330,14 +471,14 @@ def halasz_subset_integral(coeffs, subset):
 
     Reports the sparse-set envelope
     10 (N + measure * sqrt(T) log T) * sum|a|^2 with T = subset.limit, and
-    the relative fine-minus-coarse difference as halving_delta.
+    the certified error of the value (_square_integral) as
+    quadrature_bound.
     """
-    value, halving = _square_integral(np.log(coeffs.n_array), coeffs.values, subset.intervals,
-                                      _step_limit(coeffs.support_hi))
+    value, err = _square_integral(np.log(coeffs.n_array), coeffs.values, subset.intervals)
     T = subset.limit
     ssq = coeffs.sum_sq
     bound = 10.0 * (coeffs.support_hi + subset.measure * math.sqrt(T) * math.log(max(T, 2.0))) * ssq
-    return HalaszResult(value, bound, subset.measure, halving)
+    return HalaszResult(value, bound, subset.measure, err)
 
 
 def raise_power(coeffs, ell):

@@ -12,6 +12,9 @@ union of its spans (_shared_windows, _value_stream), so lambda and mu
 come from one sieve walk per invocation, not one per pass. For lambda and
 mu the prefix and the window sums are exact int32, and variance adds
 their squares per run of one length into exact integer totals.
+parseval_link keeps lambda(n)/n from its variance pass's one walk and
+integrates the bridge by dirichlet_poly._square_integral, whose certified
+error bound it reports as quadrature_bound.
 """
 
 import functools
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith_core
-from .dirichlet_poly import _nodes, _square_integral
+from .dirichlet_poly import _em_intervals, _square_integral
 from .expsum_circle import characters_mod
 from .util import (INT64_MAX, BudgetError, ExactSum, PreconditionError, check_mul64, fsum,
                    fsum_complex)
@@ -319,17 +322,18 @@ class _MeanSquare:
         return fsum(terms) / X
 
 
-def variances(fname, specs):
+def variances(fname, specs, stream=None):
     """[variance(fname, spec) for spec in specs], every pass read from one
     stream of f over the union of the specs' spans (_shared_windows): for
     lambda and mu one sieve walk, not one per spec. Each value is the one
     its own pass gives, since each adds its windows into exact totals.
-    Every spec is checked against the budgets before any work."""
+    Every spec is checked against the budgets before any work. stream,
+    when given, opens that stream in place of _value_stream(fname, ...)."""
     for spec in specs:
         if spec.X > WINDOW_BUDGET:
             raise BudgetError("window count %d exceeds budget" % spec.X)
     out = [_MeanSquare(fname, spec) for spec in specs]
-    for i, segment in _shared_windows(functools.partial(_value_stream, fname),
+    for i, segment in _shared_windows(stream or functools.partial(_value_stream, fname),
                                       [(spec.kind, spec.X, spec.h) for spec in specs]):
         out[i].add(*segment)
     return [acc.value() for acc in out]
@@ -405,7 +409,7 @@ class ParsevalReport:
     rhs: float
     envelope: float
     T: float
-    halving_delta: float
+    quadrature_bound: float
 
 
 def parseval_link(X, h, delta):
@@ -413,31 +417,43 @@ def parseval_link(X, h, delta):
 
     lhs is the multiplicative variance of Liouville at (X, h). rhs is
     int_{|t| <= X/(h delta^2)} |Z(1+it)|^2 dt + delta with Z the
-    (X, 2X]-restricted series. The integrand has bandwidth log 2, so a
-    0.5 step suffices; halving_delta reports the relative change under
-    step halving. Envelope lhs <= 50 rhs. A grid of more than
+    (X, 2X]-restricted series, twice the half-line integral of
+    _square_integral (the integrand is even in t), whose step follows from
+    the frequency spread log(2X/(X+1)); quadrature_bound certifies the
+    integral's error. Envelope lhs <= 50 rhs. A grid of more than
     arith_core.SPAN_BUDGET nodes raises BudgetError, and one of fewer than
-    3 nodes (T = 0 once h delta^2 overflows) PreconditionError, before any
-    sieve runs.
+    2 nodes (T = 0 once h delta^2 overflows) PreconditionError, before any
+    sieve runs. The coefficients lambda(n)/n are kept from the variance
+    pass's one sieve walk, which reads all of (X, 2X].
     """
     X, h = int(X), int(h)
     if not delta > 0:
         raise ValueError("delta must be positive")
     scale = h * delta * delta
     T = X / scale if scale > 0 else math.inf
-    nodes = _nodes(0.0, T, 0.5) if T <= arith_core.SPAN_BUDGET else math.inf
+    nodes = _em_intervals(T, math.log(2 * X / (X + 1))) + 1
     if nodes > arith_core.SPAN_BUDGET:
         raise BudgetError("%g t-nodes exceed budget %d" % (nodes, arith_core.SPAN_BUDGET))
-    if nodes < 3:
-        raise PreconditionError("T = X/(h delta^2) = %g gives %d t-nodes; need at least 3"
+    if nodes < 2:
+        raise PreconditionError("T = X/(h delta^2) = %g gives %d t-nodes; need at least 2"
                                 % (T, nodes))
-    lhs = variance("liouville", WindowSpec("multiplicative", X, h))
-    lam = arith_core.liouville_range(X + 1, 2 * X + 1).astype(np.float64)
+    lam = np.empty(X, dtype=np.int8)  # lambda(n) at index n - X - 1
+
+    def kept(lo, hi, budget):
+        take = _value_stream("liouville", lo, hi, budget)
+
+        def values(a, b):
+            piece = take(a, b)
+            s, e = max(a, X + 1), min(b, 2 * X + 1)
+            lam[s - X - 1:e - X - 1] = piece[s - a:e - a]
+            return piece
+        return values
+    lhs, = variances("liouville", [WindowSpec("multiplicative", X, h)], kept)
     n = np.arange(X + 1, 2 * X + 1, dtype=np.float64)
-    half, halving = _square_integral(-np.log(n), lam / n, [(0.0, T)], 0.5)
-    integral = 2.0 * half  # symmetric in t; doubling leaves halving's bits as they are
+    half, err = _square_integral(-np.log(n), lam / n, [(0.0, T)])
+    integral = 2.0 * half  # symmetric in t; doubling is exact
     rhs = integral + delta
-    return ParsevalReport(lhs, integral, rhs, 50.0 * rhs, T, halving)
+    return ParsevalReport(lhs, integral, rhs, 50.0 * rhs, T, 2.0 * err)
 
 
 def additive_from_multiplicative_check(X, h):

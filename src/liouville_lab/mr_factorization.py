@@ -75,6 +75,29 @@ def weight_array(w):
     return u
 
 
+def weight_upper_envelope(w):
+    """1 plus the rounding allowance of weight_array's u(n) <= 1.
+
+    u(n) = sum_j log(hi_j/lo_j) / log(1 + delta) over the band primes
+    p | n, at most k = floor(log n_max / log p_min) of them. With e = eps
+    and L = log(1 + delta): one = 1 + delta rounds by e/2 relative, so
+    p/one and qm/one are within e of their exact values and X/m, 2X/m
+    within e/2; max and min keep these, and hi/lo, which rounds once more,
+    is within 2.5 e relative of its exact value, so its log is within
+    2.5 e of the exact one, plus np.log's ulp, e log(hi/lo); a term whose
+    exact ratio is at most 1 may enter at most 2.5 e high. The k adds into
+    u(n) round by e/2 of a partial sum each, all below S = u L <= L, so
+    the sum is within e (2.5 k + (k + 1) S/2) of its exact value. log(one)
+    is within e/2 + e L of L and the division rounds by e/2, so an exact
+    u <= 1 is computed below 1 + e ((2.5 k + 0.5)/L + (k + 1)/2 + 2), the
+    last 2 holding the division's 1.5 and the second-order terms."""
+    L = math.log1p(w.delta)
+    band = _Sweep.of(w).band
+    k = int(math.log(w.domain_hi) / math.log(float(band[0]))) if len(band) else 0
+    e = float(np.finfo(np.float64).eps)
+    return 1.0 + e * ((2.5 * k + 0.5) / L + (k + 1) / 2 + 2)
+
+
 @dataclass
 class ErrReport:
     members: list        # (n, u) with |u - indicator| > 1e-12

@@ -17,6 +17,10 @@ _FSUM_BINS = 2200
 _FSUM_SPLIT = 26
 # A block needing more error-free extraction passes goes to the bins.
 _EXTRACT_PASSES = 3
+# fsum hands float64 arrays of at most this many elements to math.fsum,
+# which is faster there than ExactSum's fixed cost (about 35 us on a 2-vCPU
+# Xeon, against 7 us for math.fsum on 256 elements and 32 us on 1024)
+_FSUM_SMALL = 512
 
 
 class BudgetError(RuntimeError):
@@ -146,10 +150,18 @@ def fsum(values):
     """Exactly rounded sum of a 1-d array or iterable of floats.
 
     A numpy array is added into a fresh ExactSum, whose docstring states
-    the method and the edge policy. Any other input goes to math.fsum.
+    the method and the edge policy. Any other input goes to math.fsum, and
+    so does a float64 array of at most _FSUM_SMALL elements: both round
+    the exact sum once, so they return the same double, unless math.fsum
+    meets an intermediate overflow, where ExactSum takes over.
     """
     if not isinstance(values, np.ndarray):
         return math.fsum(values)
+    if values.dtype == np.float64 and values.ndim == 1 and len(values) <= _FSUM_SMALL:
+        try:
+            return math.fsum(values.tolist())
+        except OverflowError:
+            pass
     acc = ExactSum()
     acc.add(values)
     return acc.value()

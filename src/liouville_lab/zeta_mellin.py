@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith_core
-from .dirichlet_poly import _EPS, _grid, _phase_sum, _step_limit, _trap_pair
+from .dirichlet_poly import _EPS, _grid, _phase_sum, _step_limit, _trap
 from .util import ExactSum, fsum, fsum_complex
 
 
@@ -189,7 +189,7 @@ def z_lambda_envelope(sigma, N):
 
 @dataclass
 class PerronResult:
-    integral: complex
+    integral: float
     smoothed_sum: float
     sharp_sum: float
     envelope: float
@@ -236,15 +236,17 @@ def perron_truncated(kind, x, cutoff, T):
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
     sigma = 1.0 + 1.0 / math.log(x)
-    # the integrand at -t is the conjugate of the value at t, so only t >= 0
-    # is evaluated; the mirrored grid's first step is the last of ts_half
+    # the integrand at -t is the conjugate of the value at t, so the
+    # integral over [-T, T] is twice the real part of the one over [0, T],
+    # and the trapezoid sums on the mirrored grid are twice those of the
+    # real parts on the half grid, whose alternate nodes form the coarse one
     ts_half = _grid(0.0, T, min(0.05, _step_limit(x)))
     zvals = _z_on_grid(kind, sigma, ts_half)
     mvals = mellin_psi(sigma + 1j * ts_half, cutoff)
     xs = np.exp((sigma + 1j * ts_half) * math.log(x))
-    pos = xs * mvals * zvals
-    integrand = np.concatenate((np.conj(pos[:0:-1]), pos))
-    fine, coarse = (v / (2.0 * math.pi) for v in _trap_pair(integrand, ts_half[-1] - ts_half[-2]))
+    re = (xs * mvals * zvals).real
+    dt = T / (len(ts_half) - 1)
+    fine, coarse = _trap(re, dt) / math.pi, _trap(re[::2], 2 * dt) / math.pi
     scale = max(abs(fine), 1e-12)
     halving_delta = abs(fine - coarse) / scale
     smoothed, sharp = _smoothed_sum(kind, x, cutoff)

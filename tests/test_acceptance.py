@@ -79,8 +79,8 @@ def test_c03_zeta_ratio_and_independent_check():
 
 
 # 4. mean square of random degree-500 coefficient vectors over t-ranges
-#    100 and 5000: deviation ratio within 8, halving certificate under
-#    1e-3; 20 seeded vectors; budget 60 s
+#    100 and 5000: deviation ratio within 8, certified quadrature error
+#    under 1e-6 relative; 20 seeded vectors; budget 60 s
 def test_c04_mean_value_envelope_battery():
     t0 = time.perf_counter()
     rng = np.random.default_rng(4)
@@ -90,7 +90,7 @@ def test_c04_mean_value_envelope_battery():
             seq = dirichlet_poly.coeffs_from_dict({n: a[n - 1] for n in range(1, 501)})
             res = dirichlet_poly.mean_value_integral(seq, T)
             assert abs(res.ratio) <= 8.0
-            assert res.halving_delta <= 1e-3
+            assert res.quadrature_bound <= 1e-6 * res.value
     assert time.perf_counter() - t0 <= 60.0
 
 

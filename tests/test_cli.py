@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from liouville_lab import arith_core, cli, dirichlet_poly, expsum_circle, zeta_mellin
+from liouville_lab import arith_core, cli, dirichlet_poly, expsum_circle, mr_factorization, zeta_mellin
 
 
 def run(argv, capsys):
@@ -490,3 +490,20 @@ def test_factorization_residual_row_passes(args, capsys):
     assert [r[1].split("check=")[1].split(";")[0] for r in rows] == [
         "weight-upper", "weight-lower", "err-density", "residual", "identity-exact"]
     assert all(r[-1] == "pass" for r in rows)
+
+
+def test_factorization_weight_upper_allows_only_rounding(monkeypatch, capsys):
+    # at this delta max u is 1 + 2^-52, inside weight_array's derived
+    # allowance (23 eps here); u scaled by 1 + 1e-9 is a real fault
+    argv = ["factorization", "--delta", "0.7529167934868257"]
+    rc, out, _ = run(argv, capsys)
+    upper = parse_csv(out)[0]
+    assert rc == 0 and "check=weight-upper" in upper[1] and upper[-1] == "pass"
+    w = mr_factorization.RamareWeight(10000, 0.7529167934868257, 10, 100)
+    assert float(mr_factorization.weight_array(w).max()) == 1.0 + 2.0**-52
+    assert 1.0 + 2.0**-52 < mr_factorization.weight_upper_envelope(w) < 1.0 + 1e-13
+    weight_array = mr_factorization.weight_array
+    monkeypatch.setattr(mr_factorization, "weight_array", lambda w: weight_array(w) * (1.0 + 1e-9))
+    rc, out, _ = run(argv, capsys)
+    upper = parse_csv(out)[0]
+    assert rc == 1 and "check=weight-upper" in upper[1] and upper[-1] == "fail"

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from liouville_lab import arith_core, cli, dirichlet_poly as dp, zeta_mellin as zm
 from liouville_lab.util import fsum
@@ -98,14 +98,15 @@ def _kernel(kernel, logn, vals, ts, even):
 
 
 def _parseval_case(X):
-    # parseval_link's polynomial and half-line grid at h = 50, delta = 1/2
+    # parseval_link's polynomial at h = 50, delta = 1/2 on the half-line
+    # step-halving grid of step 0.25 (8X/12.5 + 1 nodes)
     ns = np.arange(X + 1, 2 * X + 1, dtype=np.float64)
     lam = arith_core.liouville_range(X + 1, 2 * X + 1).astype(np.float64)
     return -np.log(ns), lam / ns, dp._grid(0.0, X / 12.5, 0.5)
 
 
 def _mean_value_case(N, T):
-    # mean_value_integral's grid at N unimodular terms over [0, T]
+    # N unimodular terms on the step-halving grid of [0, T]
     logn = np.log(np.arange(1, N + 1, dtype=np.float64))
     return logn, _unimodular(N), dp._grid(0.0, T, dp._step_limit(N))
 
@@ -137,7 +138,7 @@ def test_phase_sum_matches_direct_oracle(kernel, name):
 
 
 def test_phase_sum_uneven_grid_goes_direct_at_any_size(monkeypatch):
-    # parseval_link's 3201-node grid, one node nudged off it: the direct sum
+    # a 3201-node parseval grid, one node nudged off it: the direct sum
     calls = []
     monkeypatch.setattr(dp, "_bsgs_sum", lambda lg, v, ts, dt: calls.append(("bsgs", dt)))
     monkeypatch.setattr(dp, "_taylor_fft_sum", lambda lg, v, ts, dt: calls.append(("fft", dt)))
@@ -165,16 +166,17 @@ def _dispatched(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, kernel, grids", [
     (["tnp"], "bsgs", {(1000, 16001), (1600, 16001)}),
-    (["mean-value", "--n", "500", "--t", "5000", "--count", "1"], "bsgs", {(500, 79129)}),
+    (["mean-value", "--n", "500", "--t", "5000", "--count", "1"], "bsgs", {(500, 18861)}),
     (["halasz", "--n", "500", "--t", "5000"], "bsgs", set()),
     (["large-values", "--q", "1000", "--t", "3000"], "bsgs", {(135, 58069)}),
-    (["parseval-link"], "taylor-fft", {(10000, 3201)}),
-    (["parseval-link", "--x", "100000"], "taylor-fft", {(100000, 32001)}),
+    (["parseval-link"], "taylor-fft", {(10000, 338)}),
+    (["parseval-link", "--x", "100000"], "taylor-fft", {(100000, 3367)}),
 ])
 def test_phase_sum_dispatch_by_measured_crossover(argv, kernel, grids, monkeypatch, capsys):
     # few terms over many nodes stay on baby-step/giant-step: mean-value,
     # halasz, large-values and the two tnp zeta grids (N terms, K nodes);
-    # parseval-link's X terms over 4X/(h delta^2) + 1 nodes take Taylor-FFT
+    # parseval-link's X terms over ceil(T log(2X/(X+1))/_EM_REACH) + 1
+    # nodes, T = X/(h delta^2), take Taylor-FFT
     seen = _dispatched(argv, monkeypatch, capsys)
     assert seen and {name for name, _, _ in seen} == {kernel}
     assert grids <= {(N, K) for _, N, K in seen}
@@ -247,26 +249,37 @@ def test_phase_sum_error_against_mpmath(kernel):
 
 
 def test_trap_matches_each_former_copy():
+    # the exactly rounded sum of the weighted samples, whatever the BLAS
     rng = np.random.default_rng(3)
     real = rng.uniform(size=1001)
-    cplx = real + 1j * rng.normal(size=1001)
     dt = 0.1234567
-    w = np.ones(1001)
-    w[0] = w[-1] = 0.5
-    wc = np.ones(501)
-    wc[0] = wc[-1] = 0.5
-    # mean-value and halasz
-    assert dp._trap(real, dt) == float(np.dot(w, real)) * dt
-    assert dp._trap_pair(real, dt) == (float(np.dot(w, real)) * dt,
-                                       float(np.dot(wc, real[::2])) * (2 * dt))
-    # perron contour, divided by 2 pi after the pair
-    assert dp._trap(cplx, dt) == oracles.trapezoid_complex(cplx, dt)
-    assert dp._trap_pair(cplx, dt) == (oracles.trapezoid_complex(cplx, dt),
-                                       oracles.trapezoid_complex(cplx[::2], 2.0 * dt))
-    # parseval, doubled for the symmetric half line
-    fine, coarse = dp._trap_pair(real, dt)
-    assert 2.0 * fine == 2.0 * float(np.dot(w, real)) * dt
-    assert 2.0 * coarse == 2.0 * float(np.dot(wc, real[::2])) * 2 * dt
+    for samples, step in ((real, dt), (real[::2], 2 * dt)):
+        weighted = samples.copy()
+        weighted[[0, -1]] /= 2
+        assert dp._trap(samples, step) == math.fsum(weighted) * step
+
+
+def test_square_integral_node_counts(monkeypatch, capsys):
+    # ceil((b - a) sigma/_EM_REACH) + 1 nodes per interval, sigma = log N
+    # or log(2X/(X+1)): 18861 for mean-value (79129 on the step-halving
+    # grid), 4 x 237 for halasz (4 x 991) and 338 for parseval-link (3201)
+    nodes = []
+
+    def recorded(logn, vals, ts):
+        nodes.append(len(ts))
+        return phase_sum(logn, vals, ts)
+    phase_sum = dp._phase_sum
+    monkeypatch.setattr(dp, "_phase_sum", recorded)
+    for argv, want in ((["mean-value", "--n", "500", "--t", "5000", "--count", "1"], [18861]),
+                       (["halasz", "--n", "500", "--t", "5000"], [237] * 4),
+                       (["parseval-link"], [338])):
+        nodes.clear()
+        assert cli.main(argv) == 0
+        assert nodes == want
+    capsys.readouterr()
+    assert dp._em_intervals(5000.0, math.log(500)) == 18860
+    assert dp._em_intervals(0.0, 1.0) == 0 and dp._em_intervals(1e-300, 0.0) == 1
+    assert dp._em_intervals(math.inf, 1.0) == math.inf
 
 
 def test_grid_rules():
@@ -300,8 +313,8 @@ def test_mean_value_against_closed_form():
         for T in (25.0, 160.0):
             mv = dp.mean_value_integral(c, T)
             ref = oracles.mean_value_closed_form(a, T)
-            assert mv.value == pytest.approx(ref, rel=5e-4)
-            assert mv.halving_delta < 1e-3
+            assert abs(mv.value - ref) <= mv.quadrature_bound + 64 * EPS * ref
+            assert mv.quadrature_bound < 1e-6 * ref
 
 
 def test_gram_oracle_matches_double_loop():
@@ -316,10 +329,10 @@ def test_gram_oracle_matches_double_loop():
     assert parts == pytest.approx(oracles.mean_value_closed_form(a, 160.0), rel=1e-12)
 
 
-def _assert_certified(value, halving_delta, exact):
-    # the fine-coarse difference bounds the fine sum's true error, up to
-    # rounding (for a smooth integrand the error is about a third of it)
-    assert abs(value - exact) <= halving_delta * abs(exact) + 64 * EPS * abs(exact)
+def _assert_certified(value, bound, exact):
+    # the quadrature bound holds against the exact integral, up to the
+    # oracle's own rounding
+    assert abs(value - exact) <= bound + 64 * EPS * abs(exact)
 
 
 def _gaussian(N, seed):
@@ -330,44 +343,105 @@ def _gaussian(N, seed):
 @given(st.integers(min_value=1, max_value=500), st.floats(min_value=0.01, max_value=5000.0),
        st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
-def test_mean_value_halving_delta_bounds_true_error(N, T, seed):
+def test_mean_value_quadrature_bound_holds(N, T, seed):
     a = _gaussian(N, seed)
     mv = dp.mean_value_integral(dp.CoeffSeq(0, N, a), T)
-    _assert_certified(mv.value, mv.halving_delta,
+    _assert_certified(mv.value, mv.quadrature_bound,
                       oracles.gram_integral(np.arange(1, N + 1), a, [(0.0, T)], fsum))
 
 
 @given(st.integers(min_value=1, max_value=500), st.floats(min_value=10.0, max_value=5000.0),
        st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**32 - 1))
+@example(N=445, limit=10.0, k=1, seed=0)  # beat the step-halving delta on [2.70, 6.37]
 @settings(max_examples=30, deadline=None)
-def test_halasz_halving_delta_bounds_true_error(N, limit, k, seed):
+def test_halasz_quadrature_bound_holds(N, limit, k, seed):
     edges = np.sort(np.random.default_rng(seed).uniform(0.0, limit, 2 * k))
     assume(np.all(np.diff(edges) > 0))
     intervals = list(zip(edges[::2].tolist(), edges[1::2].tolist()))
     a = _gaussian(N, seed)
     hs = dp.halasz_subset_integral(dp.CoeffSeq(0, N, a), dp.TSubset(intervals, limit))
-    _assert_certified(hs.value, hs.halving_delta,
+    _assert_certified(hs.value, hs.quadrature_bound,
                       oracles.gram_integral(np.arange(1, N + 1), a, intervals, fsum))
 
 
-@pytest.mark.parametrize("N, intervals, seed", [
+_FROZEN = [
     (500, [(0.0, 5000.0)], 0),
     (300, [(0.0, 500.0)], 1),
     (40, [(0.0, 160.0)], 2),
     (500, [(0.0, 5.0), (40.0, 44.0), (120.0, 121.0), (3000.0, 3100.0)], 4),
-])
-def test_halving_delta_is_three_times_true_error_frozen(N, intervals, seed):
-    # Richardson: the coarse sum's error is four times the fine one's, so
-    # their difference is three times it
+]
+
+
+def _frozen_integral(N, intervals, seed):
     a = _gaussian(N, seed)
     c = dp.CoeffSeq(0, N, a)
     if len(intervals) == 1:
         res = dp.mean_value_integral(c, intervals[0][1])
     else:
         res = dp.halasz_subset_integral(c, dp.TSubset(intervals, 5000.0))
+    return res, oracles.gram_integral(np.arange(1, N + 1), a, intervals, fsum)
+
+
+@pytest.mark.parametrize("N, intervals, seed", _FROZEN)
+def test_quadrature_error_at_rounding_level_frozen(N, intervals, seed):
+    # the bound is at most 1e-6 relative, while the value is within
+    # rounding of the exact integral: leaving out one endpoint correction
+    # or the centring moves it far more
+    res, exact = _frozen_integral(N, intervals, seed)
+    _assert_certified(res.value, res.quadrature_bound, exact)
+    assert res.quadrature_bound <= 1e-6 * exact
+    assert abs(res.value - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("N, intervals, seed", _FROZEN)
+def test_halving_delta_is_three_times_true_error_frozen(N, intervals, seed):
+    # Richardson, behind tnp's contour-step-halving row: on _grid's nodes
+    # the coarse trapezoid sum (alternate nodes) errs four times as much as
+    # the fine one for a smooth integrand, so their difference is three
+    # times the fine sum's error
+    a = _gaussian(N, seed)
+    logn = np.log(np.arange(1, N + 1, dtype=np.float64))
+    fine = coarse = 0.0
+    for lo, hi in intervals:
+        ts = dp._grid(lo, hi, dp._step_limit(N))
+        f = np.abs(dp._phase_sum(logn, a, ts)) ** 2
+        dt = (hi - lo) / (len(ts) - 1)
+        fine += dp._trap(f, dt)
+        coarse += dp._trap(f[::2], 2 * dt)
     exact = oracles.gram_integral(np.arange(1, N + 1), a, intervals, fsum)
-    _assert_certified(res.value, res.halving_delta, exact)
-    assert 0.3 <= abs(res.value - exact) / (res.halving_delta * exact) <= 0.35
+    delta = abs(fine - coarse) / fine
+    _assert_certified(fine, delta * exact, exact)
+    assert 0.3 <= abs(fine - exact) / (delta * exact) <= 0.35
+
+
+@pytest.mark.parametrize("y0", [0.0, 40.0])
+def test_endpoint_corrections_on_two_frequencies(y0):
+    # f = |e^{i t y0} + e^{i t (y0 + 1)}/2|^2 = 5/4 + cos t has derivatives
+    # as large as the bound allows, so the 23-interval rule is off by its
+    # remainder, 8e-13 relative: leaving out the last correction makes it
+    # 1.3e-11, the first 4e-3, and at y0 = 40 the uncentred sums cancel
+    # terms of size 41^15
+    a, b = 0.3, 37.1
+    value, bound = dp._square_integral(np.array([y0, y0 + 1.0]), np.array([1.0, 0.5]), [(a, b)])
+    exact = math.fsum([1.25 * b, -1.25 * a, math.sin(b), -math.sin(a)])
+    assert abs(value - exact) <= min(bound, 3e-12 * exact)
+
+
+@pytest.mark.parametrize("reach", [0.5, 1.0, dp._EM_REACH, 4.0])
+def test_quadrature_bound_holds_at_every_step(reach, monkeypatch):
+    rule = dp._EM_REACH
+    # steps reach/sigma from four times finer than the rule's to 2.4 times
+    # coarser: the bound grows with the step and holds at each
+    monkeypatch.setattr(dp, "_EM_REACH", reach)
+    a = _gaussian(200, 5)
+    ns = np.arange(1, 201)
+    mv = dp.mean_value_integral(dp.CoeffSeq(0, 200, a), 700.0)
+    _assert_certified(mv.value, mv.quadrature_bound, oracles.gram_integral(ns, a, [(0.0, 700.0)], fsum))
+    intervals = [(3.0, 40.0), (41.0, 42.5), (300.0, 420.0)]
+    hs = dp.halasz_subset_integral(dp.CoeffSeq(0, 200, a), dp.TSubset(intervals, 500.0))
+    _assert_certified(hs.value, hs.quadrature_bound, oracles.gram_integral(ns, a, intervals, fsum))
+    rel = mv.quadrature_bound / mv.value
+    assert rel <= (1e-6 if reach <= rule else 1.0)
 
 
 def test_mean_value_ratio_envelope():
@@ -406,7 +480,9 @@ def test_halasz_subset_bound_holds():
     hs = dp.halasz_subset_integral(c, sub)
     assert hs.value <= hs.bound
     assert hs.measure == pytest.approx(10.0)
-    assert hs.halving_delta < 1e-3
+    assert hs.quadrature_bound < 1e-6 * hs.value
+    empty = dp.halasz_subset_integral(c, dp.TSubset([], 200.0))
+    assert (empty.value, empty.measure, empty.quadrature_bound) == (0.0, 0.0, 0.0)
 
 
 def test_halasz_value_matches_mean_value_on_prefix():

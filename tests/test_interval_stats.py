@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from liouville_lab import arith_core, cli, entropy_chowla
+from liouville_lab import arith_core, cli, dirichlet_poly as dp, entropy_chowla
 from liouville_lab import interval_stats as ist
 from liouville_lab.expsum_circle import e_of
 from liouville_lab.util import BudgetError, PreconditionError, fsum
@@ -163,7 +163,7 @@ def test_parseval_link_envelope_and_certification():
     assert rep.T == pytest.approx(10**4 / (50 * 0.25**2))
     assert rep.lhs <= rep.envelope
     assert rep.rhs == rep.integral + 0.25
-    assert rep.halving_delta <= 1e-2
+    assert rep.quadrature_bound <= 1e-2 * rep.integral
     assert rep.integral > 0.0
 
 
@@ -175,7 +175,7 @@ def test_parseval_link_node_budget():
             ist.parseval_link(10**4, 50, delta)
 
 
-def test_parseval_link_needs_three_nodes(monkeypatch):
+def test_parseval_link_needs_two_nodes(monkeypatch):
     # delta^2 = 1e400 overflows, so h delta^2 is infinite, T = 0 and the
     # t-grid would hold one node: refused before the variance pass sieves
     def started(*args, **kwargs):
@@ -184,10 +184,33 @@ def test_parseval_link_needs_three_nodes(monkeypatch):
         m.setattr(arith_core, "_walk", started)
         with pytest.raises(PreconditionError):
             ist.parseval_link(10**4, 50, 1e200)
-    # delta = 1e150 keeps T > 0, and 2 ceil(T / 0.5) + 1 = 3 nodes
+    # delta = 1e150 keeps T > 0: one trapezoid interval, 2 nodes
     rep = ist.parseval_link(10**4, 50, 1e150)
-    assert 0.0 < rep.T < 0.5
+    assert 0.0 < rep.T < 1e-290
     assert rep.lhs <= rep.envelope
+    n = np.arange(10**4 + 1, 2 * 10**4 + 1)
+    at_zero = fsum(arith_core.liouville_range(10**4 + 1, 2 * 10**4 + 1) / n)
+    assert rep.integral == pytest.approx(2 * rep.T * at_zero**2, rel=1e-12)
+
+
+def test_parseval_link_sieves_once(monkeypatch):
+    # the coefficients lambda(n)/n come from the variance pass's one walk
+    # over [X - h, 2X], which covers (X, 2X]
+    spans = []
+    walk = arith_core._walk
+
+    def recorded(lo, hi, *args, **kwargs):
+        spans.append((lo, hi))
+        return walk(lo, hi, *args, **kwargs)
+    monkeypatch.setattr(arith_core, "_walk", recorded)
+    rep = ist.parseval_link(10**4, 50, 0.5)
+    assert spans == [(9950, 20001)]
+    n = np.arange(10**4 + 1, 2 * 10**4 + 1)
+    lam = arith_core.liouville_range(10**4 + 1, 2 * 10**4 + 1)
+    monkeypatch.setattr(arith_core, "_walk", walk)
+    assert rep.lhs == ist.variance("liouville", ist.WindowSpec("multiplicative", 10**4, 50))
+    half, _ = dp._square_integral(-np.log(n.astype(np.float64)), lam / n, [(0.0, rep.T)])
+    assert rep.integral == 2 * half
 
 
 def _parseval_exact(X, T):
@@ -198,26 +221,52 @@ def _parseval_exact(X, T):
     return 2.0 * oracles.gram_integral(n, lam / n, [(0.0, T)], fsum)
 
 
-def _assert_certified(rep, exact):
-    # the fine-coarse difference bounds the true error, up to rounding
+def _assert_certified(integral, bound, exact):
+    # the quadrature bound holds against the exact integral, up to the
+    # oracle's own rounding
     eps = np.finfo(np.float64).eps
-    assert abs(rep.integral - exact) <= rep.halving_delta * exact + 64 * eps * exact
+    assert abs(integral - exact) <= bound + 64 * eps * exact
 
 
 @given(st.data(), st.integers(min_value=20, max_value=2000), st.floats(min_value=0.1, max_value=1.0))
 @settings(max_examples=6, deadline=None)
-def test_parseval_halving_delta_bounds_true_error(data, X, delta):
+def test_parseval_quadrature_bound_holds(data, X, delta):
     h = data.draw(st.integers(min_value=1, max_value=X - 1))
     assume(X / (h * delta * delta) <= 5000)
     rep = ist.parseval_link(X, h, delta)
-    _assert_certified(rep, _parseval_exact(X, rep.T))
+    _assert_certified(rep.integral, rep.quadrature_bound, _parseval_exact(X, rep.T))
+
+
+def test_parseval_quadrature_error_at_rounding_level_frozen():
+    rep = ist.parseval_link(1000, 50, 0.25)
+    exact = _parseval_exact(1000, rep.T)
+    _assert_certified(rep.integral, rep.quadrature_bound, exact)
+    assert rep.quadrature_bound <= 1e-3 * exact
+    assert abs(rep.integral - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("reach", [0.5, 1.0, 4.0])
+def test_parseval_quadrature_bound_holds_at_every_step(reach, monkeypatch):
+    monkeypatch.setattr(dp, "_EM_REACH", reach)
+    rep = ist.parseval_link(1000, 50, 0.25)
+    _assert_certified(rep.integral, rep.quadrature_bound, _parseval_exact(1000, rep.T))
 
 
 def test_parseval_halving_delta_is_three_times_true_error_frozen():
+    # Richardson, behind tnp's contour-step-halving row, on parseval_link's
+    # integrand and the step-halving grid: the coarse trapezoid sum errs
+    # four times as much as the fine one
     rep = ist.parseval_link(1000, 50, 0.25)
+    n = np.arange(1001, 2001, dtype=np.float64)
+    lam = arith_core.liouville_range(1001, 2001) / n
+    ts = dp._grid(0.0, rep.T, 0.5)
+    f = np.abs(dp._phase_sum(-np.log(n), lam, ts)) ** 2
+    dt = rep.T / (len(ts) - 1)
+    fine, coarse = 2 * dp._trap(f, dt), 2 * dp._trap(f[::2], 2 * dt)
     exact = _parseval_exact(1000, rep.T)
-    _assert_certified(rep, exact)
-    assert 0.3 <= abs(rep.integral - exact) / (rep.halving_delta * exact) <= 0.35
+    delta = abs(fine - coarse) / fine
+    _assert_certified(fine, delta * exact, exact)
+    assert 0.3 <= abs(fine - exact) / (delta * exact) <= 0.35
 
 
 def _ladder(X, h):

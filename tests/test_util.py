@@ -256,3 +256,19 @@ def test_peak_allocation_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20  # a .tolist() copy alone would be over 60 MB
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=util._FSUM_SMALL))
+@settings(max_examples=100, deadline=None)
+def test_short_arrays_give_what_exact_sum_gives(values):
+    # fsum hands them to math.fsum: the same exactly rounded double
+    arr = np.array(values, dtype=np.float64)
+    acc = util.ExactSum()
+    acc.add(arr)
+    try:
+        want = acc.value()
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            fsum(arr)
+        return
+    assert same_double(fsum(arr), want)
