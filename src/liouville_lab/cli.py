@@ -193,6 +193,9 @@ def _reciprocal_envelope(x, rec, loglog):
 
 def h_tnp(P):
     x = P["x"]
+    px, T, delta = P["perron_x"], P["perron_t"], P["perron_delta"]
+    # the contour's grid and span are checked before the lambda-series sieves
+    zeta_mellin.perron_nodes(px, T)
     rows = []
     res = zeta_mellin.z_lambda_residual(2.0, x)
     rows.append(make_row("tnp", {**P, "check": "lambda-series-vs-zeta-ratio"},
@@ -205,7 +208,6 @@ def h_tnp(P):
     env = _reciprocal_envelope(x, rec, loglog)
     rows.append(make_row("tnp", {**P, "check": "prime-reciprocal-sum"},
                          rec, env, ratio=abs(rec - loglog - MERTENS) / env))
-    px, T, delta = P["perron_x"], P["perron_t"], P["perron_delta"]
     cutoff = zeta_mellin.SmoothCutoff(delta)
     pr = zeta_mellin.perron_truncated("liouville", px, cutoff, T)
     diff = abs(pr.smoothed_sum - pr.integral)

@@ -387,6 +387,10 @@ def test_joined_window_condition_exits_two_before_work(argv, monkeypatch, capsys
     # the h-list's passes share one walk, so the span (6e7 - 8e6, 1.2e8]
     # of the last h is refused before the first h sieves
     ["variance", "--x", "60000000", "--h-list", "100,8000000"],
+    # tnp's contour, a half grid of 4e10 t-nodes or a smoothed sum over
+    # [1, 1e10], is refused before the lambda-series sieves [1, x]
+    ["tnp", "--perron-t", "1e9"],
+    ["tnp", "--perron-x", "10000000000", "--perron-t", "10"],
 ])
 def test_span_past_budget_exits_three_before_work(argv, monkeypatch, capsys):
     _forbid_work(monkeypatch, prime_bound=64 if argv[0] == "entropy" else 0)

@@ -165,29 +165,41 @@ def _dispatched(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, kernel, grids", [
-    (["tnp"], "bsgs", {(1000, 16001), (1600, 16001)}),
+    (["tnp"], "bsgs", {(320, 16001), (432, 16001)}),
     (["mean-value", "--n", "500", "--t", "5000", "--count", "1"], "bsgs", {(500, 18861)}),
     (["halasz", "--n", "500", "--t", "5000"], "bsgs", set()),
     (["large-values", "--q", "1000", "--t", "3000"], "bsgs", {(135, 58069)}),
     (["parseval-link"], "taylor-fft", {(10000, 338)}),
     (["parseval-link", "--x", "100000"], "taylor-fft", {(100000, 3367)}),
+    (["tnp", "--perron-t", "2000"], "bsgs", {(1552, 80001), (1952, 80001)}),
 ])
 def test_phase_sum_dispatch_by_measured_crossover(argv, kernel, grids, monkeypatch, capsys):
     # few terms over many nodes stay on baby-step/giant-step: mean-value,
-    # halasz, large-values and the two tnp zeta grids (N terms, K nodes);
-    # parseval-link's X terms over ceil(T log(2X/(X+1))/_EM_REACH) + 1
-    # nodes, T = X/(h delta^2), take Taylor-FFT
+    # halasz, large-values and the two tnp zeta grids (N terms, K nodes),
+    # at T = 400 and 2000; parseval-link's X terms over
+    # ceil(T log(2X/(X+1))/_EM_REACH) + 1 nodes, T = X/(h delta^2), take
+    # Taylor-FFT
     seen = _dispatched(argv, monkeypatch, capsys)
     assert seen and {name for name, _, _ in seen} == {kernel}
     assert grids <= {(N, K) for _, N, K in seen}
 
 
-def test_phase_sum_dispatch_splits_long_zeta_grids(monkeypatch, capsys):
-    # tnp at T = 2000: both zeta grids have 80001 nodes (M = 2^18), where the
-    # rule asks for 7200 terms; 4000 terms stay on baby-step/giant-step and
-    # the 8000 of zeta(2s) take Taylor-FFT
-    seen = _dispatched(["tnp", "--perron-t", "2000"], monkeypatch, capsys)
-    assert sorted(seen) == [("bsgs", 4000, 80001), ("taylor-fft", 8000, 80001)]
+def test_phase_sum_dispatch_splits_long_zeta_grids(monkeypatch):
+    # tnp's contour at T = 10500: both zeta grids have 420001 nodes
+    # (M = 2^20), where the rule asks for 9000 terms; the 8064 of zeta(s) stay
+    # on baby-step/giant-step and the 9352 of zeta(2s) take Taylor-FFT. The
+    # kernels are stubbed, as only the dispatch is under test
+    seen = []
+
+    def recorded(name):
+        def call(logn, vals, ts, dt):
+            seen.append((name, len(vals), len(ts)))
+            return np.zeros(len(ts), dtype=np.complex128)
+        return call
+    monkeypatch.setattr(dp, "_bsgs_sum", recorded("bsgs"))
+    monkeypatch.setattr(dp, "_taylor_fft_sum", recorded("taylor-fft"))
+    zm.perron_truncated("liouville", 2000, zm.SmoothCutoff(0.1), 10500.0)
+    assert sorted(seen) == [("bsgs", 8064, 420001), ("taylor-fft", 9352, 420001)]
 
 
 @pytest.mark.parametrize("N, K, kernel", [

@@ -126,6 +126,85 @@ def test_zeta_strip_grid_matches_scalar():
         assert abs(v - zm.zeta_strip(complex(1.3, t), terms=3000)) < 1e-13
 
 
+@pytest.fixture(scope="module")
+def mp_zeta():
+    # mpmath zeta at 20 digits, one call per node shared by every M
+    cache = {}
+
+    def value(s):
+        if s not in cache:
+            with mpmath.workdps(20):
+                cache[s] = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+        return cache[s]
+    return value
+
+
+def _contour_grids(x, T):
+    # tnp's two zeta grids at (perron_x, perron_t): (sigma, ts), (2 sigma, 2 ts)
+    sigma = 1.0 + 1.0 / math.log(x)
+    ts = np.linspace(0.0, T, zm.perron_nodes(x, T))
+    return [(sigma, ts), (2 * sigma, 2 * ts)]
+
+
+@pytest.mark.parametrize("T", [400.0, 2000.0])
+@pytest.mark.parametrize("x", [3, 2000, 10**6])
+def test_zeta_strip_grid_within_tail_bound_and_drift(x, T, mp_zeta):
+    # at 41 nodes of each tnp grid, t = 0 and max t among them, the error
+    # against mpmath lies within Backlund's bound on the tail plus the
+    # _phase_sum drift 4 eps (1 + max|t| max|y|) sum|v| of the head. At the
+    # rule's M the bound is below eps (sigma - 1)/sigma; at M = 20 and 50 it
+    # is far above rounding at some nodes, where a lost correction or a
+    # wrong Pochhammer factor shows. The rule's M is the one the grid takes,
+    # rounded up to a multiple of 8
+    for sigma, ts in _contour_grids(x, T):
+        at = np.linspace(0, len(ts) - 1, 41).astype(int)
+        rule = zm._aligned_terms(sigma, ts[-1])
+        assert zm._em_remainder(complex(sigma, ts[-1]), rule) <= EPS * (sigma - 1) / sigma
+        for M in (rule, 20, 50):
+            s = sigma + 1j * ts[at]
+            got = zm.zeta_strip_grid(sigma, ts, M)[at]
+            want = np.array([mp_zeta(v) for v in s])
+            n = np.arange(1, M + 1, dtype=np.float64)
+            drift = 4 * EPS * (1 + ts[-1] * math.log(M)) * fsum(n ** -sigma)
+            assert np.all(np.abs(got - want) <= zm._em_remainder(s, M) + drift), (sigma, M)
+
+
+@pytest.mark.parametrize("x, T, terms, aligned", [
+    (2000, 400.0, (314, 426), (320, 432)), (2000, 2000.0, (1551, 1949), (1552, 1952)),
+    (2000, 8000.0, (6149, 7228), (6152, 7232))])
+def test_zeta_terms_of_the_contour_grids(x, T, terms, aligned):
+    # each grid's M is the least with Backlund's bound at max|t| within
+    # eps (sigma - 1)/sigma, about a quarter of the former max(1000, 2T) and
+    # max(1000, 4T) terms; the grids take it rounded up to a multiple of 8
+    got = []
+    for sigma, ts in _contour_grids(x, T):
+        M, s, tol = zm._zeta_terms(sigma, ts[-1]), complex(sigma, ts[-1]), EPS * (sigma - 1) / sigma
+        assert zm._em_remainder(s, M) <= tol < zm._em_remainder(s, M - 1)
+        got.append((M, zm._aligned_terms(sigma, ts[-1])))
+    assert tuple(zip(*got)) == (terms, aligned)
+
+
+def test_contour_ratio_error_at_tnp_defaults(mp_zeta):
+    # Z = zeta(2s)/zeta(s) at 41 nodes of tnp's default half grid: the
+    # former 1000- and 1600-term grids were 4.0e-13 relative off
+    (sigma, ts), _ = _contour_grids(2000, 400.0)
+    at = np.linspace(0, len(ts) - 1, 41).astype(int)
+    got = zm._z_on_grid("liouville", sigma, ts)[at]
+    want = np.array([mp_zeta(2 * v) / mp_zeta(v) for v in sigma + 1j * ts[at]])
+    assert np.max(np.abs(got / want - 1)) < 1e-13
+
+
+def test_em_remainder_bounds_the_scalar_tail(mp_zeta):
+    # zeta_strip shares the tail: its error at a few terms lies within
+    # Backlund's bound plus the rounding of the head's phases -s log n
+    for s in (1.5 + 0j, 1.1 + 30j, 2.0 + 60j, 0.75 - 20j):
+        for M in (10, 20, 40):
+            head = math.fsum(k ** -s.real for k in range(1, M + 1))
+            err = abs(zm.zeta_strip(s, terms=M) - mp_zeta(s))
+            rounding = 4 * EPS * (1 + abs(s) * math.log(M)) * (head + abs(mp_zeta(s)))
+            assert err <= zm._em_remainder(s, M) + rounding, (s, M)
+
+
 def test_zeta_strip_domain_errors():
     with pytest.raises(ValueError):
         zm.zeta_strip(1.0)
