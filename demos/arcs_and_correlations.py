@@ -21,9 +21,9 @@ for alpha, Q in ((math.pi, 100), (math.e, 50), (2**0.5, 30)):
 
 # arc dissection: major when the denominator is small
 for alpha in (math.pi, 0.5 + 1e-5, 0.123456):
-    lab = ec.classify_arc(alpha, 200, 12)
-    print("alpha=%.6f -> a/q = %d/%d  %s" % (alpha, lab.a, lab.q,
-                                             "major" if lab.major else "minor"))
+    ra = ec.dirichlet_approx(alpha, 200)
+    print("alpha=%.6f -> a/q = %d/%d  %s" % (alpha, ra.a, ra.q,
+                                             "major" if ra.q <= 12 else "minor"))
 
 # capped reciprocal distance sums under the classical envelope
 res = ec.vinogradov_sum(Fraction(1, 3), 3, 10)

@@ -47,12 +47,6 @@ print("sparse-set bound:", "PASS" if rep.value <= rep.bound else "FAIL")
 rel = rep.quadrature_bound / rep.value
 print("sparse quadrature bound %.2e under 1e-3: %s" % (rel, "PASS" if rel <= 1e-3 else "FAIL"))
 
-# squaring a polynomial multiplies supports: the square of the band
-# vector lives on pair products, still explicit integers
-sq = dp.raise_power(band, 2)
-print("squared support (%d, %d], %d nonzero coefficients"
-      % (sq.support_lo, sq.support_hi, int(np.count_nonzero(sq.values))))
-
 # where can the band polynomial run large? at gamma = 1/9 the level set
 # over a T-grid has small over-covered measure
 lv = dp.large_value_measure(band, 600.0, 1.0 / 9.0)

@@ -16,8 +16,8 @@ print("mu(2)..mu(12):       ", tab.mu[1:12].tolist())
 
 # spot check one awkward integer
 n = 123456
-print("n=%d spf=%d Omega=%d lambda=%d" % (n, tab.smallest_prime_factor(n),
-                                          tab.big_omega(n), tab.liouville(n)))
+i = n - tab.lo  # each array holds n at index n - lo
+print("n=%d spf=%d Omega=%d lambda=%d" % (n, tab.spf[i], tab.omega[i], tab.lam[i]))
 
 # direct division check on a short window
 ok = True
@@ -31,7 +31,7 @@ for m in range(190000, 190100):
         d += 1
     if f > 1:
         o += 1
-    if (-1) ** o != tab.liouville(m):
+    if (-1) ** o != tab.lam[m - tab.lo]:
         ok = False
 print("window vs direct division:", "PASS" if ok else "FAIL")
 

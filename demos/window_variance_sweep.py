@@ -10,14 +10,13 @@ the 1-line.
 
 import math
 
-from liouville_lab import interval_stats
+from liouville_lab import arith_core, interval_stats
 
 X = 10**5
 
 # one window, by hand: the signs over (x, x+h] rarely agree
-spec = interval_stats.WindowSpec("additive", X, 50)
-s = interval_stats.short_sum("liouville", spec, X + 1)
-print("sum of signs over (%d, %d] = %g" % (X + 1, X + 1 + 50, s))
+s = int(arith_core.liouville_range(X + 2, X + 52).sum())
+print("sum of signs over (%d, %d] = %d" % (X + 1, X + 1 + 50, s))
 
 # variance sweep: multiplicative windows ((1-h/X)x, x]
 print("\n h      variance       rms mean")

@@ -22,7 +22,7 @@ SPAN_BUDGET = 1 << 26
 
 @dataclass
 class FactorTable:
-    """Per-integer factor data on [lo, hi)."""
+    """Per-integer factor data on [lo, hi), n at index n - lo of each array."""
 
     lo: int
     hi: int
@@ -30,25 +30,6 @@ class FactorTable:
     omega: np.ndarray    # number of prime factors with multiplicity
     lam: np.ndarray      # Liouville sign (-1)^omega, int8
     mu: np.ndarray       # Mobius value, int8
-
-    def _idx(self, n):
-        if not self.lo <= n < self.hi:
-            raise IndexError("n=%d outside [%d, %d)" % (n, self.lo, self.hi))
-        return n - self.lo
-
-    def liouville(self, n):
-        return int(self.lam[self._idx(n)])
-
-    def mobius(self, n):
-        return int(self.mu[self._idx(n)])
-
-    def smallest_prime_factor(self, n):
-        if n < 2:
-            raise ValueError("spf defined for n >= 2")
-        return int(self.spf[self._idx(n)])
-
-    def big_omega(self, n):
-        return int(self.omega[self._idx(n)])
 
 
 def primes_upto(bound):

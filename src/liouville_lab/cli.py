@@ -269,8 +269,7 @@ def h_halasz(P):
 
 def h_large_values(P):
     q, delta, T, gamma = P["q"], P["delta"], P["t"], P["gamma"]
-    coeffs = dirichlet_poly.prime_band_coeffs(q, delta, weight="reciprocal",
-                                              sign="liouville")
+    coeffs = dirichlet_poly.prime_band_coeffs(q, delta)
     rep = dirichlet_poly.large_value_measure(coeffs, T, gamma)
     return [make_row("large-values", P, rep.measure, rep.bound),
             make_row("large-values", {**P, "check": "threshold"},

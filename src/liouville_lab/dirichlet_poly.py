@@ -1,7 +1,6 @@
 """Finite Dirichlet polynomials: evaluation, the t-grid rules of every
 frequency-side quadrature and grid cover, mean values over t-ranges,
-integrals over sparse t-sets, powers of prime-supported polynomials, and
-grid measures of large-value sets.
+integrals over sparse t-sets, and grid measures of large-value sets.
 
 Square integrals (mean values, Halasz subsets, the Parseval bridge) come
 from _square_integral: the trapezoid rule with _EM_ORDER Euler-Maclaurin
@@ -21,9 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith_core
-from .util import check_mul64, fsum
-
-MAX_POWER = 12
+from .util import fsum
 
 
 @dataclass
@@ -59,22 +56,17 @@ def coeffs_from_dict(mapping):
     return CoeffSeq(lo, hi, vals)
 
 
-def prime_band_coeffs(Q, delta, weight="reciprocal", sign="liouville"):
-    """Coefficients supported on primes p in (Q, (1+delta)Q].
-
-    weight 'reciprocal' stores sign(p)/p (vertical-line values folded in),
-    'unit' stores sign(p). sign 'liouville' gives -1 at primes, 'plus' +1.
-    """
+def prime_band_coeffs(Q, delta):
+    """Coefficients -1/p on the primes p in (Q, (1+delta)Q]: lambda(p) = -1
+    with the vertical-line value 1/p folded in."""
     lo = int(math.floor(Q))
     hi = int(math.floor((1.0 + delta) * Q))
     plist = arith_core.primes_in(Q, (1.0 + delta) * Q)
     # a band holding no integer still yields a valid all-zero sequence
     hi = max(hi, lo + 1)
     vals = np.zeros(hi - lo, dtype=np.complex128)
-    s = -1.0 if sign == "liouville" else 1.0
     for p in plist:
-        a = s / p if weight == "reciprocal" else s
-        vals[int(p) - lo - 1] = a
+        vals[int(p) - lo - 1] = -1.0 / p
     return CoeffSeq(lo, hi, vals)
 
 
@@ -98,6 +90,15 @@ class TSubset:
 
 
 _EPS = np.finfo(np.float64).eps
+# _bsgs_sum's complex matrix product sums over the terms of a slab, and
+# OpenBLAS (0.3.31, Haswell kernels, measured at every 37th count from 250
+# to 2063) gave the same bits at 1 and 2 threads only where that count is
+# 0 or 7 mod 8: its one- and many-threaded drivers can cut the sum into
+# different blocks. So every slab but the last holds a multiple of
+# _TERMS_ALIGN terms, and the contour's zeta grids (zeta_mellin) take a
+# multiple of it in all, lest tnp's contour rows move with
+# OPENBLAS_NUM_THREADS
+_TERMS_ALIGN = 8
 # nonzero terms per doubling of M above 2^10, and per halving below 2^11,
 # from which an even grid takes the Taylor-FFT kernel; the measured rule
 # is in _phase_sum
@@ -155,8 +156,10 @@ def _bsgs_sum(logn, vals, ts, dt):
     giant row 0 = e^{i t0 y} vals, so row r is row 0 times one factor per
     bit of r. The ceil(log2 B) + ceil(log2 G) + 1 = L exponentials per term
     are one np.exp per slab. An uneven grid takes the direct sum, one
-    exponential per node. Terms go in slabs with (G + B) * slab <= 2^22
-    elements, summed into one output.
+    exponential per node. Terms go in slabs of the largest multiple of
+    _TERMS_ALIGN with (G + B) * slab <= 2^22 elements, and at least
+    _TERMS_ALIGN, summed into one output: only the last slab can hold a
+    count of terms that is not a multiple.
 
     Rounding. A baby factor's phase (h dt) y rounds once (h is a power of
     2), a giant factor's (h (B dt)) y twice and t0 y once, so the phases
@@ -180,7 +183,7 @@ def _bsgs_sum(logn, vals, ts, dt):
     nb, ng = (B - 1).bit_length(), (G - 1).bit_length()
     # phase steps of the baby factors, the giant factors and giant row 0
     steps = np.concatenate(((1 << np.arange(nb)) * dt, (1 << np.arange(ng)) * (B * dt), ts[:1]))
-    slab = max(1, (1 << 22) // (G + B))
+    slab = max(1, (1 << 22) // (G + B) // _TERMS_ALIGN) * _TERMS_ALIGN
     for a in range(0, len(vals), slab):
         lg, v = logn[a:a + slab], vals[a:a + slab]
         if not dt:
@@ -479,35 +482,6 @@ def halasz_subset_integral(coeffs, subset):
     ssq = coeffs.sum_sq
     bound = 10.0 * (coeffs.support_hi + subset.measure * math.sqrt(T) * math.log(max(T, 2.0))) * ssq
     return HalaszResult(value, bound, subset.measure, err)
-
-
-def raise_power(coeffs, ell):
-    """ell-fold Dirichlet self-convolution of a prime-supported sequence.
-
-    Support lands in (lo^ell, hi^ell]; coefficient magnitudes stay below
-    ell! when the base values are bounded by 1. Hard 64-bit support check.
-    """
-    if not 1 <= ell <= MAX_POWER:
-        raise ValueError("ell must lie in 1..%d" % MAX_POWER)
-    check_mul64(*([coeffs.support_hi] * ell))
-    base = {}
-    for i, a in enumerate(coeffs.values):
-        if a != 0:
-            base[coeffs.support_lo + 1 + i] = complex(a)
-    acc = {1: 1.0 + 0j}
-    for _ in range(ell):
-        nxt = {}
-        for n, an in acc.items():
-            for p, ap in base.items():
-                key = n * p
-                nxt[key] = nxt.get(key, 0j) + an * ap
-        acc = nxt
-    lo = coeffs.support_lo**ell
-    hi = coeffs.support_hi**ell
-    vals = np.zeros(hi - lo, dtype=np.complex128)
-    for n, a in acc.items():
-        vals[n - lo - 1] = a
-    return CoeffSeq(lo, hi, vals)
 
 
 @dataclass

@@ -486,11 +486,12 @@ def hoeffding_tail_check(n, C, s, trials, seed=0):
     return hits / trials, bound
 
 
-def concentration_check(dist, E, M, delta=None):
+def concentration_check(dist, E, M):
     """True iff P(E) <= 2/M for a high-entropy distribution.
 
-    Requires entropy >= (1 - delta) log k with delta >= 1/log k, and
-    |E| <= k^(1 - M delta); violations of these hypotheses raise
+    Takes delta = max(1 - H/log k, 1/log k), the least delta >= 1/log k
+    with entropy H >= (1 - delta) log k, and so the largest event size cap
+    k^(1 - M delta); an event above it, or outside the k outcomes, raises
     PreconditionError. A False return is a genuine counterexample."""
     m = np.asarray(dist, dtype=np.float64)
     k = len(m)
@@ -498,14 +499,8 @@ def concentration_check(dist, E, M, delta=None):
         raise PreconditionError("need at least 2 outcomes")
     if M <= 0:
         raise PreconditionError("M must be positive")
-    Hd = entropy(m)
     logk = math.log(k)
-    if delta is None:
-        delta = max(1.0 - Hd / logk, 1.0 / logk)
-    if delta < 1.0 / logk - 1e-15:
-        raise PreconditionError("delta below 1/log k")
-    if Hd < (1.0 - delta) * logk - 1e-12:
-        raise PreconditionError("entropy below (1 - delta) log k")
+    delta = max(1.0 - entropy(m) / logk, 1.0 / logk)
     Eidx = np.unique(np.asarray(E, dtype=np.int64))
     if len(Eidx) and (Eidx[0] < 0 or Eidx[-1] >= k):
         raise PreconditionError("event indices out of range")

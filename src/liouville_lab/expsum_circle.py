@@ -1,6 +1,6 @@
-"""Exponential sums over integers and primes, rational approximation and
-arc classification, Dirichlet characters with the additive-to-multiplicative
-bridge, autocorrelation tables, and ternary convolution sums.
+"""Exponential sums over integers and primes, rational approximation,
+Dirichlet characters with the additive-to-multiplicative bridge,
+autocorrelation tables, and ternary convolution sums.
 """
 
 import cmath
@@ -70,19 +70,6 @@ def dirichlet_approx(alpha, Q):
         if abs(exact - Fraction(a, q)) * q * Q <= 1:
             return RationalApprox(a, q, float(abs(exact - Fraction(a, q))))
     raise ArithmeticError("no convergent found; should not happen for Q >= 1")
-
-
-@dataclass
-class ArcLabel:
-    a: int
-    q: int
-    major: bool
-
-
-def classify_arc(alpha, Q, R):
-    """Label alpha by its approximation at level Q; major iff q <= R."""
-    ra = dirichlet_approx(alpha, Q)
-    return ArcLabel(ra.a, ra.q, ra.q <= R)
 
 
 # ------------------------------------------------------ geometric sums
@@ -261,18 +248,6 @@ class CharacterTable:
             k.append(index % d)
             index //= d
         return k
-
-    def value(self, index, n):
-        """chi_index(n) as complex; 0 off the unit group. The same sum of
-        phases as row's entry at n, without building or caching the row."""
-        ks = self.exponents(index)
-        n = int(n) % self.q
-        if math.gcd(n, self.q) != 1:
-            return 0j
-        phase = 0.0
-        for k, d, dlog in zip(ks, self.orders, self._dlogs):
-            phase += (k * int(dlog[n]) % d) / d
-        return e_of(phase)
 
     def row(self, index):
         """Dense value vector over residues 0..q-1 (cached): e(phase) at the

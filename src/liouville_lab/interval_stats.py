@@ -26,9 +26,7 @@ import numpy as np
 
 from . import arith_core
 from .dirichlet_poly import _em_intervals, _square_integral
-from .expsum_circle import characters_mod
-from .util import (INT64_MAX, BudgetError, ExactSum, PreconditionError, check_mul64, fsum,
-                   fsum_complex)
+from .util import INT64_MAX, BudgetError, ExactSum, PreconditionError, check_mul64, fsum
 
 WINDOW_BUDGET = 6 * 10**7
 _RUN_MIN = 256  # least windows per run, X/h, at which multiplicative passes take runs
@@ -51,36 +49,20 @@ class WindowSpec:
 
 def _value_stream(fname, lo, hi, budget=arith_core.SPAN_BUDGET):
     """values(a, b): f(n) for n in [a, b), where the pieces [a, b) run
-    through [lo, hi) in order, each starting where the last stopped. fname
-    is a string or a ('liouville_times_character', q, index) tuple. lambda
-    and mu, and the lambda of lambda chi, come as int8 from one
-    arith_core._stream over [lo, hi), checked against budget; Lambda - 1
-    is sieved per piece."""
+    through [lo, hi) in order, each starting where the last stopped. lambda
+    and mu come as int8 from one arith_core._stream over [lo, hi), checked
+    against budget; Lambda - 1 is sieved per piece."""
     if fname in ("liouville", "mobius"):
         return arith_core._stream(lo, hi, mobius=fname == "mobius", budget=budget)
     if fname == "von_mangoldt_minus_one":
         return arith_core.von_mangoldt_minus_one_range
-    if isinstance(fname, (tuple, list)) and fname[0] == "liouville_times_character":
-        _, q, index = fname
-        chi = characters_mod(int(q)).row(int(index))
-        lam = arith_core._stream(lo, hi, budget=budget)
-
-        def values(a, b):
-            res = np.arange(a, b, dtype=np.int64) % int(q)
-            return lam(a, b).astype(np.complex128) * chi[res]
-        return values
     raise ValueError("unknown function spec %r" % (fname,))
 
 
-def _values(fname, lo, hi):
-    """f(n) for n in [lo, hi) in one piece."""
-    return _value_stream(fname, lo, hi)(lo, hi)
-
-
 def _edges(spec, xs):
-    """(starts, stops) of spec's windows (start, stop] anchored at xs, an
-    integer or an int64 array: (x, x+h] when additive, ((1-h/X)x, x] when
-    multiplicative, with exact integer edges."""
+    """(starts, stops) of spec's windows (start, stop] anchored at the int64
+    array xs: (x, x+h] when additive, ((1-h/X)x, x] when multiplicative,
+    with exact integer edges."""
     if spec.kind == "additive":
         return xs, xs + spec.h
     check_mul64(np.max(xs), spec.X - spec.h)
@@ -249,7 +231,7 @@ def _abs_means(sums, counts, lengths):
         sums = sums.astype(np.float64)  # exact
     sums /= (float(lengths[0]) if len(lengths) == 1 else
              np.repeat(lengths.astype(np.float64), counts))
-    return np.abs(sums) if np.iscomplexobj(sums) else np.abs(sums, out=sums)
+    return np.abs(sums, out=sums)
 
 
 def _abs_window_means(fname, spec):
@@ -260,17 +242,6 @@ def _abs_window_means(fname, spec):
     for segment in _streamed_windows(
             functools.partial(_value_stream, fname), spec.kind, spec.X, spec.h):
         yield _abs_means(*segment)
-
-
-def short_sum(fname, spec, x):
-    """Window sum of f over spec's window anchored at integer x."""
-    start, stop = _edges(spec, int(x))
-    vals = _values(fname, start + 1, stop + 1)
-    if np.iscomplexobj(vals):
-        return fsum_complex(vals)
-    if vals.dtype == np.int8:
-        return int(vals.astype(np.int64).sum())
-    return fsum(vals)
 
 
 def _square_sum(sums, bound):
@@ -353,8 +324,8 @@ def variance(fname, spec):
     and every partial sum of them fit int64, and T_l / l^2 is one correctly
     rounded double division.
 
-    For float and complex f the squared means of every segment go into one
-    exact accumulator."""
+    For float f the squared means of every segment go into one exact
+    accumulator."""
     return variances(fname, [spec])[0]
 
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith_core
-from .dirichlet_poly import _EPS, _bernoulli_over_factorial, _nodes, _phase_sum, _step_limit, _trap
+from .dirichlet_poly import (_EPS, _TERMS_ALIGN, _bernoulli_over_factorial, _fft_size, _nodes,
+                             _phase_sum, _step_limit, _trap)
 from .util import BudgetError, ExactSum, fsum, fsum_complex
 
 
@@ -287,15 +288,6 @@ def _z_on_grid(kind, sigma, ts):
     return z2 / z1
 
 
-# The contour's zeta grids take a multiple of 8 terms. _bsgs_sum's one
-# complex matrix product sums over the terms, and OpenBLAS (0.3.31, Haswell
-# kernels, measured at every 37th count from 250 to 2063) gave the same bits
-# at 1 and 2 threads only where that count is 0 or 7 mod 8: its one- and
-# many-threaded drivers can cut the sum into different blocks. At 314 and
-# 426 terms, tnp's contour rows moved with OPENBLAS_NUM_THREADS
-_TERMS_ALIGN = 8
-
-
 def _aligned_terms(sigma, tmax):
     """_zeta_terms(sigma, tmax) rounded up to a multiple of _TERMS_ALIGN."""
     return -(-_zeta_terms(sigma, tmax) // _TERMS_ALIGN) * _TERMS_ALIGN
@@ -304,7 +296,8 @@ def _aligned_terms(sigma, tmax):
 def perron_nodes(x, T):
     """Node count of perron_truncated's half grid on [0, T] at x, after its
     checks: ValueError unless x > 2 and 0 < T < inf, and BudgetError when
-    the half grid's nodes or the floor(x) integers of the smoothed sum
+    the half grid's nodes, the Taylor-FFT size of a grid of that many nodes
+    (dirichlet_poly._fft_size) or the floor(x) integers of the smoothed sum
     exceed arith_core.SPAN_BUDGET. It does no work, so a caller can check
     first."""
     x = float(x)
@@ -317,6 +310,10 @@ def perron_nodes(x, T):
     nodes = _nodes(0.0, T, step) if q < arith_core.SPAN_BUDGET else 2.0 * q + 1
     if nodes > arith_core.SPAN_BUDGET:
         raise BudgetError("%g t-nodes exceed budget %d" % (nodes, arith_core.SPAN_BUDGET))
+    M = _fft_size(nodes)
+    if M > arith_core.SPAN_BUDGET:
+        raise BudgetError("FFT size %d of %d t-nodes exceeds budget %d"
+                          % (M, nodes, arith_core.SPAN_BUDGET))
     if math.floor(x) > arith_core.SPAN_BUDGET:
         raise BudgetError("span %d exceeds budget %d" % (math.floor(x), arith_core.SPAN_BUDGET))
     return nodes

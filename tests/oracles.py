@@ -249,12 +249,13 @@ def one_shot_abs_window_means(ist, fname, spec):
     """|window mean of f| for every x in (X, 2X] from one np.cumsum over the
     whole span, in one array: the window kernel before it was streamed.
 
-    ist is the interval_stats module; its _values and _edges feed both
-    sides, so a comparison isolates the segment walk."""
+    ist is the interval_stats module; its _value_stream, read in one piece,
+    and _edges feed both sides, so a comparison isolates the segment walk."""
     X = spec.X
     xs = np.arange(X + 1, 2 * X + 1, dtype=np.int64)
     starts, stops = ist._edges(spec, xs)
-    vals = ist._values(fname, starts[0], stops[-1] + 1)
+    lo, hi = int(starts[0]), int(stops[-1]) + 1
+    vals = ist._value_stream(fname, lo, hi)(lo, hi)
     dtype = np.int64 if vals.dtype == np.int8 else vals.dtype
     prefix = np.zeros(len(vals) + 1, dtype=dtype)
     np.cumsum(vals, dtype=dtype, out=prefix[1:])

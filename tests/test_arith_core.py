@@ -65,19 +65,19 @@ def test_factorize_matches_trial_division():
 def test_factor_table_small_range():
     t = ac.build_sieve(1, 2001)
     for n in range(1, 2001):
-        assert t.liouville(n) == oracles.liouville(n), n
-        assert t.mobius(n) == oracles.mobius(n), n
-        assert t.big_omega(n) == oracles.big_omega(n), n
+        assert t.lam[n - t.lo] == oracles.liouville(n), n
+        assert t.mu[n - t.lo] == oracles.mobius(n), n
+        assert t.omega[n - t.lo] == oracles.big_omega(n), n
         if n >= 2:
-            assert t.smallest_prime_factor(n) == oracles.spf(n), n
+            assert t.spf[n - t.lo] == oracles.spf(n), n
 
 
 def test_factor_table_offset_window():
     lo = 10**6 + 17
     t = ac.build_sieve(lo, lo + 500)
     for n in range(lo, lo + 500):
-        assert t.liouville(n) == oracles.liouville(n), n
-        assert t.smallest_prime_factor(n) == oracles.spf(n), n
+        assert t.lam[n - t.lo] == oracles.liouville(n), n
+        assert t.spf[n - t.lo] == oracles.spf(n), n
 
 
 @given(st.integers(min_value=2, max_value=200),
@@ -86,7 +86,7 @@ def test_factor_table_offset_window():
 def test_liouville_completely_multiplicative(a, b):
     hi = a * b + 1
     t = ac.build_sieve(1, hi + 1)
-    assert t.liouville(a * b) == t.liouville(a) * t.liouville(b)
+    assert t.lam[a * b - t.lo] == t.lam[a - t.lo] * t.lam[b - t.lo]
 
 
 @given(st.integers(min_value=1, max_value=30000),

@@ -391,6 +391,9 @@ def test_joined_window_condition_exits_two_before_work(argv, monkeypatch, capsys
     # [1, 1e10], is refused before the lambda-series sieves [1, x]
     ["tnp", "--perron-t", "1e9"],
     ["tnp", "--perron-x", "10000000000", "--perron-t", "10"],
+    # 67,108,841 t-nodes pass the node budget, but a Taylor-FFT grid of
+    # that many nodes takes 2^27 bins: refused before the lambda-series
+    ["tnp", "--perron-t", "1677721"],
 ])
 def test_span_past_budget_exits_three_before_work(argv, monkeypatch, capsys):
     _forbid_work(monkeypatch, prime_bound=64 if argv[0] == "entropy" else 0)

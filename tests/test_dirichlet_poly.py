@@ -37,15 +37,11 @@ def test_coeffs_from_dict_round_trip():
 
 
 def test_prime_band_coeffs_frozen():
-    c = dp.prime_band_coeffs(10, 1.0, weight="reciprocal", sign="liouville")
+    c = dp.prime_band_coeffs(10, 1.0)
     nz = {int(n): v for n, v in zip(c.n_array, c.values) if v != 0}
     assert sorted(nz) == [11, 13, 17, 19]
     assert nz[11] == pytest.approx(-1 / 11)
     assert nz[19] == pytest.approx(-1 / 19)
-    c2 = dp.prime_band_coeffs(10, 1.0, weight="unit", sign="plus")
-    assert sorted(int(n) for n, v in zip(c2.n_array, c2.values) if v != 0) \
-        == [11, 13, 17, 19]
-    assert set(c2.values[c2.values != 0].tolist()) == {1.0 + 0j}
 
 
 # ------------------------------------------------------ grid kernel
@@ -508,28 +504,6 @@ def test_halasz_value_matches_mean_value_on_prefix():
     assert hs.value == pytest.approx(mv.value, rel=1e-6)
 
 
-def test_raise_power_square_of_prime_band():
-    c = dp.prime_band_coeffs(4, 1.0, weight="unit", sign="liouville")
-    sq = dp.raise_power(c, 2)
-    assert sq.support_lo == 4**2 and sq.support_hi == 8**2
-    nz = {int(n): v for n, v in zip(sq.n_array, sq.values) if v != 0}
-    # (5, 8] holds primes 5, 7 with value -1: squares 25, 49 get 1, 35 gets 2
-    assert set(nz) == {25, 35, 49}
-    assert nz[25] == pytest.approx(1.0)
-    assert nz[35] == pytest.approx(2.0)
-    assert nz[49] == pytest.approx(1.0)
-
-
-def test_raise_power_identity_and_limits():
-    c = dp.prime_band_coeffs(4, 1.0, weight="unit", sign="plus")
-    same = dp.raise_power(c, 1)
-    assert np.allclose(same.values, c.values)
-    with pytest.raises(ValueError):
-        dp.raise_power(c, 0)
-    with pytest.raises(ValueError):
-        dp.raise_power(c, dp.MAX_POWER + 1)
-
-
 def test_large_value_measure_full_cover():
     # a single unit coefficient keeps |poly| = 1 > threshold everywhere
     c = dp.coeffs_from_dict({3: 1.0})
@@ -556,7 +530,7 @@ def test_large_value_measure_rejects_low_support():
        st.floats(min_value=0.1, max_value=1.0))
 @settings(max_examples=30, deadline=None)
 def test_prime_band_support_property(Q, delta):
-    c = dp.prime_band_coeffs(Q, delta, weight="unit", sign="plus")
+    c = dp.prime_band_coeffs(Q, delta)
     ns = c.n_array[np.abs(c.values) > 0].astype(int)
     for p in ns:
         assert Q < p <= (1 + delta) * Q

@@ -362,13 +362,15 @@ def test_hoeffding_extremes():
 
 def test_concentration_uniform_and_structured():
     assert ent.concentration_check(np.full(64, 1 / 64), [3], 4) is True
-    # heaviest admissible event under the entropy floor still obeys 2/M
+    # the heaviest event of the cap at delta = 0.15, under that entropy
+    # floor, still obeys 2/M: the check's own delta, 1/log k < 0.15 here,
+    # admits it
     k, M, delta = 1024, 3, 0.15
     cap = int(k ** (1 - M * delta))
     m = np.full(k, 0.5 / (k - cap))
     m[:cap] = 0.5 / cap
     assert ent.entropy(m) >= (1 - delta) * math.log(k)
-    assert ent.concentration_check(m, list(range(cap)), M, delta=delta) is True
+    assert ent.concentration_check(m, list(range(cap)), M) is True
 
 
 def test_concentration_precondition_paths():
@@ -377,12 +379,10 @@ def test_concentration_precondition_paths():
         ent.concentration_check(uni[:1], [0], 4)
     with pytest.raises(PreconditionError):
         ent.concentration_check(uni, [0], 0)
-    with pytest.raises(PreconditionError):
-        ent.concentration_check(uni, [0], 4, delta=0.01)  # below 1/log k
     point = np.zeros(16)
     point[0] = 1.0
     with pytest.raises(PreconditionError):
-        ent.concentration_check(point, [0], 2, delta=0.5)  # entropy floor fails
+        ent.concentration_check(point, [0], 2)  # no entropy: delta = 1, no event fits
     with pytest.raises(PreconditionError):
         ent.concentration_check(uni, [99], 4)
     with pytest.raises(PreconditionError):

@@ -65,13 +65,6 @@ def test_dirichlet_approx_pigeonhole_property(num, den, Q):
     assert abs(alpha - Fraction(ra.a, ra.q)) * ra.q * Q <= 1
 
 
-def test_classify_arc_threshold():
-    assert ec.classify_arc(math.pi, 100, 7).major is True
-    assert ec.classify_arc(math.pi, 100, 6).major is False
-    lab = ec.classify_arc(math.pi, 100, 7)
-    assert (lab.a, lab.q) == (22, 7)
-
-
 # ------------------------------------------------------ geometric sums
 
 def test_geometric_sum_direct_and_envelope():
@@ -245,29 +238,19 @@ def test_character_column_orthogonality():
 def test_character_multiplicativity(q, idx_seed, m, n):
     tab = ec.characters_mod(q)
     idx = idx_seed % tab.n_chars
-    lhs = tab.value(idx, m * n)
-    rhs = tab.value(idx, m) * tab.value(idx, n)
+    row = tab.row(idx)
+    lhs = row[m * n % q]
+    rhs = row[m % q] * row[n % q]
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_character_rows_match_per_residue_oracle():
-    # every row, computed in numpy, and every single value against the
-    # per-residue loop, bit for bit
+    # every row, computed in numpy, against the per-residue loop, bit for bit
     for q in range(1, 121):
         tab = ec.characters_mod(q)
         for idx in range(tab.n_chars):
             want = [oracles.character_value(q, idx, n) for n in range(q)]
             assert tab.row(idx).tolist() == want, (q, idx)
-            assert [tab.value(idx, n + q) for n in range(q)] == want, (q, idx)
-
-
-def test_character_value_builds_no_row():
-    # a single value at a large modulus costs one phase per generator and
-    # caches nothing, unlike a dense q-long row
-    tab = ec.characters_mod.__wrapped__(9973)
-    assert tab.value(5, 2) == oracles.character_value(9973, 5, 2)
-    assert tab.value(5, 9973) == 0j
-    assert tab._rows == {}
 
 
 def test_character_budget_and_domain():
@@ -281,14 +264,11 @@ def test_character_budget_and_domain():
 
 def test_character_index_outside_range_raises():
     # index n_chars would wrap to the principal row and -1 to a
-    # nonprincipal one; both are refused, at a unit and off the units
+    # nonprincipal one; both are refused
     tab = ec.characters_mod(5)
     for bad in (-1, tab.n_chars):
         with pytest.raises(IndexError):
             tab.row(bad)
-        for n in (2, 5):
-            with pytest.raises(IndexError):
-                tab.value(bad, n)
 
 
 def test_additive_reconstruction_small_moduli():

@@ -26,29 +26,6 @@ def test_window_spec_validation():
         ist.WindowSpec("additive", 100, 0)
 
 
-def test_short_sum_frozen_window():
-    # Liouville over (10, 20]: one frozen integer
-    spec = ist.WindowSpec("additive", 100, 10)
-    assert ist.short_sum("liouville", spec, 10) == -4
-
-
-def test_short_sum_matches_naive_oracle():
-    lam = [0] + [oracles.liouville(n) for n in range(1, 301)]
-    spec = ist.WindowSpec("additive", 200, 25)
-    for x in (30, 99, 200):
-        want = oracles.naive_window_means(lam, [x], [x + 25])[0] * 25
-        assert ist.short_sum("liouville", spec, x) == pytest.approx(want)
-
-
-def test_short_sum_multiplicative_window():
-    # ((1 - h/X) x, x] with exact integer edges
-    X, h, x = 100, 20, 50
-    spec = ist.WindowSpec("multiplicative", X, h)
-    lo = (x * (X - h)) // X + 1
-    want = sum(oracles.liouville(n) for n in range(lo, x + 1))
-    assert ist.short_sum("liouville", spec, x) == want
-
-
 def test_variance_matches_naive_additive():
     # direct O(X h) recomputation at small size
     X, h = 400, 16
@@ -74,12 +51,11 @@ def test_variance_matches_naive_multiplicative():
 def test_variance_mobius_and_character_kinds():
     spec = ist.WindowSpec("additive", 200, 10)
     assert 0.0 <= ist.variance("mobius", spec) <= 1.0
-    assert 0.0 <= ist.variance(("liouville_times_character", 4, 1), spec) <= 1.0
-    # there are 4 characters mod 5: index 9 is refused, not read as 9 mod 4
-    with pytest.raises(IndexError):
-        ist.variance(("liouville_times_character", 5, 9), spec)
-    with pytest.raises(ValueError):
-        ist.variance("unknown", spec)
+    # the CLI's --fname offers liouville, mobius and von_mangoldt_minus_one;
+    # a twisted lambda chi spec is refused like any other unknown name
+    for fname in (("liouville_times_character", 4, 1), "unknown"):
+        with pytest.raises(ValueError, match="unknown function spec"):
+            ist.variance(fname, spec)
 
 
 def test_variance_budget():
@@ -309,7 +285,7 @@ SPEC_SETS = [
 def test_set_variances_equal_one_pass_per_spec(specs, segment, monkeypatch):
     specs = [ist.WindowSpec(*spec) for spec in specs]
     top = max(2 * s.X + s.h for s in specs)
-    integer = {fname: np.concatenate(([0], ist._values(fname, 1, top + 1)))
+    integer = {fname: np.concatenate(([0], ist._value_stream(fname, 1, top + 1)(1, top + 1)))
                for fname in ("liouville", "mobius")}
     monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT", segment)
     for fname in ("liouville", "mobius", "von_mangoldt_minus_one"):
@@ -381,9 +357,8 @@ def test_variance_decreases_with_window_length():
     assert vs[0] > vs[1] > vs[2]
 
 
-# f as int8 (liouville, mobius), float64 and complex128 prefixes
-STREAM_FNAMES = ["liouville", "mobius", "von_mangoldt_minus_one",
-                 ("liouville_times_character", 5, 1)]
+# f as int8 (liouville, mobius) and float64 prefixes
+STREAM_FNAMES = ["liouville", "mobius", "von_mangoldt_minus_one"]
 
 
 # multiplicative windows per run X/h just below, at and just above
@@ -402,10 +377,12 @@ def test_streamed_window_statistics_are_segment_independent(segment, kind, X, h,
     # tail longer than the segment; (20000, 50) has runs of 400 windows of
     # one length, longer than one segment and across seams. The variance
     # of int8 f is fsum(T_l / l^2) / X over exact integer totals T_l;
-    # float and complex f keep one exact sum of squared means
+    # float f keeps one exact sum of squared means
     spec = ist.WindowSpec(kind, X, h)
     taus = (0.02, 0.1, 0.3)
-    integer = {fname: ist._values(fname, 1, 2 * X + h + 1) for fname in ("liouville", "mobius")}
+    top = 2 * X + h
+    integer = {fname: ist._value_stream(fname, 1, top + 1)(1, top + 1)
+               for fname in ("liouville", "mobius")}
     monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT", segment)
     for fname in STREAM_FNAMES:
         want = oracles.one_shot_abs_window_means(ist, fname, spec)
@@ -427,7 +404,8 @@ def test_integer_variance_within_two_ulp_of_exact(data, kind, fname, h):
     # three roundings (T_l / l^2, the fsum, / X); X up to 300 h reaches
     # both sides of _RUN_MIN = 256 windows per run
     X = data.draw(st.integers(min_value=h + 1, max_value=300 * h))
-    values = np.concatenate(([0], ist._values(fname, 1, 2 * X + h + 1)))
+    top = 2 * X + h
+    values = np.concatenate(([0], ist._value_stream(fname, 1, top + 1)(1, top + 1)))
     exact = oracles.exact_window_variance(values, kind, X, h)
     got = ist.variance(fname, ist.WindowSpec(kind, X, h))
     assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(float(exact)))
